@@ -241,6 +241,40 @@ def bridge_matrices(ratio: float) -> tuple[np.ndarray, np.ndarray]:
     return a_mat, l_mat
 
 
+# (w, h, k) -> (w, i1/dt, i2/dt**2) on any interval; see to_time_integrals.
+_TO_INTEGRALS = np.array(
+    [
+        [1.0, 0.0, 0.0],
+        [1.0 / 2.0, 1.0, 0.0],
+        [1.0 / 6.0, 1.0 / 2.0, 1.0],
+    ]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _refine_map(ratio: float) -> np.ndarray:
+    """The 6x6 map from (parent w, h, k, sqrt(dt)*z) to (left w, h, k, right w, h, k).
+
+    Coefficients scale as sqrt(dt), so the map is independent of the
+    parent's length.  The left rows are the bridge of :func:`bridge_matrices`
+    conjugated into coefficient form; the right rows solve the composition
+    rule of :func:`combine` for the right part.
+    """
+    a_mat, l_mat = bridge_matrices(ratio)
+    t_inv = np.linalg.inv(_TO_INTEGRALS)
+    r, q = float(ratio), 1.0 - float(ratio)
+    # left coefficients from the normalized bridge x̂_L = A x̂_P + L z
+    left = np.sqrt(r) * t_inv @ np.hstack([a_mat @ _TO_INTEGRALS, l_mat])
+    # time integrals of both children in units of the parent's length
+    ti_left = np.diag([1.0, r, r * r]) @ _TO_INTEGRALS @ left
+    shift = np.array([[1.0, 0.0, 0.0], [q, 1.0, 0.0], [0.5 * q * q, q, 1.0]])
+    ti_right = np.hstack([_TO_INTEGRALS, np.zeros((3, 3))]) - shift @ ti_left
+    right = t_inv @ np.diag([1.0, 1.0 / q, 1.0 / (q * q)]) @ ti_right
+    full = np.vstack([left, right])
+    full.setflags(write=False)
+    return full
+
+
 def refine(
     inc: BrownianIncrement,
     rng: np.random.Generator,
@@ -253,26 +287,22 @@ def refine(
     (w, i1, i2) given the parent's, and the right part is then fixed by the
     composition rule, so ``combine(left, right)`` reproduces ``inc`` up to
     rounding.  ``ratio`` is the fraction of ``inc.dt`` given to the left
-    part.
+    part.  Both steps are linear, so the children come from one
+    precomputed map per ratio applied to the parent's coefficients and
+    ``rng``'s standard normals of shape ``(3, *batch, d)``.
     """
     if inc.m is not None:
         raise ValueError("refinement of an increment carrying m is not supported")
-    a_mat, l_mat = bridge_matrices(ratio)
+    full = _refine_map(ratio)
     s = inc.dt
+    stacked = np.empty((6, *inc.w.shape))
+    stacked[0], stacked[1], stacked[2] = inc.w, inc.h, inc.k
+    rng.standard_normal(out=stacked[3:])
+    stacked[3:] *= np.sqrt(s)
+    out = (full @ stacked.reshape(6, -1)).reshape(stacked.shape)
     dt_l = ratio * s
-    dt_r = s - dt_l
-    ti = to_time_integrals(inc)
-    xp = np.stack([ti.w / s**0.5, ti.i1 / s**1.5, ti.i2 / s**2.5])
-    z = rng.standard_normal(xp.shape)
-    xl = np.tensordot(a_mat, xp, axes=1) + np.tensordot(l_mat, z, axes=1)
-    w_l = xl[0] * dt_l**0.5
-    i1_l = xl[1] * dt_l**1.5
-    i2_l = xl[2] * dt_l**2.5
-    left = from_time_integrals(TimeIntegrals(dt_l, w_l, i1_l, i2_l))
-    w_r = ti.w - w_l
-    i1_r = ti.i1 - i1_l - dt_r * w_l
-    i2_r = ti.i2 - i2_l - dt_r * i1_l - 0.5 * dt_r * dt_r * w_l
-    right = from_time_integrals(TimeIntegrals(dt_r, w_r, i1_r, i2_r))
+    left = BrownianIncrement(dt_l, out[0], out[1], out[2])
+    right = BrownianIncrement(s - dt_l, out[3], out[4], out[5])
     return left, right
 
 

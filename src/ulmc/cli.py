@@ -24,6 +24,7 @@ from .harness import (
     contractivity_study,
     convergence_csv,
     gaussian_ground_truth,
+    level_grid_problems,
     long_run_ground_truth,
     mixing_csv,
     mixing_study,
@@ -266,12 +267,7 @@ def validate_config(rc: RunConfig) -> list[str]:
         diags.append("paths: need at least 2")
     if rc.chains < 1:
         diags.append("chains: need at least 1")
-    if not rc.levels:
-        diags.append("levels: need at least one coarse level")
-    elif min(rc.levels) < 0:
-        diags.append("levels: exponents must be nonnegative")
-    elif rc.fine_level < max(rc.levels):
-        diags.append("fine_level: must be at least the finest coarse level")
+    diags.extend(level_grid_problems(rc.methods, rc.levels, rc.fine_level))
     if rc.burn_in < 0:
         diags.append("burn_in: must be nonnegative")
     if rc.kept < 1:

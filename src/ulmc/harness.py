@@ -51,6 +51,7 @@ __all__ = [
     "convergence_csv",
     "fit_order",
     "gaussian_ground_truth",
+    "level_grid_problems",
     "long_run_ground_truth",
     "mixing_csv",
     "mixing_study",
@@ -262,6 +263,35 @@ def _descend(tree, cfg, pot, index, inc, depth, fine_depth, by_depth, validate) 
         _descend(tree, cfg, pot, 2 * index + 1, children[1], depth + 1, fine_depth, by_depth, validate)
 
 
+def level_grid_problems(
+    methods: Sequence[str], coarse_levels: Sequence[int], fine_level: int
+) -> list[str]:
+    """Why a strong-error study cannot run on this level grid; empty if it can.
+
+    Each entry reads ``"<setting>: <problem>"``, naming the setting to change.
+    Methods not in ``STEPPERS`` are left to the caller to report.
+    """
+    levels = sorted({int(lvl) for lvl in coarse_levels})
+    fine_level = int(fine_level)
+    if not levels:
+        return ["levels: need at least one coarse level"]
+    if levels[0] < 0:
+        return ["levels: coarse levels are exponents of two and must be nonnegative"]
+    if fine_level < levels[-1]:
+        return [
+            "fine_level: must be at least the finest coarse level so the fine "
+            "increments combine dyadically onto every coarse grid"
+        ]
+    if fine_level in levels:
+        return [
+            f"levels: method '{m}' needs increments refined into halves, so its "
+            f"coarse levels must stay strictly below fine_level {fine_level}"
+            for m in dict.fromkeys(methods)
+            if getattr(STEPPERS.get(m), "needs_halves", False)
+        ]
+    return []
+
+
 def strong_error_study(
     cfg: SolverConfig,
     pot,
@@ -305,24 +335,11 @@ def strong_error_study(
         raise ValueError("need at least 2 paths for a Monte Carlo error estimate")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    problems = level_grid_problems(method_list, coarse_levels, fine_level)
+    if problems:
+        raise ValueError(problems[0])
     levels = tuple(sorted({int(lvl) for lvl in coarse_levels}))
-    if not levels:
-        raise ValueError("need at least one coarse level")
-    if levels[0] < 0:
-        raise ValueError("coarse levels are exponents of two and must be nonnegative")
     fine_level = int(fine_level)
-    if fine_level < levels[-1]:
-        raise ValueError(
-            "fine level must be at least the finest coarse level so the fine "
-            "increments combine dyadically onto every coarse grid"
-        )
-    if fine_level in levels:
-        for m in method_list:
-            if getattr(STEPPERS[m], "needs_halves", False):
-                raise ValueError(
-                    f"method '{m}' needs increments refined into halves, so its "
-                    "coarse levels must stay strictly below the fine level"
-                )
     if initial is None:
         initial = _default_initial(pot)
 

@@ -17,7 +17,7 @@ prior theta ~ N(0, I/(2V)), b ~ N(0, 1).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -97,11 +97,19 @@ class LogisticDataset:
 
     ``feature_variance`` is the pooled population variance over all
     ``m_rows * d_feat`` feature entries; pass None to have it computed.
+
+    Construction also fixes the arrays the potential evaluates with: the
+    label-signed design ``signed_design = y[:, None] * [X, 1]`` of shape
+    ``(m_rows, d_feat + 1)`` and the prior precisions ``prior_precision``
+    (``1/(2V)`` per weight, 1 for the intercept).  Both are read-only, so
+    threads may share one dataset.
     """
 
     features: np.ndarray
     labels: np.ndarray
     feature_variance: float | None = None
+    signed_design: np.ndarray = field(init=False, repr=False, compare=False)
+    prior_precision: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=float)
@@ -110,6 +118,13 @@ class LogisticDataset:
             raise ValueError("features must be a nonempty (m_rows, d_feat) matrix")
         if labs.shape != (feats.shape[0],):
             raise ValueError("labels must be one value per feature row")
+        for name, arr in (("features", feats), ("labels", labs)):
+            bad_rows = np.nonzero(~np.isfinite(arr).reshape(len(arr), -1).all(axis=1))[0]
+            if bad_rows.size:
+                raise ValueError(
+                    f"{name} must be finite, found NaN or inf in data row(s) "
+                    f"{bad_rows[:5].tolist()} (counting from 0)"
+                )
         if not np.all(np.isin(labs, (-1.0, 1.0))):
             bad = np.unique(labs[~np.isin(labs, (-1.0, 1.0))])
             raise ValueError(f"labels must lie in {{-1, +1}}, found {bad}")
@@ -119,6 +134,13 @@ class LogisticDataset:
             object.__setattr__(self, "feature_variance", float(np.var(feats)))
         if not self.feature_variance > 0:
             raise ValueError("feature variance must be positive")
+        signed = labs[:, None] * np.hstack([feats, np.ones((feats.shape[0], 1))])
+        prec = np.full(feats.shape[1] + 1, 1.0 / (2.0 * self.feature_variance))
+        prec[-1] = 1.0
+        signed.setflags(write=False)
+        prec.setflags(write=False)
+        object.__setattr__(self, "signed_design", signed)
+        object.__setattr__(self, "prior_precision", prec)
 
     @property
     def n_rows(self) -> int:
@@ -129,39 +151,41 @@ class LogisticDataset:
         return self.features.shape[1]
 
 
-def _split_params(dataset: LogisticDataset, params) -> tuple[np.ndarray, np.ndarray]:
+def _check_params(dataset: LogisticDataset, params) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     if params.shape[-1] != dataset.d_feat + 1:
         raise ValueError(
             f"parameter vector must have length {dataset.d_feat + 1} "
             f"(weights plus intercept), got {params.shape[-1]}"
         )
-    return params[..., :-1], params[..., -1]
+    return params
 
 
 def logistic_potential_value(dataset: LogisticDataset, params) -> np.ndarray:
     """Negative log-posterior of the logistic model, up to a constant."""
-    theta, b = _split_params(dataset, params)
-    logits = theta @ dataset.features.T + b[..., None]
-    z = dataset.labels * logits
+    params = _check_params(dataset, params)
+    z = params @ dataset.signed_design.T  # y_i * (<theta, x_i> + b)
     nll = np.sum(np.logaddexp(0.0, -z), axis=-1)
-    prior = np.sum(theta**2, axis=-1) / (4.0 * dataset.feature_variance) + 0.5 * b**2
+    prior = 0.5 * np.sum(dataset.prior_precision * params**2, axis=-1)
     return nll + prior
 
 
 def logistic_potential_gradient(dataset: LogisticDataset, params) -> np.ndarray:
     """Gradient of :func:`logistic_potential_value` in (theta, b).
 
-    The sigmoid factor sigma(-z) is evaluated as exp(-softplus(z)), which is
-    finite and accurate for logits of either sign and any magnitude.
+    With z = params @ signed_design.T the gradient is
+    ``params * prior_precision - sigma(-z) @ signed_design``.  The sigmoid
+    factor is evaluated as sigma(-z) = (1 - tanh(z/2)) / 2, which stays
+    finite for logits of either sign and any magnitude.  Every temporary
+    belongs to this call.
     """
-    theta, b = _split_params(dataset, params)
-    logits = theta @ dataset.features.T + b[..., None]
-    z = dataset.labels * logits
-    coef = np.exp(-np.logaddexp(0.0, z)) * dataset.labels  # sigma(-z) * y
-    grad_theta = -coef @ dataset.features + theta / (2.0 * dataset.feature_variance)
-    grad_b = -np.sum(coef, axis=-1) + b
-    return np.concatenate([grad_theta, grad_b[..., None]], axis=-1)
+    params = _check_params(dataset, params)
+    z = params @ dataset.signed_design.T
+    z *= 0.5
+    np.tanh(z, out=z)
+    z *= -0.5
+    z += 0.5  # now sigma(-z)
+    return params * dataset.prior_precision - z @ dataset.signed_design
 
 
 class LogisticPosterior:
@@ -176,8 +200,9 @@ class LogisticPosterior:
     def __init__(self, dataset: LogisticDataset):
         self.dataset = dataset
         v = dataset.feature_variance
-        tilde = np.hstack([dataset.features, np.ones((dataset.n_rows, 1))])
-        gram_top = float(np.linalg.eigvalsh(tilde.T @ tilde)[-1])
+        # labels are +-1, so the signed design has the same Gram matrix as [X, 1]
+        signed = dataset.signed_design
+        gram_top = float(np.linalg.eigvalsh(signed.T @ signed)[-1])
         prior_max = max(1.0 / (2.0 * v), 1.0)
         self.meta = PotentialMeta(
             d=dataset.d_feat + 1,

@@ -9,8 +9,11 @@ linear reconstruction of the same path.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulmc import brownian as bm
+
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +98,33 @@ def _reconstruction_integrals(leaves, pts_per_leaf=64):
     running += c_start[:, None, :]
     i2_leaf = np.trapezoid(running, dx=dx, axis=1)
     return w.sum(axis=0), i1_leaf.sum(axis=0), i2_leaf.sum(axis=0)
+
+
+def _two_stage_refine(inc, rng, ratio):
+    """Reference refinement in time-integral form.
+
+    Draws the left part's normalized (w, i1, i2) from the bridge, then fixes
+    the right part by the composition rule, converting through
+    :class:`TimeIntegrals` at each end.  Consumes ``rng`` exactly as
+    :func:`refine` does.
+    """
+    a_mat, l_mat = bm.bridge_matrices(ratio)
+    s = inc.dt
+    dt_l = ratio * s
+    dt_r = s - dt_l
+    ti = bm.to_time_integrals(inc)
+    xp = np.stack([ti.w / s**0.5, ti.i1 / s**1.5, ti.i2 / s**2.5])
+    z = rng.standard_normal(xp.shape)
+    xl = np.tensordot(a_mat, xp, axes=1) + np.tensordot(l_mat, z, axes=1)
+    w_l = xl[0] * dt_l**0.5
+    i1_l = xl[1] * dt_l**1.5
+    i2_l = xl[2] * dt_l**2.5
+    left = bm.from_time_integrals(bm.TimeIntegrals(dt_l, w_l, i1_l, i2_l))
+    w_r = ti.w - w_l
+    i1_r = ti.i1 - i1_l - dt_r * w_l
+    i2_r = ti.i2 - i2_l - dt_r * i1_l - 0.5 * dt_r * dt_r * w_l
+    right = bm.from_time_integrals(bm.TimeIntegrals(dt_r, w_r, i1_r, i2_r))
+    return left, right
 
 
 def _split_to_depth(inc, rng, depth):
@@ -241,6 +271,39 @@ def test_refine_combine_roundtrip():
         np.testing.assert_allclose(back.w, inc.w, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(back.h, inc.h, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(back.k, inc.k, rtol=1e-13, atol=1e-15)
+
+
+_RATIOS = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
+_DTS = st.floats(min_value=1e-6, max_value=1e3)
+_BATCHES = st.sampled_from([(), (3,), (2, 5)])
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(deadline=None)
+@given(ratio=_RATIOS, dt=_DTS, batch=_BATCHES, seed=_SEEDS)
+def test_refine_recombines_for_any_ratio_and_dt(ratio, dt, batch, seed):
+    rng = np.random.default_rng(seed)
+    inc = bm.sample_increment(rng, dt, 2, shape=batch)
+    left, right = bm.refine(inc, rng, ratio=ratio)
+    assert left.dt + right.dt == pytest.approx(dt, rel=4 * _EPS)
+    back = bm.combine(left, right)
+    tol = 64 * _EPS * np.sqrt(dt)
+    for got, want in ((back.w, inc.w), (back.h, inc.h), (back.k, inc.k)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+
+
+@settings(deadline=None)
+@given(ratio=_RATIOS, dt=_DTS, batch=_BATCHES, seed=_SEEDS)
+def test_refine_matches_two_stage_oracle(ratio, dt, batch, seed):
+    inc = bm.sample_increment(np.random.default_rng(seed), dt, 2, shape=batch)
+    fused = bm.refine(inc, np.random.default_rng(seed + 1), ratio=ratio)
+    oracle = _two_stage_refine(inc, np.random.default_rng(seed + 1), ratio)
+    # the right part divides by its length squared, which amplifies rounding
+    tol = 64 * _EPS * np.sqrt(dt) / min(ratio, 1.0 - ratio) ** 2
+    for got, want in zip(fused, oracle):
+        assert got.dt == want.dt
+        for name in ("w", "h", "k"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0.0, atol=tol)
 
 
 def test_bridge_matrices_match_conditioning_oracle():

@@ -92,6 +92,21 @@ def test_config_file_diagnostics_are_line_precise(tmp_path, capsys):
     assert f"{cfg}:5: duplicate key 'chains'" in err
 
 
+def test_converge_levels_reaching_fine_level_exits_2(capsys):
+    # the default fine_level is 14 and ubu needs halves of every coarse step
+    assert main(["converge", "--levels", "3:14"]) == 2
+    err = capsys.readouterr().err
+    assert "ulmc: levels:" in err and "'ubu'" in err and "Traceback" not in err
+
+
+def test_dataset_with_nan_feature_exits_2_naming_it(tmp_path, capsys):
+    data = _write(tmp_path / "nan.csv", "1,0.5,2.0\n0,nan,1.0\n1,0.3,0.2\n")
+    assert main(["sample", "--dataset", data]) == 2
+    err = capsys.readouterr().err
+    assert "features must be finite" in err
+    assert "variance" not in err
+
+
 def test_missing_config_file_exits_2(capsys):
     assert main(["sample", "--config", "/nowhere/run.cfg"]) == 2
     assert "/nowhere/run.cfg" in capsys.readouterr().err

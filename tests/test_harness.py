@@ -7,6 +7,7 @@ J-doubling) use the standard-error bounds computed in the tests.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from ulmc.harness import (
 )
 from ulmc.integrators import PhaseState, SolverConfig
 from ulmc.metrics import EmpiricalDistribution, energy_distance_sq
-from ulmc.potentials import QuadraticPotential
+from ulmc.potentials import LogisticPosterior, QuadraticPotential, synthetic_dataset
 
 rng = np.random.default_rng(20240807)
 
@@ -139,6 +140,22 @@ def test_strong_study_thread_invariant():
     one = strong_error_study(CFG, POT2, ["quicsort"], 2.0, 160, [3, 4], 8, threads=1, **kwargs)
     four = strong_error_study(CFG, POT2, ["quicsort"], 2.0, 160, [3, 4], 8, threads=4, **kwargs)
     assert one.errors == four.errors
+
+
+def test_strong_study_thread_invariant_on_logistic_posterior():
+    # chunk threads share one posterior and its precomputed design; a short
+    # switch interval makes them interleave inside gradient calls
+    pot = LogisticPosterior(synthetic_dataset(rows=40, d_feat=3, seed=3))
+    cfg = SolverConfig(gamma=2.0, u=1.0 / pot.meta.M1)
+    args = (cfg, pot, ["quicsort", "ubu"], 1.0, 192, [2, 3], 5)
+    one = strong_error_study(*args, seed=8, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        two = strong_error_study(*args, seed=8, threads=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert one.errors == two.errors
 
 
 def test_strong_study_j_doubling_within_mc_noise(mini_report):

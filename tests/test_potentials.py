@@ -3,6 +3,7 @@ loading, prior sampling, and the convexity/smoothness constants."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulmc.potentials import (
     GradientCounter,
@@ -32,6 +33,16 @@ def _random_dataset(rng, rows=20, d_feat=3):
     feats = rng.standard_normal((rows, d_feat))
     labels = np.where(rng.random(rows) < 0.5, -1.0, 1.0)
     return LogisticDataset(feats, labels)
+
+
+def _softplus_gradient(dataset, params):
+    """Reference gradient: split (theta, b), sigma(-z) as exp(-logaddexp(0, z))."""
+    theta, b = params[..., :-1], params[..., -1]
+    z = dataset.labels * (theta @ dataset.features.T + b[..., None])
+    coef = np.exp(-np.logaddexp(0.0, z)) * dataset.labels
+    grad_theta = -coef @ dataset.features + theta / (2.0 * dataset.feature_variance)
+    grad_b = -np.sum(coef, axis=-1) + b
+    return np.concatenate([grad_theta, grad_b[..., None]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +125,66 @@ def test_logistic_gradient_finite_at_extreme_logits():
             assert np.all(np.isfinite(g))
             v = pot.value(np.full(4, scale))
             assert np.isfinite(v)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=2, max_value=30),
+    d_feat=st.integers(min_value=1, max_value=5),
+    batch=st.one_of(
+        st.just(()), st.integers(min_value=1, max_value=64).map(lambda b: (b,)), st.just((5, 7))
+    ),
+    log_scale=st.floats(min_value=-3.0, max_value=6.0),
+)
+def test_logistic_gradient_matches_softplus_oracle(seed, rows, d_feat, batch, log_scale):
+    rng = np.random.default_rng(seed)
+    ds = _random_dataset(rng, rows=rows, d_feat=d_feat)
+    params = rng.uniform(-1.0, 1.0, (*batch, d_feat + 1)) * 10.0**log_scale
+    with np.errstate(over="raise", invalid="raise"):
+        g = logistic_potential_gradient(ds, params)
+        want = _softplus_gradient(ds, params)
+    assert g.shape == want.shape
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=-1, keepdims=True))
+    assert np.all(np.abs(g - want) <= 1e-12 * scale)
+
+
+def test_logistic_posterior_delegates_to_gradient_function():
+    ds = _random_dataset(np.random.default_rng(209))
+    pts = np.random.default_rng(210).standard_normal((3, 4))
+    np.testing.assert_array_equal(
+        LogisticPosterior(ds).gradient(pts), logistic_potential_gradient(ds, pts)
+    )
+
+
+def test_logistic_precomputed_design_is_read_only():
+    ds = _random_dataset(np.random.default_rng(211))
+    tilde = np.hstack([ds.features, np.ones((ds.n_rows, 1))])
+    np.testing.assert_array_equal(ds.signed_design, ds.labels[:, None] * tilde)
+    for arr in (ds.signed_design, ds.prior_precision):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_entries_by_name(bad):
+    feats = np.ones((3, 2)) * np.arange(3)[:, None]
+    labels = np.array([1.0, -1.0, 1.0])
+    broken = feats.copy()
+    broken[2, 1] = bad
+    with pytest.raises(ValueError, match=r"features must be finite.*\[2\]"):
+        LogisticDataset(broken, labels)
+    broken_labels = labels.copy()
+    broken_labels[1] = bad
+    with pytest.raises(ValueError, match=r"labels must be finite.*\[1\]"):
+        LogisticDataset(feats, broken_labels)
+
+
+def test_load_dataset_reports_nan_feature(tmp_path):
+    f = tmp_path / "nan.csv"
+    f.write_text("1,0.5,2.0\n0,nan,1.0\n1,0.3,0.2\n")
+    with pytest.raises(ValueError, match="features must be finite"):
+        load_dataset(f)
 
 
 def test_logistic_prior_gradient_vanishes_at_origin():
