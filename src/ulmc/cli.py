@@ -35,6 +35,7 @@ from .harness import (
     write_text_report,
 )
 from .integrators import STEPPERS, DivergenceError, SolverConfig
+from .metrics import distance_kernels
 from .potentials import LogisticPosterior, QuadraticPotential, load_dataset
 
 __all__ = ["RunConfig", "main", "validate_config"]
@@ -69,6 +70,36 @@ DEFAULTS: dict[str, str] = {
     "truth_samples": "2048",
     "truth_h": "auto",
     "truth_steps": "2000",
+}
+
+# One flag per setting; the help line gains the default when it is not empty.
+_HELP: dict[str, str] = {
+    "seed": "master seed",
+    "threads": "worker threads, or 'auto' for one per core",
+    "out": "output prefix for .csv and .json reports (default ulmc-EXPERIMENT)",
+    "dataset": "labelled CSV for a logistic posterior target",
+    "label_col": "label column index",
+    "standardize": "standardize dataset feature columns",
+    "gamma": "friction, or 'auto' for max(2*sqrt(u*M1), 1)",
+    "u": "inverse mass, or 'auto' for 1/M1",
+    "h": "step size",
+    "levels": "coarse level exponents for converge, '3:9' or '3,5,7'",
+    "fine_level": "level exponent of the converge reference path",
+    "paths": "Monte Carlo paths for converge",
+    "chains": "chains for sample/compare/stationary",
+    "horizon": "integration time for converge",
+    "burn_in": "stationary steps discarded before the statistics",
+    "kept": "stationary steps kept for the statistics",
+    "steps": "contract steps",
+    "pairs": "coupled pairs for contract",
+    "checkpoints": "step indices where sample/compare measure, e.g. '0,2,5'",
+    "method": "stepper for sample",
+    "methods": "comma-separated steppers for converge and compare",
+    "dimension": "dimension of the Gaussian target (without --dataset)",
+    "curvature": "curvature of the Gaussian target (without --dataset)",
+    "truth_samples": "reference cloud size for sample/compare",
+    "truth_h": "step of the logistic reference run, or 'auto' for h/4",
+    "truth_steps": "steps of the logistic reference run",
 }
 
 _INT_KEYS = {
@@ -201,10 +232,8 @@ def _resolve(args: argparse.Namespace) -> tuple[RunConfig | None, list[str]]:
     for key, default_raw in DEFAULTS.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            if isinstance(flag_value, bool):
-                values[key] = flag_value
-            else:
-                values[key] = _coerce(key, str(flag_value), f"flag --{key.replace('_', '-')}", diags)
+            # str(True) is 'True', which _coerce reads case-insensitively
+            values[key] = _coerce(key, str(flag_value), f"flag --{key.replace('_', '-')}", diags)
         elif key in file_entries:
             raw, lineno = file_entries[key]
             values[key] = _coerce(key, raw, f"{args.config}:{lineno}", diags)
@@ -248,6 +277,16 @@ def _resolve_solver(rc: RunConfig, pot) -> SolverConfig:
 
 def validate_config(rc: RunConfig) -> list[str]:
     """All configuration problems at once; an empty list means runnable."""
+    return _validate(rc)[0]
+
+
+def _validate(rc: RunConfig) -> tuple[list[str], object]:
+    """The problems of ``rc``, and the potential built while checking it.
+
+    For experiments that compute distances this also imports SciPy, so its
+    cost falls in set-up and a missing SciPy is a diagnostic, not a
+    traceback halfway through a run.
+    """
     diags: list[str] = []
     if rc.experiment not in EXPERIMENTS:
         diags.append(f"experiment: unknown experiment '{rc.experiment}'")
@@ -308,7 +347,15 @@ def validate_config(rc: RunConfig) -> list[str]:
                 f"h: contraction is only guaranteed for h <= 0.1/gamma "
                 f"= {0.1 / solver.gamma:.6g}, got {rc.h:.6g}"
             )
-    return diags
+    if rc.experiment in ("sample", "compare"):  # the experiments that compute distances
+        try:
+            distance_kernels()
+        except ImportError as exc:
+            diags.append(
+                f"scipy: {rc.experiment} computes distances with SciPy, "
+                f"which failed to import: {exc}"
+            )
+    return diags, pot
 
 
 def _ground_truth(rc: RunConfig, pot, solver: SolverConfig):
@@ -396,22 +443,10 @@ def _parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         sp = sub.add_parser(name, help=help_by_experiment[name])
         sp.add_argument("--config", help="flat key = value settings file")
-        sp.add_argument("--seed", type=int, help="master seed (default 2024)")
-        sp.add_argument("--threads", help="worker threads, or 'auto'")
-        sp.add_argument("--out", help="output prefix for .csv and .json reports")
-        sp.add_argument("--dataset", help="labelled CSV for a logistic posterior target")
-        sp.add_argument("--label-col", dest="label_col", type=int, help="label column index")
-        sp.add_argument(
-            "--standardize", action=argparse.BooleanOptionalAction, default=None,
-            help="standardize dataset feature columns",
-        )
-        sp.add_argument("--gamma", help="friction, or 'auto' for max(2*sqrt(u*M1), 1)")
-        sp.add_argument("--u", help="inverse mass, or 'auto' for 1/M1")
-        sp.add_argument("--h", type=float, help="step size")
-        sp.add_argument("--levels", help="coarse level exponents, '3:9' or '3,5,7'")
-        sp.add_argument("--paths", type=int, help="Monte Carlo paths for converge")
-        sp.add_argument("--chains", type=int, help="chains for sample/compare/stationary")
-        sp.add_argument("--horizon", type=float, help="integration time for converge")
+        for key, default in DEFAULTS.items():
+            action = argparse.BooleanOptionalAction if key == "standardize" else "store"
+            help_text = f"{_HELP[key]} (default {default})" if default else _HELP[key]
+            sp.add_argument(f"--{key.replace('_', '-')}", action=action, help=help_text)
     return parser
 
 
@@ -419,14 +454,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     rc, diags = _resolve(args)
     if not diags and rc is not None:
-        diags = validate_config(rc)
+        diags, pot = _validate(rc)
     if diags:
         for diag in diags:
             print(f"ulmc: {diag}", file=sys.stderr)
         return 2
 
-    build_diags: list[str] = []
-    pot = _build_potential(rc, build_diags)
     solver = _resolve_solver(rc, pot)
     try:
         # a divergence is aborted with context below, so the overflow

@@ -5,19 +5,22 @@ Energy distance with the negative-distance kernel and exact-assignment
 stationary tail bounds.  Everything here is a pure function of its inputs
 with a deterministic summation order, so repeated runs reproduce results to
 the bit.
+
+SciPy is imported on the first distance computed, not with this module, so
+runs that compute no distance start without paying for its import.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "EmpiricalDistribution",
     "MomentStats",
+    "distance_kernels",
     "energy_distance_sq",
     "wasserstein2",
     "moment_stats",
@@ -71,8 +74,22 @@ def _as_dist(obj) -> EmpiricalDistribution:
     return EmpiricalDistribution(np.asarray(obj, dtype=float))
 
 
+@functools.cache
+def distance_kernels():
+    """SciPy's ``(cdist, linear_sum_assignment)``, imported on the first call.
+
+    Raises ImportError when SciPy cannot be imported; a failed import is not
+    cached, so a later call tries again.
+    """
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
+    return cdist, linear_sum_assignment
+
+
 def _weighted_mean_distance(xs, wx, ys, wy) -> float:
     """sum_ij wx_i wy_j ||x_i - y_j||, accumulated over fixed row blocks."""
+    cdist, _ = distance_kernels()
     total = 0.0
     for start in range(0, xs.shape[0], _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
@@ -134,6 +151,7 @@ def wasserstein2(mu, nu) -> float:
     if mu.d == 1:
         diff = np.sort(mu.samples[:, 0]) - np.sort(nu.samples[:, 0])
         return float(np.sqrt(np.mean(diff**2)))
+    cdist, linear_sum_assignment = distance_kernels()
     cost = cdist(mu.samples, nu.samples, metric="sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))

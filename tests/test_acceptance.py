@@ -11,6 +11,7 @@ import itertools
 from functools import reduce
 
 import numpy as np
+import pytest
 
 from ulmc.brownian import BrownianPath, DyadicBrownianTree, combine, sample_increment
 from ulmc.cli import main
@@ -33,6 +34,7 @@ def _verdict(capsys, ok, label, detail):
     assert ok, f"{label}: {detail}"
 
 
+@pytest.mark.slow
 def test_convergence_orders(capsys):
     """Fitted strong-error slopes on a Bayesian logistic posterior (d=5, 200 rows)."""
     pot = LogisticPosterior(synthetic_dataset(200, 4))
@@ -101,6 +103,7 @@ def test_composition_exactness(capsys):
     _verdict(capsys, ok, "3/8 composition exactness", detail)
 
 
+@pytest.mark.slow
 def test_stationary_moments(capsys):
     """Long-run moments on the standard Gaussian target in ten dimensions."""
     cfg = SolverConfig(gamma=2.0, u=1.0)

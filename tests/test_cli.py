@@ -1,10 +1,16 @@
 """Tests for the command-line entry point: config handling, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ulmc
+from ulmc import cli
 from ulmc.cli import DEFAULTS, RunConfig, main, validate_config, _parser, _resolve
 
 SMALL_CONVERGE = """\
@@ -64,10 +70,13 @@ def test_same_seed_reruns_are_byte_identical(tmp_path, monkeypatch):
 
 def test_flags_override_config_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cfg = _write(tmp_path / "run.cfg", SMALL_CONVERGE + "seed = 11\n")
-    assert main(["converge", "--config", cfg, "--paths", "6", "--out", "o"]) == 0
+    cfg = _write(tmp_path / "run.cfg", SMALL_CONVERGE + "seed = 11\nkept = 50\n")
+    argv = ["converge", "--config", cfg, "--paths", "6", "--kept", "10", "--fine-level", "7"]
+    assert main(argv + ["--out", "o"]) == 0
     report = json.loads((tmp_path / "o.json").read_text())
     assert report["config"]["paths"] == 6  # flag beats the file's 8
+    assert report["config"]["kept"] == 10  # a flag for every setting, not just some
+    assert report["config"]["fine_level"] == 7
     assert report["config"]["seed"] == 11  # file beats the default 2024
 
 
@@ -179,6 +188,14 @@ def test_compare_budgets_align_in_output(tmp_path, monkeypatch):
 
 def test_sample_on_dataset_posterior(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    loads = []
+    real_load = cli.load_dataset
+
+    def counting_load(*args, **kwargs):
+        loads.append(args)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_dataset", counting_load)
     rng = np.random.default_rng(8)
     feats = rng.standard_normal((40, 2))
     labels = np.sign(feats[:, 0] + 0.1 * rng.standard_normal(40))
@@ -197,6 +214,7 @@ def test_sample_on_dataset_posterior(tmp_path, monkeypatch):
     assert report["report"]["method"] == "quicsort"
     assert report["config"]["dataset"].endswith("data.csv")
     assert report["config"]["u_resolved"] < 1.0  # auto policy scales by 1/M1
+    assert len(loads) == 1  # validation and the run share one potential
 
 
 def test_divergence_exits_3_with_context(tmp_path, monkeypatch, capsys):
@@ -232,3 +250,47 @@ def test_run_config_round_trips_to_dict():
     assert payload["levels"] == list(range(3, 10))
     assert isinstance(payload["checkpoints"], list)
     assert set(payload) == {f for f in DEFAULTS} | {"experiment"}
+
+
+# ---------------------------------------------------------------------------
+# SciPy stays off the start-up path: only sample and compare load it.
+
+def _run_python(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports this checkout's ulmc."""
+    src = str(Path(ulmc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+_BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None; from ulmc.cli import main; "
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    code = "import sys, ulmc, ulmc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = _run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_runs_without_distances_need_no_scipy(tmp_path):
+    _write(tmp_path / "run.cfg", SMALL_CONVERGE + "steps = 5\npairs = 8\nburn_in = 5\nkept = 10\n")
+    runs = [
+        f"main(['{experiment}', '--config', 'run.cfg', '--out', '{experiment}'])"
+        for experiment in ("converge", "stationary", "contract")
+    ]
+    proc = _run_python(_BLOCK_SCIPY + f"sys.exit(max([{', '.join(runs)}]))", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "contract.csv", "converge.csv", "stationary.csv",
+    ]
+
+
+def test_compare_without_scipy_exits_2_before_running(tmp_path):
+    proc = _run_python(_BLOCK_SCIPY + "sys.exit(main(['compare', '--out', 'cmp']))", tmp_path)
+    assert proc.returncode == 2
+    assert "ulmc: scipy:" in proc.stderr and "SciPy" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 from ulmc.brownian import BrownianPath, sample_increment, zero_increment
@@ -78,6 +79,17 @@ def test_phi2_stable_for_small_arguments():
             got = float(phi2(gamma, h, x))
             want = _phi2_by_rational_taylor(gamma, h, x)
             assert got == pytest.approx(want, rel=1e-13)
+
+
+@given(
+    a=st.floats(0.025, 0.035),
+    gamma=st.floats(1e-3, 1e3),
+    x=st.sampled_from((LAMBDA_MINUS, 1.0 / 3.0, LAMBDA_PLUS, 1.0)),
+)
+def test_phi2_continuous_across_series_switch(a, gamma, x):
+    # _exprel2 leaves its series for expm1 at gamma*h*x = 0.03
+    h = a / (gamma * x)
+    assert float(phi2(gamma, h, x)) == pytest.approx(_phi2_by_rational_taylor(gamma, h, x), rel=1e-13)
 
 
 def test_phi_identities():
