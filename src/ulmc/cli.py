@@ -75,7 +75,8 @@ DEFAULTS: dict[str, str] = {
 # One flag per setting; the help line gains the default when it is not empty.
 _HELP: dict[str, str] = {
     "seed": "master seed",
-    "threads": "worker threads, or 'auto' for one per core",
+    "threads": "upper bound on chunk threads, or 'auto' for one per usable core; "
+    "small targets run their chunks serially, and output never depends on it",
     "out": "output prefix for .csv and .json reports (default ulmc-EXPERIMENT)",
     "dataset": "labelled CSV for a logistic posterior target",
     "label_col": "label column index",
@@ -166,6 +167,13 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return max(os.cpu_count() or 1, 1)
+
+
 def _coerce(key: str, raw: str, origin: str, diags: list[str]):
     """Turn one raw string setting into its typed value, logging failures."""
     raw = raw.strip()
@@ -177,7 +185,7 @@ def _coerce(key: str, raw: str, origin: str, diags: list[str]):
         if key in _AUTO_FLOAT_KEYS:
             return "auto" if raw.lower() == "auto" else float(raw)
         if key == "threads":
-            return max(os.cpu_count() or 1, 1) if raw.lower() == "auto" else int(raw)
+            return _available_cpus() if raw.lower() == "auto" else int(raw)
         if key == "standardize":
             if raw.lower() in _BOOL_WORDS:
                 return _BOOL_WORDS[raw.lower()]

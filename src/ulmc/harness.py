@@ -4,7 +4,8 @@ Every study here is deterministic given its seed and arguments.  Work is cut
 into fixed-size chunks of paths or chains, each chunk draws its noise from
 generators keyed by (seed, tag, chunk), and per-chunk results are folded in
 chunk order.  The ``threads`` argument therefore changes wall time, never
-output.
+output; it caps the chunk workers, and chunks too narrow to gain from
+threads run serially.
 """
 
 from __future__ import annotations
@@ -66,6 +67,16 @@ __all__ = [
 # noise stream layout never depends on the thread count.
 CHUNK = 64
 
+# Chunks go to a thread pool only when a chunk's arrays are wide enough for
+# NumPy to run long with the interpreter lock released: a chunk state of at
+# least _POOL_MIN_STATE elements (CHUNK * d; noise, steppers and a quadratic
+# gradient all work at this width) or, for a dataset posterior, gradient
+# logits of at least _POOL_MIN_LOGITS elements (CHUNK * rows).  Narrower
+# chunks are many short calls that hold the lock, so threads only contend for
+# it.  Break-even measured on 2 cores: d of about 56 and about 550 rows.
+_POOL_MIN_STATE = 4096
+_POOL_MIN_LOGITS = 32768
+
 _CSV_VERSION = "ulmc-csv v1"
 
 # Stream tags for keyed_generator draws made by this module (brownian.py
@@ -101,8 +112,21 @@ def _chunk_sizes(total: int) -> list[int]:
     return [min(CHUNK, total - start) for start in range(0, total, CHUNK)]
 
 
+def _chunk_workers(pot, threads: int, n_chunks: int) -> int:
+    """How many threads run the ``n_chunks`` chunks of a study on ``pot``.
+
+    ``threads`` is an upper bound: chunks too narrow to release the
+    interpreter lock for long (see ``_POOL_MIN_STATE``) run serially.
+    """
+    dataset = getattr(pot, "dataset", None)
+    rows = dataset.n_rows if dataset is not None else 0
+    if CHUNK * pot.meta.d < _POOL_MIN_STATE and CHUNK * rows < _POOL_MIN_LOGITS:
+        return 1
+    return min(threads, n_chunks)
+
+
 def _map_chunks(worker: Callable[[int], object], n_chunks: int, threads: int) -> list:
-    """Run chunk workers, possibly in parallel, returning results in order."""
+    """Run chunk workers on up to ``threads`` threads, returning results in order."""
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=min(threads, n_chunks)) as pool:
             return list(pool.map(worker, range(n_chunks)))
@@ -129,6 +153,20 @@ def _initial_state(cfg, pot, initial, seed, tag_x, tag_v, chunk, size) -> PhaseS
 
 def _finite(state: PhaseState) -> bool:
     return bool(np.isfinite(state.x).all() and np.isfinite(state.v).all())
+
+
+def _divergence(name: str, step: int, h: float, state: PhaseState, chunk: int) -> DivergenceError:
+    """The error for a non-finite ``state`` of ``chunk``, one chain per row."""
+    ok_x, ok_v = np.isfinite(state.x), np.isfinite(state.v)
+    bad = ~(ok_x & ok_v).all(axis=-1)
+    max_x, max_v = (
+        float(np.abs(a[ok]).max()) if ok.any() else None
+        for a, ok in ((state.x, ok_x), (state.v, ok_v))
+    )
+    return DivergenceError(
+        name, step, step * h, chunk=chunk, chain=chunk * CHUNK + int(np.argmax(bad)),
+        max_abs_x=max_x, max_abs_v=max_v,
+    )
 
 
 @dataclass(frozen=True)
@@ -215,21 +253,22 @@ class ConvergenceReport:
 class _LevelRun:
     """One stepper consuming tree nodes of a fixed depth, left to right."""
 
-    __slots__ = ("method", "stepper", "wants_halves", "state", "steps", "h")
+    __slots__ = ("method", "stepper", "wants_halves", "state", "steps", "h", "chunk")
 
-    def __init__(self, method: str, state: PhaseState, h: float):
+    def __init__(self, method: str, state: PhaseState, h: float, chunk: int):
         self.method = method
         self.stepper = STEPPERS[method]
         self.wants_halves = getattr(self.stepper, "needs_halves", False)
         self.state = state
         self.steps = 0
         self.h = h
+        self.chunk = chunk
 
     def advance(self, cfg, pot, inc) -> None:
         state = self.stepper(cfg, pot, self.state, inc)
         self.steps += 1
         if not _finite(state):
-            raise DivergenceError(self.method, self.steps, self.steps * self.h)
+            raise _divergence(self.method, self.steps, self.h, state, self.chunk)
         self.state = state
 
 
@@ -356,17 +395,17 @@ def strong_error_study(
         runs: dict[tuple[str, int], _LevelRun] = {}
         by_depth: dict[int, list[_LevelRun]] = {}
         for m, lvl in keys:
-            run = _LevelRun(m, state0, horizon / 2.0**lvl)
+            run = _LevelRun(m, state0, horizon / 2.0**lvl, chunk)
             runs[(m, lvl)] = run
             by_depth.setdefault(lvl, []).append(run)
-        fine_run = _LevelRun("quicsort", state0, horizon / 2.0**fine_level)
+        fine_run = _LevelRun("quicsort", state0, horizon / 2.0**fine_level, chunk)
         by_depth.setdefault(fine_level, []).append(fine_run)
         _descend(tree, cfg, pot, 1, tree.root(), 0, fine_level, by_depth, validate_path)
         ref = fine_run.state.x
         return {key: float(np.sum((runs[key].state.x - ref) ** 2)) for key in keys}
 
     totals = {key: 0.0 for key in keys}
-    for part in _map_chunks(run_chunk, len(sizes), threads):
+    for part in _map_chunks(run_chunk, len(sizes), _chunk_workers(pot, threads, len(sizes))):
         for key, val in part.items():
             totals[key] += val
 
@@ -530,12 +569,12 @@ def _evolve_positions(
             inc = path.increment(step - 1, h, with_halves=needs_halves)
             state = fn(cfg, pot, state, inc)
             if not _finite(state):
-                raise DivergenceError(name, step, step * h)
+                raise _divergence(name, step, h, state, chunk)
             if step in wanted:
                 snaps[step] = state.x.copy()
         return snaps
 
-    parts = _map_chunks(run_chunk, len(sizes), threads)
+    parts = _map_chunks(run_chunk, len(sizes), _chunk_workers(pot, threads, len(sizes)))
     return {step: np.concatenate([p[step] for p in parts], axis=0) for step in sorted(wanted)}
 
 
@@ -731,7 +770,7 @@ def stationary_study(
             inc = path.increment(step, h, with_halves=needs_halves)
             state = fn(cfg, pot, state, inc)
             if not _finite(state):
-                raise DivergenceError(name, step + 1, (step + 1) * h)
+                raise _divergence(name, step + 1, h, state, chunk)
             if step >= burn_in:
                 x2 = state.x * state.x
                 v2 = state.v * state.v
@@ -742,7 +781,7 @@ def stationary_study(
         return sums
 
     totals = np.zeros(4)
-    for part in _map_chunks(run_chunk, len(sizes), threads):
+    for part in _map_chunks(run_chunk, len(sizes), _chunk_workers(pot, threads, len(sizes))):
         totals += part
 
     pooled = totals / (float(kept) * n_chains * d)

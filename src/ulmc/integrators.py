@@ -84,15 +84,39 @@ class PhaseState(NamedTuple):
 
 
 class DivergenceError(RuntimeError):
-    """A state became non-finite during simulation."""
+    """A state became non-finite during simulation.
 
-    def __init__(self, method: str, step: int, time: float):
+    A chunked run also names the ``chunk``, the global index of the first
+    non-finite ``chain``, and the largest finite ``|x|`` and ``|v|`` of the
+    chunk's state (None when no entry is finite).
+    """
+
+    def __init__(
+        self,
+        method: str,
+        step: int,
+        time: float,
+        *,
+        chunk: int | None = None,
+        chain: int | None = None,
+        max_abs_x: float | None = None,
+        max_abs_v: float | None = None,
+    ):
         self.method = method
         self.step = step
         self.time = time
-        super().__init__(
-            f"non-finite state after step {step} (t = {time:g}) of {method}"
-        )
+        self.chunk = chunk
+        self.chain = chain
+        self.max_abs_x = max_abs_x
+        self.max_abs_v = max_abs_v
+        msg = f"non-finite state after step {step} (t = {time:g}) of {method}"
+        if chunk is not None:
+            mags = ["none" if m is None else f"{m:.6g}" for m in (max_abs_x, max_abs_v)]
+            msg += (
+                f" in chunk {chunk}, first at chain {chain}; "
+                f"largest finite |x| {mags[0]}, |v| {mags[1]}"
+            )
+        super().__init__(msg)
 
 
 def _exprel2(a):

@@ -16,6 +16,7 @@ prior theta ~ N(0, I/(2V)), b ~ N(0, 1).
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -222,18 +223,21 @@ class GradientCounter:
 
     Each ``gradient`` call counts once no matter how many chains it is
     vectorized over, matching the per-chain cost model of the samplers.
+    The count is exact when chunk threads share the counter.
     """
 
     def __init__(self, potential):
         self.potential = potential
         self.meta = potential.meta
         self.calls = 0
+        self._lock = threading.Lock()
 
     def value(self, x):
         return self.potential.value(x)
 
     def gradient(self, x):
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         return self.potential.gradient(x)
 
 

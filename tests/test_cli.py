@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,16 @@ def test_divergence_exits_3_with_context(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "euler" in err
     assert "step" in err
+    # eight chains are one chunk; the message names it, the chain and the magnitudes
+    assert re.search(r"in chunk 0, first at chain [0-7]; largest finite \|x\| \S+, \|v\| \S+$", err.strip())
+
+
+def test_threads_auto_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _default_config("stationary").threads == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _default_config("stationary").threads == 8
 
 
 def test_subcommand_required():

@@ -8,10 +8,12 @@ J-doubling) use the standard-error bounds computed in the tests.
 import json
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from ulmc import harness
 from ulmc.brownian import keyed_generator
 from ulmc.harness import (
     ConvergenceReport,
@@ -32,7 +34,7 @@ from ulmc.harness import (
     write_json_report,
     write_text_report,
 )
-from ulmc.integrators import PhaseState, SolverConfig
+from ulmc.integrators import STEPPERS, DivergenceError, PhaseState, SolverConfig
 from ulmc.metrics import EmpiricalDistribution, energy_distance_sq
 from ulmc.potentials import LogisticPosterior, QuadraticPotential, synthetic_dataset
 
@@ -41,6 +43,22 @@ rng = np.random.default_rng(20240807)
 CFG = SolverConfig(gamma=2.0, u=1.0)
 POT2 = QuadraticPotential(1.0, d=2)
 POT1 = QuadraticPotential(1.0, d=1)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Send every target's chunks to the thread pool; collect the threads that ran them."""
+    monkeypatch.setattr(harness, "_POOL_MIN_STATE", 0)
+    monkeypatch.setattr(harness, "_POOL_MIN_LOGITS", 0)
+    ran = set()
+    initial_state = harness._initial_state
+
+    def recording(*args, **kwargs):
+        ran.add(threading.get_ident())
+        return initial_state(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_initial_state", recording)
+    return ran
 
 
 def _floor_energy(gt, n, seeds):
@@ -135,27 +153,78 @@ def test_strong_study_deterministic(mini_report):
     assert again.fits == mini_report.fits
 
 
-def test_strong_study_thread_invariant():
+def test_strong_study_thread_invariant(pooled):
     kwargs = dict(seed=42)
     one = strong_error_study(CFG, POT2, ["quicsort"], 2.0, 160, [3, 4], 8, threads=1, **kwargs)
+    pooled.clear()
     four = strong_error_study(CFG, POT2, ["quicsort"], 2.0, 160, [3, 4], 8, threads=4, **kwargs)
+    assert len(pooled) > 1
     assert one.errors == four.errors
 
 
-def test_strong_study_thread_invariant_on_logistic_posterior():
+def test_strong_study_thread_invariant_on_logistic_posterior(pooled):
     # chunk threads share one posterior and its precomputed design; a short
     # switch interval makes them interleave inside gradient calls
     pot = LogisticPosterior(synthetic_dataset(rows=40, d_feat=3, seed=3))
     cfg = SolverConfig(gamma=2.0, u=1.0 / pot.meta.M1)
     args = (cfg, pot, ["quicsort", "ubu"], 1.0, 192, [2, 3], 5)
     one = strong_error_study(*args, seed=8, threads=1)
+    pooled.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         two = strong_error_study(*args, seed=8, threads=2)
     finally:
         sys.setswitchinterval(interval)
+    assert len(pooled) > 1
     assert one.errors == two.errors
+
+
+def test_chunk_workers_pool_only_wide_chunks():
+    small_data = LogisticPosterior(synthetic_dataset(rows=200, d_feat=4, seed=1))
+    large_data = LogisticPosterior(synthetic_dataset(rows=2000, d_feat=4, seed=1))
+    assert harness._chunk_workers(QuadraticPotential(1.0, d=10), 2, 4) == 1
+    assert harness._chunk_workers(small_data, 2, 4) == 1
+    assert harness._chunk_workers(large_data, 2, 4) == 2
+    assert harness._chunk_workers(QuadraticPotential(1.0, d=1000), 2, 4) == 2
+    # never more workers than chunks, and threads stays an upper bound
+    assert harness._chunk_workers(large_data, 8, 3) == 3
+    assert harness._chunk_workers(large_data, 8, 1) == 1
+    assert harness._chunk_workers(large_data, 1, 4) == 1
+
+
+def test_sample_clouds_thread_invariant_at_uneven_chain_count(pooled):
+    # 130 chains: two full chunks and a chunk of 2
+    pot = QuadraticPotential([1.0, 4.0])
+    fn = STEPPERS["ubu"]
+    args = (CFG, pot, "ubu", fn, 130, 0.1, (0, 3, 7), 5, (12, 13, 14), harness._default_initial(pot))
+    one = harness._evolve_positions(*args, 1)
+    pooled.clear()
+    two = harness._evolve_positions(*args, 2)
+    assert len(pooled) > 1
+    assert sorted(one) == sorted(two) == [0, 3, 7]
+    for step in one:
+        assert one[step].shape == (130, 2)
+        np.testing.assert_array_equal(one[step], two[step])
+
+
+def test_divergence_names_chunk_chain_and_magnitudes():
+    # chain 70 is row 6 of chunk 1 and starts at infinity
+    calls = []
+
+    def initial(rng, shape):
+        x = rng.standard_normal((*shape, 2))
+        if len(calls) == 1:
+            x[6, 1] = np.inf
+        calls.append(shape)
+        return x
+
+    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore", over="ignore"):
+        stationary_study(CFG, POT2, 0.1, 130, 0, 5, seed=3, initial=initial)
+    exc = err.value
+    assert (exc.chunk, exc.chain, exc.step) == (1, 70, 1)
+    assert 0.0 < exc.max_abs_x < 100.0 and 0.0 < exc.max_abs_v < 100.0
+    assert "in chunk 1, first at chain 70; largest finite |x|" in str(exc)
 
 
 def test_strong_study_j_doubling_within_mc_noise(mini_report):
@@ -332,9 +401,11 @@ def test_stationary_moments_gaussian():
     assert rep.v_l6 == pytest.approx(15.0 ** (1.0 / 6.0) * math.sqrt(ud), rel=0.03)
 
 
-def test_stationary_thread_invariant():
+def test_stationary_thread_invariant(pooled):
     rep1 = stationary_study(CFG, POT2, 0.1, 96, 50, 200, seed=6, threads=1)
+    pooled.clear()
     rep3 = stationary_study(CFG, POT2, 0.1, 96, 50, 200, seed=6, threads=3)
+    assert len(pooled) > 1
     assert rep1 == rep3
 
 

@@ -1,6 +1,10 @@
 """Tests for the potential family: gradients vs finite differences, dataset
 loading, prior sampling, and the convexity/smoothness constants."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,6 +335,31 @@ def test_gradient_counter():
     counted.gradient(np.zeros(2))
     assert counted.calls == 2
     assert counted.meta.M1 == 1.0
+
+
+def test_gradient_counter_exact_under_threads():
+    counted = GradientCounter(QuadraticPotential([1.0]))
+    n_threads, per_thread = 4 * (os.cpu_count() or 1), 2000
+    x = np.zeros(1)
+    start = threading.Barrier(n_threads)
+
+    def work():
+        start.wait(timeout=10)
+        for _ in range(per_thread):
+            counted.gradient(x)
+
+    workers = [threading.Thread(target=work, daemon=True) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert counted.calls == n_threads * per_thread
 
 
 def test_synthetic_dataset_deterministic_and_valid():
