@@ -26,7 +26,9 @@ consumer here needs it, and refinement does not condition on it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+import math
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,6 +106,19 @@ class BrownianIncrement:
     def d(self) -> int:
         return self.w.shape[-1]
 
+    @classmethod
+    def _trusted(cls, dt, w, h, k, m=None, halves=None) -> "BrownianIncrement":
+        """Build from arrays this module made, skipping ``__post_init__``'s checks."""
+        inc = object.__new__(cls)
+        vars(inc).update(dt=float(dt), w=w, h=h, k=k, m=m, halves=halves)
+        return inc
+
+    def with_halves(
+        self, halves: tuple["BrownianIncrement", "BrownianIncrement"]
+    ) -> "BrownianIncrement":
+        """This increment carrying ``halves``, the two parts :func:`refine` made of it."""
+        return self._trusted(self.dt, self.w, self.h, self.k, self.m, halves)
+
 
 @dataclass(frozen=True, eq=False)
 class TimeIntegrals:
@@ -145,11 +160,12 @@ def sample_increment(
     if d < 1:
         raise ValueError(f"dimension must be at least 1, got {d}")
     z = rng.standard_normal((4 if with_m else 3, *shape, d))
-    w = np.sqrt(dt) * z[0]
-    h = np.sqrt(dt * _VAR_H) * z[1]
-    k = np.sqrt(dt * _VAR_K) * z[2]
-    m = np.sqrt(dt * _VAR_M) * z[3] if with_m else None
-    return BrownianIncrement(dt, w, h, k, m)
+    z[0] *= math.sqrt(dt)
+    z[1] *= math.sqrt(dt * _VAR_H)
+    z[2] *= math.sqrt(dt * _VAR_K)
+    if with_m:
+        z[3] *= math.sqrt(dt * _VAR_M)
+    return BrownianIncrement._trusted(dt, z[0], z[1], z[2], z[3] if with_m else None)
 
 
 def zero_increment(dt: float, d: int, *, shape: tuple[int, ...] = ()) -> BrownianIncrement:
@@ -301,8 +317,8 @@ def refine(
     stacked[3:] *= np.sqrt(s)
     out = (full @ stacked.reshape(6, -1)).reshape(stacked.shape)
     dt_l = ratio * s
-    left = BrownianIncrement(dt_l, out[0], out[1], out[2])
-    right = BrownianIncrement(s - dt_l, out[3], out[4], out[5])
+    left = BrownianIncrement._trusted(dt_l, out[0], out[1], out[2])
+    right = BrownianIncrement._trusted(s - dt_l, out[3], out[4], out[5])
     return left, right
 
 
@@ -318,6 +334,140 @@ def keyed_generator(seed: int, stream: int, *index: int) -> np.random.Generator:
         entropy=int(seed) & _MASK64, spawn_key=(int(stream), *map(int, index))
     )
     return np.random.Generator(np.random.Philox(ss))
+
+
+# SeedSequence's hash constants (numpy.random.bit_generator).  _keyed below
+# replays its mixing to get the Philox key keyed_generator would use; NumPy
+# keeps SeedSequence's output fixed across releases, and the tests compare
+# the two draw for draw.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+# Keys are derived for blocks of this many consecutive indices at a time; a
+# block is 4 KB, and at most 256 blocks are cached.
+_KEY_BLOCK = 256
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list[int]:
+    """The first ``n`` values of a hash-constant sequence, ``init`` included."""
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+# hashmix calls 0-3 take the seed words, 4-15 the pool cross-mix, 16-19 the
+# stream word and 20-23 the index word; each xors constant i, multiplies by i+1.
+_CONSTS_A = _hash_consts(_INIT_A, _MULT_A, 25)
+_CONSTS_B = _hash_consts(_INIT_B, _MULT_B, 5)
+_INDEX_XOR = np.array(_CONSTS_A[20:24], dtype=np.uint32)[:, None]
+_INDEX_MUL = np.array(_CONSTS_A[21:25], dtype=np.uint32)[:, None]
+_OUT_XOR = np.array(_CONSTS_B[0:4], dtype=np.uint32)[:, None]
+_OUT_MUL = np.array(_CONSTS_B[1:5], dtype=np.uint32)[:, None]
+_SHIFT = np.uint32(16)
+
+
+def _hashmix(value: int, call: int) -> int:
+    value = (value ^ _CONSTS_A[call]) * _CONSTS_A[call + 1] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _stream_pool(seed: int, stream: int) -> np.ndarray:
+    """``_MIX_L`` times each pool word of ``SeedSequence(seed, spawn_key=(stream, i))``
+    before the index word ``i`` mixes in, as a (4, 1) uint32 column.
+
+    ``seed`` is already masked to 64 bits, whose two words are padded with
+    zeros to the pool size of four.
+    """
+    pool = [_hashmix(word, i) for i, word in enumerate((seed & _M32, seed >> 32, 0, 0))]
+    call = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
+                call += 1
+    for dst in range(4):
+        pool[dst] = _mix(pool[dst], _hashmix(stream, call + dst))
+    return np.array([_MIX_L * p & _M32 for p in pool], dtype=np.uint32)[:, None]
+
+
+@functools.lru_cache(maxsize=256)
+def _key_block(seed: int, stream: int, block: int) -> np.ndarray:
+    """Philox keys of ``keyed_generator(seed, stream, i)`` for the ``_KEY_BLOCK``
+    indices ``i`` of ``block``, as a read-only (_KEY_BLOCK, 2) uint64 array.
+
+    The index word is mixed into the seed-and-stream pool, and the pool is
+    expanded into four output words, as ``SeedSequence.generate_state(2, np.uint64)``
+    does, for the whole block at once in wrapping uint32 arithmetic.
+    """
+    start = block * _KEY_BLOCK
+    v = np.arange(start, start + _KEY_BLOCK, dtype=np.uint32)[None, :] ^ _INDEX_XOR
+    v *= _INDEX_MUL
+    v ^= v >> _SHIFT
+    v *= np.uint32(_MIX_R)
+    np.subtract(_stream_pool(seed, stream), v, out=v)
+    v ^= v >> _SHIFT
+    v ^= _OUT_XOR
+    v *= _OUT_MUL
+    v ^= v >> _SHIFT
+    # output words pair up little-endian into the two 64-bit key words
+    keys = np.ascontiguousarray(v.T, dtype="<u4").view("<u8").astype(np.uint64)
+    keys.setflags(write=False)
+    return keys
+
+
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
+class _ThreadGenerator(threading.local):
+    """One Philox generator per thread, made on the thread's first keyed draw
+    (so importing this module does not load ``numpy.random``).
+
+    Every draw resets its whole state first, so no draw depends on what an
+    earlier one left behind, and threads never share it.
+    """
+
+    bit_generator: np.random.Philox | None = None
+    generator: np.random.Generator | None = None
+
+
+_THREAD_GENERATOR = _ThreadGenerator()
+
+
+def _keyed(seed: int, stream: int, index: int) -> np.random.Generator:
+    """A generator drawing what ``keyed_generator(seed, stream, index)`` draws.
+
+    It is this thread's one reused generator, so it is valid only until the
+    next ``_keyed`` call on the thread.  Its Philox is reset to the key and a
+    zero counter with an empty buffer, the state a fresh Philox starts in;
+    the key comes from a cached block, so no ``SeedSequence`` is built.  An
+    index of 2**32 or more takes two spawn-key words and goes to
+    ``keyed_generator`` itself.
+    """
+    index = int(index)
+    if not 0 <= index <= _M32:
+        return keyed_generator(seed, stream, index)
+    block, row = divmod(index, _KEY_BLOCK)
+    local = _THREAD_GENERATOR
+    if local.generator is None:
+        local.bit_generator = np.random.Philox(0)
+        local.generator = np.random.Generator(local.bit_generator)
+    local.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": _key_block(int(seed) & _MASK64, stream, block)[row]},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return local.generator
 
 
 @dataclass(frozen=True)
@@ -342,11 +492,10 @@ class BrownianPath:
         with_halves: bool = False,
         with_m: bool = False,
     ) -> BrownianIncrement:
-        g = keyed_generator(self.seed, _STREAM_STEP, index)
+        g = _keyed(self.seed, _STREAM_STEP, index)
         inc = sample_increment(g, dt, self.d, shape=self.shape, with_m=with_m)
         if with_halves:
-            gh = keyed_generator(self.seed, _STREAM_STEP_HALF, index)
-            inc = replace(inc, halves=refine(inc, gh))
+            inc = inc.with_halves(refine(inc, _keyed(self.seed, _STREAM_STEP_HALF, index)))
         return inc
 
 
@@ -366,12 +515,11 @@ class DyadicBrownianTree:
     shape: tuple[int, ...] = ()
 
     def root(self, *, with_m: bool = False) -> BrownianIncrement:
-        g = keyed_generator(self.seed, _STREAM_TREE_ROOT, 1)
+        g = _keyed(self.seed, _STREAM_TREE_ROOT, 1)
         return sample_increment(g, self.horizon, self.d, shape=self.shape, with_m=with_m)
 
     def split(
         self, inc: BrownianIncrement, index: int
     ) -> tuple[BrownianIncrement, BrownianIncrement]:
         """Split node ``index`` (holding ``inc``) into its two children."""
-        g = keyed_generator(self.seed, _STREAM_TREE_SPLIT, index)
-        return refine(inc, g)
+        return refine(inc, _keyed(self.seed, _STREAM_TREE_SPLIT, index))

@@ -4,7 +4,8 @@ Settings resolve in three layers: built-in defaults, then a flat
 ``key = value`` config file given with --config, then command-line flags.
 Every run writes a CSV table and a JSON report embedding the fully
 resolved configuration, so a run can be replayed from its own output.
-Exit codes: 0 success, 2 invalid configuration, 3 numerical divergence.
+Exit codes: 0 success, 2 invalid configuration or reports that cannot be
+written, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -300,6 +301,9 @@ def _validate(rc: RunConfig) -> tuple[list[str], object]:
         diags.append(f"experiment: unknown experiment '{rc.experiment}'")
     if rc.seed < 0:
         diags.append("seed: must be nonnegative")
+    elif rc.seed >= 2**64:
+        # noise keys take the seed modulo 2**64, so a larger one would alias
+        diags.append("seed: must be below 2**64")
     if rc.threads < 1:
         diags.append("threads: must be at least 1")
     if rc.h <= 0:
@@ -340,6 +344,11 @@ def _validate(rc: RunConfig) -> tuple[list[str], object]:
         diags.append("truth_h: must be positive (or 'auto')")
     if rc.truth_steps < 1:
         diags.append("truth_steps: need at least one step")
+    # the parent of the report file itself, which a trailing separator on
+    # the prefix would hide from Path(prefix).parent
+    out_dir = Path(f"{_report_prefix(rc)}.csv").parent
+    if not out_dir.is_dir():
+        diags.append(f"out: directory not found: {out_dir}")
 
     pot = _build_potential(rc, diags)
     if pot is not None and rc.experiment == "contract":
@@ -364,6 +373,11 @@ def _validate(rc: RunConfig) -> tuple[list[str], object]:
                 f"which failed to import: {exc}"
             )
     return diags, pot
+
+
+def _report_prefix(rc: RunConfig) -> str:
+    """Path of the reports without their .csv and .json suffixes."""
+    return rc.out or f"ulmc-{rc.experiment}"
 
 
 def _ground_truth(rc: RunConfig, pot, solver: SolverConfig):
@@ -478,14 +492,19 @@ def main(argv=None) -> int:
         print(f"ulmc: {exc}", file=sys.stderr)
         return 3
 
-    prefix = rc.out or f"ulmc-{rc.experiment}"
+    prefix = _report_prefix(rc)
     csv_path = f"{prefix}.csv"
     json_path = f"{prefix}.json"
     config = rc.to_dict()
     config["gamma_resolved"] = solver.gamma
     config["u_resolved"] = solver.u
-    write_text_report(csv_path, csv_text)
-    write_json_report(json_path, {"experiment": rc.experiment, "config": config, "report": payload})
+    report = {"experiment": rc.experiment, "config": config, "report": payload}
+    try:
+        write_text_report(csv_path, csv_text)
+        write_json_report(json_path, report)
+    except OSError as exc:
+        print(f"ulmc: out: cannot write reports: {exc}", file=sys.stderr)
+        return 2
 
     for line in summary:
         print(line)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -293,10 +293,7 @@ def _descend(tree, cfg, pot, index, inc, depth, fine_depth, by_depth, validate) 
         if validate:
             _check_recombines(inc, children)
     for run in by_depth.get(depth, ()):
-        use = inc
-        if run.wants_halves:
-            use = replace(inc, halves=children)
-        run.advance(cfg, pot, use)
+        run.advance(cfg, pot, inc.with_halves(children) if run.wants_halves else inc)
     if children is not None:
         _descend(tree, cfg, pot, 2 * index, children[0], depth + 1, fine_depth, by_depth, validate)
         _descend(tree, cfg, pot, 2 * index + 1, children[1], depth + 1, fine_depth, by_depth, validate)
@@ -758,27 +755,36 @@ def stationary_study(
     d = pot.meta.d
     needs_halves = getattr(fn, "needs_halves", False)
     sizes = _chunk_sizes(int(n_chains))
+    add_all = np.add.reduce
 
-    def run_chunk(chunk: int) -> np.ndarray:
+    def run_chunk(chunk: int) -> list[float]:
         size = sizes[chunk]
         state = _initial_state(
             cfg, pot, initial, seed, _TAG_STATIONARY_X, _TAG_STATIONARY_V, chunk, size
         )
         path = BrownianPath(_child_seed(seed, _TAG_STATIONARY_PATH, chunk), d, shape=(size,))
-        sums = np.zeros(4)
+        sum_x2 = sum_v2 = sum_v4 = sum_v6 = 0.0
         for step in range(burn_in + kept):
             inc = path.increment(step, h, with_halves=needs_halves)
             state = fn(cfg, pot, state, inc)
-            if not _finite(state):
+            if step < burn_in:
+                if not _finite(state):
+                    raise _divergence(name, step + 1, h, state, chunk)
+                continue
+            # add.reduce over all axes is np.sum without its dispatch
+            v2 = state.v * state.v
+            v4 = v2 * v2
+            x2_step = float(add_all(state.x * state.x, axis=None))
+            v2_step = float(add_all(v2, axis=None))
+            # a non-finite entry makes these sums non-finite, so only then (or
+            # when a square overflows) is the state checked entry by entry
+            if not math.isfinite(x2_step + v2_step) and not _finite(state):
                 raise _divergence(name, step + 1, h, state, chunk)
-            if step >= burn_in:
-                x2 = state.x * state.x
-                v2 = state.v * state.v
-                sums[0] += float(np.sum(x2))
-                sums[1] += float(np.sum(v2))
-                sums[2] += float(np.sum(v2 * v2))
-                sums[3] += float(np.sum(v2 * v2 * v2))
-        return sums
+            sum_x2 += x2_step
+            sum_v2 += v2_step
+            sum_v4 += float(add_all(v4, axis=None))
+            sum_v6 += float(add_all(v4 * v2, axis=None))
+        return [sum_x2, sum_v2, sum_v4, sum_v6]
 
     totals = np.zeros(4)
     for part in _map_chunks(run_chunk, len(sizes), _chunk_workers(pot, threads, len(sizes))):

@@ -64,6 +64,15 @@ class EmpiricalDistribution:
     def d(self) -> int:
         return self.samples.shape[1]
 
+    @functools.cached_property
+    def mean_pairwise_distance(self) -> float:
+        """Weighted mean distance between two independent draws from the cloud.
+
+        Computed on first use and kept, so a reference cloud measured
+        against many others pays for its own pairs once.
+        """
+        return _weighted_mean_distance(self.samples, self.weights, self.samples, self.weights)
+
     def is_uniform(self) -> bool:
         return bool(np.allclose(self.weights, 1.0 / self.n, rtol=0, atol=1e-12))
 
@@ -113,8 +122,8 @@ def energy_distance_sq(mu, nu, *, unbiased: bool = False) -> float:
     if mu.d != nu.d:
         raise ValueError(f"dimension mismatch: {mu.d} vs {nu.d}")
     a = _weighted_mean_distance(mu.samples, mu.weights, nu.samples, nu.weights)
-    b = _weighted_mean_distance(mu.samples, mu.weights, mu.samples, mu.weights)
-    c = _weighted_mean_distance(nu.samples, nu.weights, nu.samples, nu.weights)
+    b = mu.mean_pairwise_distance
+    c = nu.mean_pairwise_distance
     if unbiased:
         for dist in (mu, nu):
             excess = 1.0 - float(dist.weights @ dist.weights)

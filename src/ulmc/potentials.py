@@ -223,12 +223,17 @@ class GradientCounter:
 
     Each ``gradient`` call counts once no matter how many chains it is
     vectorized over, matching the per-chain cost model of the samplers.
-    The count is exact when chunk threads share the counter.
+    The count is exact when chunk threads share the counter.  A wrapped
+    potential's ``dataset`` is exposed too, so the harness draws the same
+    prior initial states and sizes chunk threads the same as unwrapped.
     """
 
     def __init__(self, potential):
         self.potential = potential
         self.meta = potential.meta
+        dataset = getattr(potential, "dataset", None)
+        if dataset is not None:
+            self.dataset = dataset
         self.calls = 0
         self._lock = threading.Lock()
 

@@ -7,6 +7,11 @@ complement.  Composition is checked against direct quadrature of a piecewise
 linear reconstruction of the same path.
 """
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -427,3 +432,133 @@ def test_path_halves_leave_root_unchanged():
     assert np.array_equal(plain.k, rich.k)
     back = bm.combine(*rich.halves)
     np.testing.assert_allclose(back.w, rich.w, rtol=1e-13, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# keyed noise: paths and trees reproduce keyed_generator's streams
+#
+# Paths and trees derive each Philox key from the cached seed-and-stream part
+# of SeedSequence's hash and reset one generator per thread to it; the public
+# keyed_generator builds the SeedSequence itself and is the reference.
+
+_KEY_SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+_KEY_INDICES = (
+    st.sampled_from([0, 1, 255, 256, 2**31, 2**32 - 1, 2**32]) | st.integers(0, 2**32 + 8)
+)
+
+
+def _assert_same_increment(got, want):
+    assert got.dt == want.dt
+    for name in ("w", "h", "k", "m"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
+    assert (got.halves is None) == (want.halves is None)
+    for a, b in zip(got.halves or (), want.halves or ()):
+        _assert_same_increment(a, b)
+
+
+def _reference_increment(seed, index, dt, d, shape, with_halves, with_m=False):
+    inc = bm.sample_increment(bm.keyed_generator(seed, 0, index), dt, d, shape=shape, with_m=with_m)
+    if with_halves:
+        inc = replace(inc, halves=bm.refine(inc, bm.keyed_generator(seed, 1, index)))
+    return inc
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_KEY_SEEDS, index=_KEY_INDICES, batch=_BATCHES, with_halves=st.booleans())
+def test_path_increment_matches_keyed_generator(seed, index, batch, with_halves):
+    path = bm.BrownianPath(seed, 3, shape=batch)
+    got = path.increment(index, 0.1, with_halves=with_halves)
+    _assert_same_increment(got, _reference_increment(seed, index, 0.1, 3, batch, with_halves))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=_KEY_SEEDS, index=_KEY_INDICES)
+def test_path_increment_with_m_matches_keyed_generator(seed, index):
+    got = bm.BrownianPath(seed, 2).increment(index, 0.3, with_m=True)
+    _assert_same_increment(got, _reference_increment(seed, index, 0.3, 2, (), False, with_m=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_KEY_SEEDS, index=_KEY_INDICES, batch=_BATCHES)
+def test_tree_matches_keyed_generator(seed, index, batch):
+    tree = bm.DyadicBrownianTree(seed, 2, 4.0, shape=batch)
+    root = tree.root()
+    _assert_same_increment(
+        root, bm.sample_increment(bm.keyed_generator(seed, 2, 1), 4.0, 2, shape=batch)
+    )
+    got = tree.split(root, index)
+    want = bm.refine(root, bm.keyed_generator(seed, 3, index))
+    for a, b in zip(got, want):
+        _assert_same_increment(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_KEY_SEEDS,
+    stream=st.integers(0, 3) | st.integers(8, 2**32 - 1),
+    index=_KEY_INDICES,
+)
+def test_keyed_draws_match_keyed_generator(seed, stream, index):
+    got = bm._keyed(seed, stream, index).standard_normal(9)
+    assert np.array_equal(got, bm.keyed_generator(seed, stream, index).standard_normal(9))
+
+
+def test_keyed_draws_mask_seed_like_keyed_generator():
+    # both take the seed modulo 2**64, negative seeds included
+    for seed in (-1, -(2**40), 2**64 + 3):
+        got = bm._keyed(seed, 0, 5).standard_normal(4)
+        assert np.array_equal(got, bm.keyed_generator(seed, 0, 5).standard_normal(4))
+
+
+def test_keyed_draws_reject_negative_index_like_keyed_generator():
+    with pytest.raises(ValueError):
+        bm.keyed_generator(1, 0, -1)
+    with pytest.raises(ValueError):
+        bm.BrownianPath(1, 2).increment(-1, 0.1)
+
+
+def test_one_path_and_tree_shared_by_threads_match_serial_use():
+    path = bm.BrownianPath(seed=77, d=3, shape=(4,))
+    tree = bm.DyadicBrownianTree(seed=78, d=3, horizon=1.0, shape=(4,))
+    root = tree.root()
+    indices = list(range(300))
+    serial = [path.increment(i, 0.05, with_halves=True) for i in indices]
+    serial_splits = [tree.split(root, i + 1) for i in indices]
+    orders = [
+        indices,
+        indices[::-1],
+        indices[1::2] + indices[::2],
+        indices[2::3] + indices[::3] + indices[1::3],
+    ]
+    start = threading.Barrier(len(orders), timeout=60)
+
+    def work(order):
+        start.wait()
+        return {
+            i: (path.increment(i, 0.05, with_halves=True), tree.split(root, i + 1))
+            for i in order
+        }
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            results = list(pool.map(work, orders, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == len(orders)
+    for result in results:
+        for i in indices:
+            inc, children = result[i]
+            _assert_same_increment(inc, serial[i])
+            for a, b in zip(children, serial_splits[i]):
+                _assert_same_increment(a, b)
+
+
+def test_with_halves_shares_coefficients():
+    inc = bm.sample_increment(np.random.default_rng(4), 0.2, 3)
+    halves = bm.refine(inc, np.random.default_rng(5))
+    rich = inc.with_halves(halves)
+    assert inc.halves is None and rich.halves is halves
+    assert rich.w is inc.w and rich.h is inc.h and rich.k is inc.k and rich.dt == inc.dt

@@ -305,3 +305,34 @@ def test_compare_without_scipy_exits_2_before_running(tmp_path):
     assert "ulmc: scipy:" in proc.stderr and "SciPy" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the study ran before the out directory was checked")
+
+    monkeypatch.setattr(cli, "stationary_study", must_not_run)
+    missing = tmp_path / "no" / "such"
+    argv = ["stationary", "--dimension", "2", "--chains", "4", "--burn-in", "1", "--kept", "2"]
+    for out in (str(missing / "x"), f"{missing}{os.sep}"):
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"ulmc: out: directory not found: {missing}" in err
+        assert "Traceback" not in err
+
+
+def test_unwritable_reports_exit_2_with_diagnostic(tmp_path, capsys):
+    (tmp_path / "r.csv").mkdir()  # a directory where the CSV should go
+    argv = ["stationary", "--dimension", "2", "--chains", "4", "--burn-in", "1", "--kept", "2"]
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+    captured = capsys.readouterr()
+    assert "ulmc: out: cannot write reports:" in captured.err
+    assert "wrote" not in captured.out
+
+
+def test_seed_of_2_pow_64_or_more_exits_2(tmp_path, capsys):
+    argv = ["stationary", "--dimension", "2", "--chains", "4", "--burn-in", "1", "--kept", "2"]
+    assert main(argv + ["--seed", str(2**64 + 1), "--out", str(tmp_path / "big")]) == 2
+    assert "ulmc: seed: must be below 2**64" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert validate_config(_default_config("stationary", seed=2**64 - 1)) == []

@@ -36,7 +36,12 @@ from ulmc.harness import (
 )
 from ulmc.integrators import STEPPERS, DivergenceError, PhaseState, SolverConfig
 from ulmc.metrics import EmpiricalDistribution, energy_distance_sq
-from ulmc.potentials import LogisticPosterior, QuadraticPotential, synthetic_dataset
+from ulmc.potentials import (
+    GradientCounter,
+    LogisticPosterior,
+    QuadraticPotential,
+    synthetic_dataset,
+)
 
 rng = np.random.default_rng(20240807)
 
@@ -191,6 +196,22 @@ def test_chunk_workers_pool_only_wide_chunks():
     assert harness._chunk_workers(large_data, 8, 3) == 3
     assert harness._chunk_workers(large_data, 8, 1) == 1
     assert harness._chunk_workers(large_data, 1, 4) == 1
+
+
+def test_counted_posterior_runs_like_the_posterior():
+    # the counter exposes the dataset, so initial states come from the prior
+    # and the thread rule sees its rows
+    posterior = LogisticPosterior(synthetic_dataset(rows=600, d_feat=3, seed=4))
+    counted = GradientCounter(posterior)
+    assert counted.dataset is posterior.dataset
+    assert harness._chunk_workers(counted, 2, 2) == harness._chunk_workers(posterior, 2, 2) == 2
+    cfg = SolverConfig(gamma=2.0, u=1.0 / posterior.meta.M1)
+    args = (0.05, 70, 2, 3, 9)
+    want = stationary_study(cfg, posterior, *args)
+    got = stationary_study(cfg, counted, *args)
+    assert got.to_dict() == want.to_dict()
+    assert counted.calls == 2 * 2 * (2 + 3)  # two chunks, two gradients a step
+    assert not hasattr(GradientCounter(QuadraticPotential(1.0, d=2)), "dataset")
 
 
 def test_sample_clouds_thread_invariant_at_uneven_chain_count(pooled):

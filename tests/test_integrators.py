@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from ulmc.brownian import BrownianPath, sample_increment, zero_increment
+from ulmc.brownian import BrownianIncrement, BrownianPath, refine, sample_increment, zero_increment
 from ulmc.integrators import (
     LAMBDA_MINUS,
     LAMBDA_PLUS,
@@ -341,3 +341,147 @@ def test_stationary_moments_quadratic():
             x_sq.append(np.mean(np.sum(pot.gradient(st.x) ** 2, -1)))
     assert abs(np.mean(v_sq) / (cfg.u * d) - 1.0) < 0.03
     assert abs(np.mean(x_sq) / d - 1.0) < 0.03
+
+
+# ---------------------------------------------------------------------------
+# steppers against their inline formulas, and across batch shapes
+#
+# The oracles are the stepper formulas written out with every phi product
+# formed where it is used; the steppers read the products from a cached
+# record instead and must agree to the bit.
+
+
+def _quicsort_oracle(cfg, pot, state, inc):
+    co = step_coefficients(cfg.gamma, inc.dt)
+    h = inc.dt
+    u = cfg.u
+    sigma = cfg.sigma
+    v1 = state.v + sigma * (inc.h + 6.0 * inc.k)
+    c = sigma * (inc.w - 12.0 * inc.k)
+    x1 = state.x + co.phi1_minus * v1 + (co.phi2_minus / h) * c
+    g1 = pot.gradient(x1)
+    x2 = state.x + co.phi1_plus * v1 - co.phi1_third * u * h * g1 + (co.phi2_plus / h) * c
+    g2 = pot.gradient(x2)
+    v2 = (
+        co.phi0_one * v1
+        - 0.5 * co.phi0_plus * u * h * g1
+        - 0.5 * co.phi0_minus * u * h * g2
+        + (co.phi1_one / h) * c
+    )
+    x_new = (
+        state.x
+        - 0.5 * co.phi1_plus * u * h * g1
+        - 0.5 * co.phi1_minus * u * h * g2
+        + co.phi1_one * v1
+        + (co.phi2_one / h) * c
+    )
+    v_new = v2 - sigma * (inc.h - 6.0 * inc.k)
+    return PhaseState(x_new, v_new)
+
+
+def _ou_flow_oracle(cfg, state, inc):
+    co = step_coefficients(cfg.gamma, inc.dt)
+    jump = inc.h + 6.0 * inc.k
+    rate = (inc.w - 12.0 * inc.k) / inc.dt
+    conv = co.phi0_one * jump + co.phi1_one * rate + (6.0 * inc.k - inc.h)
+    tconv = co.phi1_one * jump + co.phi2_one * rate
+    x_new = state.x + co.phi1_one * state.v + cfg.sigma * tconv
+    v_new = co.phi0_one * state.v + cfg.sigma * conv
+    return PhaseState(x_new, v_new)
+
+
+def _ubu_oracle(cfg, pot, state, inc):
+    left, right = inc.halves
+    mid = _ou_flow_oracle(cfg, state, left)
+    kicked = PhaseState(mid.x, mid.v - cfg.u * inc.dt * pot.gradient(mid.x))
+    return _ou_flow_oracle(cfg, kicked, right)
+
+
+def _euler_oracle(cfg, pot, state, inc):
+    co = step_coefficients(cfg.gamma, inc.dt)
+    g = pot.gradient(state.x)
+    jump = inc.h + 6.0 * inc.k
+    rate = (inc.w - 12.0 * inc.k) / inc.dt
+    conv = co.phi0_one * jump + co.phi1_one * rate + (6.0 * inc.k - inc.h)
+    tconv = co.phi1_one * jump + co.phi2_one * rate
+    x_new = state.x + co.phi1_one * state.v - co.phi2_one * cfg.u * g + cfg.sigma * tconv
+    v_new = co.phi0_one * state.v - co.phi1_one * cfg.u * g + cfg.sigma * conv
+    return PhaseState(x_new, v_new)
+
+
+_ORACLES = {
+    "quicsort": (quicsort_step, _quicsort_oracle),
+    "ubu": (ubu_step, _ubu_oracle),
+    "euler": (euler_step, _euler_oracle),
+}
+
+
+def _random_problem(seed, dt, d, shape):
+    """A quadratic target, a state and an increment with halves, batch ``shape``."""
+    rng = np.random.default_rng(seed)
+    pot = QuadraticPotential(rng.uniform(0.2, 5.0, d), center=rng.standard_normal(d))
+    state = PhaseState(rng.standard_normal((*shape, d)), rng.standard_normal((*shape, d)))
+    inc = sample_increment(rng, dt, d, shape=shape)
+    return pot, state, inc.with_halves(refine(inc, rng))
+
+
+def _map_inc(inc, part):
+    """``inc`` with ``part`` applied to every coefficient array, halves included."""
+    halves = None if inc.halves is None else tuple(_map_inc(half, part) for half in inc.halves)
+    return BrownianIncrement(inc.dt, part(inc.w), part(inc.h), part(inc.k), halves=halves)
+
+
+_SOLVER = dict(
+    gamma=st.floats(0.05, 20.0),
+    u=st.floats(0.1, 5.0),
+    dt=st.floats(1e-3, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+    method=st.sampled_from(sorted(_ORACLES)),
+)
+
+
+class _GradientLog:
+    """A potential that records the positions its gradient is taken at."""
+
+    def __init__(self, pot):
+        self.pot = pot
+        self.points = []
+
+    def gradient(self, x):
+        self.points.append(x.copy())
+        return self.pot.gradient(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_SOLVER, d=st.integers(4, 8))
+def test_steppers_equal_inline_formulas(gamma, u, dt, seed, method, d):
+    # the stage positions are compared too: a stage factor rounded
+    # differently often leaves no trace in the new state
+    cfg = SolverConfig(gamma=gamma, u=u)
+    pot, state, inc = _random_problem(seed, dt, d, (8,))
+    step, oracle = _ORACLES[method]
+    got_log, want_log = _GradientLog(pot), _GradientLog(pot)
+    got, want = step(cfg, got_log, state, inc), oracle(cfg, want_log, state, inc)
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.v, want.v)
+    assert len(got_log.points) == len(want_log.points)
+    for a, b in zip(got_log.points, want_log.points):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_SOLVER)
+def test_steppers_rows_bitwise_equal_across_batch_shapes(gamma, u, dt, seed, method):
+    cfg = SolverConfig(gamma=gamma, u=u)
+    d = 3
+    pot, state, inc = _random_problem(seed, dt, d, (5, 7))
+    step = _ORACLES[method][0]
+    grid = step(cfg, pot, state, inc)
+    flat_inc = _map_inc(inc, lambda a: a.reshape(35, d))
+    flat = step(cfg, pot, PhaseState(state.x.reshape(35, d), state.v.reshape(35, d)), flat_inc)
+    assert np.array_equal(grid.x.reshape(35, d), flat.x)
+    assert np.array_equal(grid.v.reshape(35, d), flat.v)
+    for i, j in ((0, 0), (2, 5), (4, 6)):
+        row_inc = _map_inc(inc, lambda a: a[i, j])
+        row = step(cfg, pot, PhaseState(state.x[i, j], state.v[i, j]), row_inc)
+        assert row.x.shape == (d,)
+        assert np.array_equal(grid.x[i, j], row.x) and np.array_equal(grid.v[i, j], row.v)

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ulmc import metrics
 from ulmc.metrics import (
     EmpiricalDistribution,
     energy_distance_sq,
@@ -131,6 +132,28 @@ def test_energy_distance_blocked_path_consistent():
 
 # ---------------------------------------------------------------------------
 # wasserstein
+
+
+def test_energy_distance_reuses_a_clouds_own_pair_distances(monkeypatch):
+    rng = np.random.default_rng(12)
+    ref = EmpiricalDistribution(rng.standard_normal((40, 3)))
+    clouds = [EmpiricalDistribution(rng.standard_normal((30, 3)) + shift) for shift in (0.0, 0.5)]
+    want = []
+    for cloud in clouds:
+        a = metrics._weighted_mean_distance(cloud.samples, cloud.weights, ref.samples, ref.weights)
+        b = metrics._weighted_mean_distance(cloud.samples, cloud.weights, cloud.samples, cloud.weights)
+        c = metrics._weighted_mean_distance(ref.samples, ref.weights, ref.samples, ref.weights)
+        want.append(max(2.0 * a - b - c, 0.0))
+
+    calls = []
+    inner = metrics._weighted_mean_distance
+    monkeypatch.setattr(
+        metrics, "_weighted_mean_distance", lambda *args: calls.append(1) or inner(*args)
+    )
+    got = [energy_distance_sq(cloud, ref) for cloud in clouds]
+    assert got == want  # the same floats
+    assert len(calls) == 3 + 2  # the reference's own pairs only once
+    assert energy_distance_sq(clouds[0], ref) == want[0] and len(calls) == 5 + 1
 
 
 def test_wasserstein_identical_is_zero():
