@@ -1,8 +1,8 @@
 """Show the space-time Brownian coefficients and their exact refinement.
 
-Each interval of a Brownian path is summarized by a handful of
-coefficients: the plain increment W, the centered area H, and higher
-coefficients K and M that pin down the first iterated time integrals.
+Each interval of a Brownian path is summarized by three coefficients: the
+plain increment W, the centered area H, and the higher coefficient K; H
+and K pin down the first two running time integrals.
 This demo samples a large batch of unit intervals to exhibit their
 variance law, then splits one interval in two and composes it back,
 showing that refinement round-trips to floating-point accuracy.
@@ -12,13 +12,13 @@ import numpy as np
 
 from ulmc import DyadicBrownianTree, combine, sample_increment
 
-VARS = {"W": 1.0, "H": 1.0 / 12.0, "K": 1.0 / 720.0, "M": 1.0 / 100800.0}
+VARS = {"W": 1.0, "H": 1.0 / 12.0, "K": 1.0 / 720.0}
 
 
 def main():
     rng = np.random.default_rng(7)
-    inc = sample_increment(rng, 1.0, 1, shape=(200_000,), with_m=True)
-    cols = {"W": inc.w, "H": inc.h, "K": inc.k, "M": inc.m}
+    inc = sample_increment(rng, 1.0, 1, shape=(200_000,))
+    cols = {"W": inc.w, "H": inc.h, "K": inc.k}
 
     print("variance of each coefficient on a unit interval (200k samples)")
     print(f"{'coeff':>6} {'sample var':>12} {'exact':>12} {'ratio':>8}")

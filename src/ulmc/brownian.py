@@ -17,10 +17,6 @@ and in that form increments compose exactly across adjacent intervals.  A
 coarse increment and its recursive refinement therefore describe one and the
 same underlying path, which is what lets a fine reference solution and a
 coarse solution be driven by identical noise.
-
-An optional fourth coefficient ``m`` (variance ``dt/100800``) extends the
-expansion one order further.  It can be sampled alongside the triple but no
-consumer here needs it, and refinement does not condition on it.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # Coefficient variances on a unit interval.
 _VAR_H = 1.0 / 12.0
 _VAR_K = 1.0 / 720.0
-_VAR_M = 1.0 / 100800.0
 
 # Stream tags 0-3 are reserved by this module; see keyed_generator.
 _STREAM_STEP = 0
@@ -83,7 +78,6 @@ class BrownianIncrement:
     w: np.ndarray
     h: np.ndarray
     k: np.ndarray
-    m: np.ndarray | None = None
     halves: tuple["BrownianIncrement", "BrownianIncrement"] | None = field(
         default=None, repr=False
     )
@@ -94,30 +88,22 @@ class BrownianIncrement:
         object.__setattr__(self, "dt", float(self.dt))
         for name in ("w", "h", "k"):
             object.__setattr__(self, name, _as_coeff(name, getattr(self, name)))
-        if self.m is not None:
-            object.__setattr__(self, "m", _as_coeff("m", self.m))
         shapes = {self.w.shape, self.h.shape, self.k.shape}
-        if self.m is not None:
-            shapes.add(self.m.shape)
         if len(shapes) != 1:
             raise ValueError(f"coefficient shapes disagree: {sorted(shapes)}")
 
-    @property
-    def d(self) -> int:
-        return self.w.shape[-1]
-
     @classmethod
-    def _trusted(cls, dt, w, h, k, m=None, halves=None) -> "BrownianIncrement":
+    def _trusted(cls, dt, w, h, k, halves=None) -> "BrownianIncrement":
         """Build from arrays this module made, skipping ``__post_init__``'s checks."""
         inc = object.__new__(cls)
-        vars(inc).update(dt=float(dt), w=w, h=h, k=k, m=m, halves=halves)
+        vars(inc).update(dt=float(dt), w=w, h=h, k=k, halves=halves)
         return inc
 
     def with_halves(
         self, halves: tuple["BrownianIncrement", "BrownianIncrement"]
     ) -> "BrownianIncrement":
         """This increment carrying ``halves``, the two parts :func:`refine` made of it."""
-        return self._trusted(self.dt, self.w, self.h, self.k, self.m, halves)
+        return self._trusted(self.dt, self.w, self.h, self.k, halves)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,13 +131,11 @@ def sample_increment(
     d: int,
     *,
     shape: tuple[int, ...] = (),
-    with_m: bool = False,
 ) -> BrownianIncrement:
     """Draw the coefficients of one interval of length ``dt``.
 
     Every coordinate is independent, with w ~ N(0, dt), h ~ N(0, dt/12) and
-    k ~ N(0, dt/720); ``with_m`` also draws the next coefficient with
-    variance dt/100800.  ``shape`` prepends batch axes to the ``(d,)``
+    k ~ N(0, dt/720).  ``shape`` prepends batch axes to the ``(d,)``
     coefficient vectors, drawn in one block so the generator state advances
     deterministically.
     """
@@ -159,13 +143,11 @@ def sample_increment(
         raise ValueError(f"dt must be positive, got {dt}")
     if d < 1:
         raise ValueError(f"dimension must be at least 1, got {d}")
-    z = rng.standard_normal((4 if with_m else 3, *shape, d))
+    z = rng.standard_normal((3, *shape, d))
     z[0] *= math.sqrt(dt)
     z[1] *= math.sqrt(dt * _VAR_H)
     z[2] *= math.sqrt(dt * _VAR_K)
-    if with_m:
-        z[3] *= math.sqrt(dt * _VAR_M)
-    return BrownianIncrement._trusted(dt, z[0], z[1], z[2], z[3] if with_m else None)
+    return BrownianIncrement._trusted(dt, z[0], z[1], z[2])
 
 
 def zero_increment(dt: float, d: int, *, shape: tuple[int, ...] = ()) -> BrownianIncrement:
@@ -194,7 +176,7 @@ def combine(left: BrownianIncrement, right: BrownianIncrement) -> BrownianIncrem
     """Compose two adjacent increments into one over the union interval.
 
     Exact and associative: the time integrals of the union are linear in
-    those of the parts.  The result carries no ``m`` and no ``halves``.
+    those of the parts.  The result carries no ``halves``.
     """
     if left.w.shape != right.w.shape:
         raise ValueError(
@@ -307,8 +289,6 @@ def refine(
     precomputed map per ratio applied to the parent's coefficients and
     ``rng``'s standard normals of shape ``(3, *batch, d)``.
     """
-    if inc.m is not None:
-        raise ValueError("refinement of an increment carrying m is not supported")
     full = _refine_map(ratio)
     s = inc.dt
     stacked = np.empty((6, *inc.w.shape))
@@ -490,10 +470,9 @@ class BrownianPath:
         dt: float,
         *,
         with_halves: bool = False,
-        with_m: bool = False,
     ) -> BrownianIncrement:
         g = _keyed(self.seed, _STREAM_STEP, index)
-        inc = sample_increment(g, dt, self.d, shape=self.shape, with_m=with_m)
+        inc = sample_increment(g, dt, self.d, shape=self.shape)
         if with_halves:
             inc = inc.with_halves(refine(inc, _keyed(self.seed, _STREAM_STEP_HALF, index)))
         return inc
@@ -514,9 +493,9 @@ class DyadicBrownianTree:
     horizon: float
     shape: tuple[int, ...] = ()
 
-    def root(self, *, with_m: bool = False) -> BrownianIncrement:
+    def root(self) -> BrownianIncrement:
         g = _keyed(self.seed, _STREAM_TREE_ROOT, 1)
-        return sample_increment(g, self.horizon, self.d, shape=self.shape, with_m=with_m)
+        return sample_increment(g, self.horizon, self.d, shape=self.shape)
 
     def split(
         self, inc: BrownianIncrement, index: int

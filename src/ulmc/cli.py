@@ -344,6 +344,8 @@ def _validate(rc: RunConfig) -> tuple[list[str], object]:
         diags.append("truth_h: must be positive (or 'auto')")
     if rc.truth_steps < 1:
         diags.append("truth_steps: need at least one step")
+    if rc.out.endswith(("/", os.sep)):
+        diags.append(f"out: '{rc.out}' ends in a path separator; give a file name prefix")
     # the parent of the report file itself, which a trailing separator on
     # the prefix would hide from Path(prefix).parent
     out_dir = Path(f"{_report_prefix(rc)}.csv").parent

@@ -10,10 +10,11 @@ threads run serially.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -22,18 +23,19 @@ import numpy as np
 from .brownian import (
     BrownianPath,
     DyadicBrownianTree,
-    combine,
     keyed_generator,
 )
 from .integrators import (
-    STEPPERS,
-    DivergenceError,
+    CHUNK,
+    STEPPER_SPECS,
+    ChainRunner,
     PhaseState,
     SolverConfig,
-    quicsort_step,
+    stepper_spec,
 )
 from .metrics import (
     EmpiricalDistribution,
+    _as_dist,
     energy_distance_sq,
     subsample,
     wasserstein2,
@@ -62,10 +64,6 @@ __all__ = [
     "write_json_report",
     "write_text_report",
 ]
-
-# Paths and chains are processed in fixed chunks of this many so that the
-# noise stream layout never depends on the thread count.
-CHUNK = 64
 
 # Chunks go to a thread pool only when a chunk's arrays are wide enough for
 # NumPy to run long with the interpreter lock released: a chunk state of at
@@ -143,6 +141,9 @@ def _default_initial(pot) -> Callable[[np.random.Generator, tuple[int, ...]], np
 
 
 def _initial_state(cfg, pot, initial, seed, tag_x, tag_v, chunk, size) -> PhaseState:
+    """Positions from ``initial`` (None for the default sampler), velocities from N(0, u I)."""
+    if initial is None:
+        initial = _default_initial(pot)
     d = pot.meta.d
     x0 = np.asarray(initial(keyed_generator(seed, tag_x, chunk), (size,)), dtype=float)
     if x0.shape != (size, d):
@@ -151,22 +152,24 @@ def _initial_state(cfg, pot, initial, seed, tag_x, tag_v, chunk, size) -> PhaseS
     return PhaseState(x0, v0)
 
 
-def _finite(state: PhaseState) -> bool:
-    return bool(np.isfinite(state.x).all() and np.isfinite(state.v).all())
+def _run_chains(cfg, pot, method, n_chains, h, n_steps, seed, tags, initial, threads, observe, start):
+    """Step chunked chains on keyed paths, returning each chunk's ``start()`` in
+    chunk order after ``observe(it, step, state)`` has seen states 0 to ``n_steps``."""
+    tag_x, tag_v, tag_path = tags
+    sizes = _chunk_sizes(int(n_chains))
 
+    def run_chunk(chunk: int):
+        state = _initial_state(cfg, pot, initial, seed, tag_x, tag_v, chunk, sizes[chunk])
+        path = BrownianPath(_child_seed(seed, tag_path, chunk), pot.meta.d, shape=(sizes[chunk],))
+        result = start()
+        watch = functools.partial(observe, result)
+        watch(0, state)
+        run = ChainRunner(method, state, h, chunk, watch)
+        for step in range(n_steps):
+            run.advance(cfg, pot, path.increment(step, h, with_halves=run.needs_halves))
+        return result
 
-def _divergence(name: str, step: int, h: float, state: PhaseState, chunk: int) -> DivergenceError:
-    """The error for a non-finite ``state`` of ``chunk``, one chain per row."""
-    ok_x, ok_v = np.isfinite(state.x), np.isfinite(state.v)
-    bad = ~(ok_x & ok_v).all(axis=-1)
-    max_x, max_v = (
-        float(np.abs(a[ok]).max()) if ok.any() else None
-        for a, ok in ((state.x, ok_x), (state.v, ok_v))
-    )
-    return DivergenceError(
-        name, step, step * h, chunk=chunk, chain=chunk * CHUNK + int(np.argmax(bad)),
-        max_abs_x=max_x, max_abs_v=max_v,
-    )
+    return _map_chunks(run_chunk, len(sizes), _chunk_workers(pot, threads, len(sizes)))
 
 
 @dataclass(frozen=True)
@@ -233,70 +236,25 @@ class ConvergenceReport:
                 yield method, n, err
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "converge",
-            "methods": list(self.methods),
-            "step_counts": list(self.step_counts),
-            "errors": {m: list(v) for m, v in self.errors.items()},
-            "fits": {
-                m: {"slope": f.slope, "intercept": f.intercept, "order": f.order}
-                for m, f in self.fits.items()
-            },
-            "fit_range": list(self.fit_range),
-            "paths": self.paths,
-            "horizon": self.horizon,
-            "fine_level": self.fine_level,
-            "seed": self.seed,
-        }
+        fits = {m: {**asdict(f), "order": f.order} for m, f in self.fits.items()}
+        return {"kind": "converge", **asdict(self), "fits": fits, "fit_range": self.fit_range}
 
 
-class _LevelRun:
-    """One stepper consuming tree nodes of a fixed depth, left to right."""
+def _descend(tree, cfg, pot, index, inc, depth, fine_depth, by_depth) -> None:
+    """Depth-first walk of the dyadic tree, advancing each runner at its depth.
 
-    __slots__ = ("method", "stepper", "wants_halves", "state", "steps", "h", "chunk")
-
-    def __init__(self, method: str, state: PhaseState, h: float, chunk: int):
-        self.method = method
-        self.stepper = STEPPERS[method]
-        self.wants_halves = getattr(self.stepper, "needs_halves", False)
-        self.state = state
-        self.steps = 0
-        self.h = h
-        self.chunk = chunk
-
-    def advance(self, cfg, pot, inc) -> None:
-        state = self.stepper(cfg, pot, self.state, inc)
-        self.steps += 1
-        if not _finite(state):
-            raise _divergence(self.method, self.steps, self.h, state, self.chunk)
-        self.state = state
-
-
-def _check_recombines(inc, children) -> None:
-    back = combine(children[0], children[1])
-    tol = 1e-10 * math.sqrt(inc.dt)
-    for got, want in ((back.w, inc.w), (back.h, inc.h), (back.k, inc.k)):
-        if not np.allclose(got, want, rtol=1e-9, atol=tol):
-            raise RuntimeError("tree split does not recombine to its parent increment")
-
-
-def _descend(tree, cfg, pot, index, inc, depth, fine_depth, by_depth, validate) -> None:
-    """Depth-first walk of the dyadic tree, stepping each run at its depth.
-
-    Children are generated before the runs at this depth advance so that a
-    stepper needing refined halves can take them from the same split the
+    Children are generated before the runners at this depth advance so that
+    a stepper needing refined halves can take them from the same split the
     walk uses; left-to-right recursion visits every depth in time order.
     """
     children = None
     if depth < fine_depth:
         children = tree.split(inc, index)
-        if validate:
-            _check_recombines(inc, children)
     for run in by_depth.get(depth, ()):
-        run.advance(cfg, pot, inc.with_halves(children) if run.wants_halves else inc)
+        run.advance(cfg, pot, inc.with_halves(children) if run.needs_halves else inc)
     if children is not None:
-        _descend(tree, cfg, pot, 2 * index, children[0], depth + 1, fine_depth, by_depth, validate)
-        _descend(tree, cfg, pot, 2 * index + 1, children[1], depth + 1, fine_depth, by_depth, validate)
+        _descend(tree, cfg, pot, 2 * index, children[0], depth + 1, fine_depth, by_depth)
+        _descend(tree, cfg, pot, 2 * index + 1, children[1], depth + 1, fine_depth, by_depth)
 
 
 def level_grid_problems(
@@ -305,7 +263,7 @@ def level_grid_problems(
     """Why a strong-error study cannot run on this level grid; empty if it can.
 
     Each entry reads ``"<setting>: <problem>"``, naming the setting to change.
-    Methods not in ``STEPPERS`` are left to the caller to report.
+    Methods not in ``STEPPER_SPECS`` are left to the caller to report.
     """
     levels = sorted({int(lvl) for lvl in coarse_levels})
     fine_level = int(fine_level)
@@ -323,7 +281,7 @@ def level_grid_problems(
             f"levels: method '{m}' needs increments refined into halves, so its "
             f"coarse levels must stay strictly below fine_level {fine_level}"
             for m in dict.fromkeys(methods)
-            if getattr(STEPPERS.get(m), "needs_halves", False)
+            if m in STEPPER_SPECS and STEPPER_SPECS[m].needs_halves
         ]
     return []
 
@@ -340,7 +298,6 @@ def strong_error_study(
     *,
     initial: Callable | None = None,
     threads: int = 1,
-    validate_path: bool = False,
 ) -> ConvergenceReport:
     """Strong L2 errors against a shared-path fine reference.
 
@@ -357,16 +314,10 @@ def strong_error_study(
     from ``initial`` (default: the dataset prior when the potential has
     one, else standard normal) and initial velocities from N(0, u I),
     shared by all methods on a given path.
-
-    ``validate_path`` rechecks on every split that the two children
-    recombine to their parent increment.
     """
     method_list = tuple(dict.fromkeys(str(m) for m in methods))
     if not method_list:
         raise ValueError("need at least one method")
-    unknown = [m for m in method_list if m not in STEPPERS]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {sorted(STEPPERS)}")
     if paths < 2:
         raise ValueError("need at least 2 paths for a Monte Carlo error estimate")
     if horizon <= 0:
@@ -376,8 +327,6 @@ def strong_error_study(
         raise ValueError(problems[0])
     levels = tuple(sorted({int(lvl) for lvl in coarse_levels}))
     fine_level = int(fine_level)
-    if initial is None:
-        initial = _default_initial(pot)
 
     d = pot.meta.d
     sizes = _chunk_sizes(int(paths))
@@ -389,15 +338,15 @@ def strong_error_study(
         tree = DyadicBrownianTree(
             _child_seed(seed, _TAG_CONVERGE_TREE, chunk), d, float(horizon), shape=(size,)
         )
-        runs: dict[tuple[str, int], _LevelRun] = {}
-        by_depth: dict[int, list[_LevelRun]] = {}
+        runs: dict[tuple[str, int], ChainRunner] = {}
+        by_depth: dict[int, list[ChainRunner]] = {}
         for m, lvl in keys:
-            run = _LevelRun(m, state0, horizon / 2.0**lvl, chunk)
+            run = ChainRunner(m, state0, horizon / 2.0**lvl, chunk)
             runs[(m, lvl)] = run
             by_depth.setdefault(lvl, []).append(run)
-        fine_run = _LevelRun("quicsort", state0, horizon / 2.0**fine_level, chunk)
+        fine_run = ChainRunner("quicsort", state0, horizon / 2.0**fine_level, chunk)
         by_depth.setdefault(fine_level, []).append(fine_run)
-        _descend(tree, cfg, pot, 1, tree.root(), 0, fine_level, by_depth, validate_path)
+        _descend(tree, cfg, pot, 1, tree.root(), 0, fine_level, by_depth)
         ref = fine_run.state.x
         return {key: float(np.sum((runs[key].state.x - ref) ** 2)) for key in keys}
 
@@ -482,15 +431,15 @@ def contractivity_study(
                 raise ValueError(f"initial pair states must have shape {(n_pairs, d)}")
 
     path = BrownianPath(_child_seed(seed, _TAG_CONTRACT_PATH, 0), d, shape=(n_pairs,))
+    # one pair per row, so a divergence names the pair as its chain
+    run_a, run_b = (ChainRunner("quicsort", s, h, 0) for s in (state_a, state_b))
     out = np.empty(n_steps + 1)
     out[0] = _transformed_distance(cfg, state_a, state_b)
     for i in range(n_steps):
         inc = path.increment(i, h)
-        state_a = quicsort_step(cfg, pot, state_a, inc)
-        state_b = quicsort_step(cfg, pot, state_b, inc)
-        if not (_finite(state_a) and _finite(state_b)):
-            raise DivergenceError("quicsort", i + 1, (i + 1) * h)
-        out[i + 1] = _transformed_distance(cfg, state_a, state_b)
+        run_a.advance(cfg, pot, inc)
+        run_b.advance(cfg, pot, inc)
+        out[i + 1] = _transformed_distance(cfg, run_a.state, run_b.state)
     return out
 
 
@@ -519,59 +468,20 @@ class MixingReport:
             yield self.method, ge, e, w
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "mixing",
-            "method": self.method,
-            "step_size": self.step_size,
-            "n_chains": self.n_chains,
-            "checkpoints": list(self.checkpoints),
-            "grad_evals": list(self.grad_evals),
-            "energy": list(self.energy),
-            "w2": list(self.w2),
-            "seed": self.seed,
-        }
-
-
-def _resolve_stepper(stepper) -> tuple[str, Callable]:
-    if isinstance(stepper, str):
-        if stepper not in STEPPERS:
-            raise ValueError(f"unknown method '{stepper}'; choose from {sorted(STEPPERS)}")
-        return stepper, STEPPERS[stepper]
-    for name, fn in STEPPERS.items():
-        if fn is stepper:
-            return name, fn
-    name = getattr(stepper, "__name__", "custom")
-    return name.removesuffix("_step"), stepper
+        return {"kind": "mixing", **asdict(self)}
 
 
 def _evolve_positions(
-    cfg, pot, name, fn, n_chains, h, record, seed, tags, initial, threads
+    cfg, pot, method, n_chains, h, record, seed, tags, initial, threads
 ) -> dict[int, np.ndarray]:
     """Advance chunked chains, returning position clouds at the recorded steps."""
-    tag_x, tag_v, tag_path = tags
-    d = pot.meta.d
-    needs_halves = getattr(fn, "needs_halves", False)
-    sizes = _chunk_sizes(int(n_chains))
     wanted = frozenset(record)
-    last = max(record)
 
-    def run_chunk(chunk: int) -> dict[int, np.ndarray]:
-        size = sizes[chunk]
-        state = _initial_state(cfg, pot, initial, seed, tag_x, tag_v, chunk, size)
-        path = BrownianPath(_child_seed(seed, tag_path, chunk), d, shape=(size,))
-        snaps: dict[int, np.ndarray] = {}
-        if 0 in wanted:
-            snaps[0] = state.x.copy()
-        for step in range(1, last + 1):
-            inc = path.increment(step - 1, h, with_halves=needs_halves)
-            state = fn(cfg, pot, state, inc)
-            if not _finite(state):
-                raise _divergence(name, step, h, state, chunk)
-            if step in wanted:
-                snaps[step] = state.x.copy()
-        return snaps
+    def observe(snaps: dict, step: int, state: PhaseState) -> None:
+        if step in wanted:
+            snaps[step] = state.x.copy()
 
-    parts = _map_chunks(run_chunk, len(sizes), _chunk_workers(pot, threads, len(sizes)))
+    parts = _run_chains(cfg, pot, method, n_chains, h, max(wanted), seed, tags, initial, threads, observe, dict)
     return {step: np.concatenate([p[step] for p in parts], axis=0) for step in sorted(wanted)}
 
 
@@ -600,7 +510,7 @@ def mixing_study(
     clouds larger than ``metric_cap`` are subsampled for it (deterministic
     in the seed); the energy distance always uses the full clouds.
     """
-    name, fn = _resolve_stepper(stepper)
+    spec = stepper_spec(stepper)
     cps = tuple(int(c) for c in checkpoints)
     if not cps or any(c < 0 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be strictly increasing step indices >= 0")
@@ -608,34 +518,27 @@ def mixing_study(
         raise ValueError("need at least one chain")
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    gt = (
-        ground_truth
-        if isinstance(ground_truth, EmpiricalDistribution)
-        else EmpiricalDistribution(np.asarray(ground_truth, dtype=float))
-    )
-    if initial is None:
-        initial = _default_initial(pot)
+    gt = _as_dist(ground_truth)
 
     clouds = _evolve_positions(
-        cfg, pot, name, fn, n_chains, h, cps, seed,
+        cfg, pot, stepper, n_chains, h, cps, seed,
         (_TAG_MIXING_X, _TAG_MIXING_V, _TAG_MIXING_PATH), initial, threads,
     )
 
-    evals_per_step = int(getattr(fn, "gradient_evals", 1))
     gt_cmp = gt
     if gt.n > metric_cap:
         gt_cmp = subsample(gt, metric_cap, keyed_generator(seed, _TAG_SUBSAMPLE_REF, 0))
     grad, energy, w2s = [], [], []
     for ci, step in enumerate(cps):
         emp = EmpiricalDistribution(clouds[step])
-        grad.append(step * evals_per_step * int(n_chains))
+        grad.append(step * spec.gradient_evals * int(n_chains))
         energy.append(math.sqrt(max(energy_distance_sq(emp, gt), 0.0)))
         m = min(emp.n, gt_cmp.n, metric_cap)
         emp_w = emp if emp.n == m else subsample(emp, m, keyed_generator(seed, _TAG_SUBSAMPLE_EMP, ci))
         gt_w = gt_cmp if gt_cmp.n == m else subsample(gt_cmp, m, keyed_generator(seed, _TAG_SUBSAMPLE_REF, 1 + ci))
         w2s.append(wasserstein2(emp_w, gt_w))
     return MixingReport(
-        method=name,
+        method=stepper,
         step_size=float(h),
         n_chains=int(n_chains),
         checkpoints=cps,
@@ -670,13 +573,10 @@ def compare_study(
     cps = tuple(int(c) for c in checkpoints)
     reports: dict[str, MixingReport] = {}
     for m in dict.fromkeys(methods):
-        name, fn = _resolve_stepper(m)
-        evals = int(getattr(fn, "gradient_evals", 1))
-        if evals not in (1, 2):
-            raise ValueError(f"cannot budget-match method '{name}' with {evals} gradients per step")
+        evals = stepper_spec(m).gradient_evals
         scale = 2 // evals
-        reports[name] = mixing_study(
-            cfg, pot, name, n_chains, h * evals / 2.0,
+        reports[m] = mixing_study(
+            cfg, pot, m, n_chains, h * evals / 2.0,
             tuple(c * scale for c in cps), ground_truth, seed,
             initial=initial, threads=threads, metric_cap=metric_cap,
         )
@@ -706,19 +606,7 @@ class StationaryReport:
         yield "v_l6", self.v_l6
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "stationary",
-            "mean_x_sq": self.mean_x_sq,
-            "mean_v_sq": self.mean_v_sq,
-            "v_l2": self.v_l2,
-            "v_l4": self.v_l4,
-            "v_l6": self.v_l6,
-            "n_chains": self.n_chains,
-            "burn_in": self.burn_in,
-            "kept": self.kept,
-            "step_size": self.step_size,
-            "seed": self.seed,
-        }
+        return {"kind": "stationary", **asdict(self)}
 
 
 def stationary_study(
@@ -742,52 +630,39 @@ def stationary_study(
     pooled per-coordinate moment, which for a Gaussian stationary law gives
     sqrt(u d), 3^(1/4) sqrt(u d), 15^(1/6) sqrt(u d) at p = 1, 2, 3.
     """
-    name, fn = _resolve_stepper(stepper)
     if n_chains < 1:
         raise ValueError("need at least one chain")
     if burn_in < 0 or kept < 1:
         raise ValueError("burn_in must be >= 0 and kept >= 1")
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    if initial is None:
-        initial = _default_initial(pot)
 
     d = pot.meta.d
-    needs_halves = getattr(fn, "needs_halves", False)
-    sizes = _chunk_sizes(int(n_chains))
     add_all = np.add.reduce
 
-    def run_chunk(chunk: int) -> list[float]:
-        size = sizes[chunk]
-        state = _initial_state(
-            cfg, pot, initial, seed, _TAG_STATIONARY_X, _TAG_STATIONARY_V, chunk, size
-        )
-        path = BrownianPath(_child_seed(seed, _TAG_STATIONARY_PATH, chunk), d, shape=(size,))
-        sum_x2 = sum_v2 = sum_v4 = sum_v6 = 0.0
-        for step in range(burn_in + kept):
-            inc = path.increment(step, h, with_halves=needs_halves)
-            state = fn(cfg, pot, state, inc)
-            if step < burn_in:
-                if not _finite(state):
-                    raise _divergence(name, step + 1, h, state, chunk)
-                continue
-            # add.reduce over all axes is np.sum without its dispatch
-            v2 = state.v * state.v
-            v4 = v2 * v2
-            x2_step = float(add_all(state.x * state.x, axis=None))
-            v2_step = float(add_all(v2, axis=None))
-            # a non-finite entry makes these sums non-finite, so only then (or
-            # when a square overflows) is the state checked entry by entry
-            if not math.isfinite(x2_step + v2_step) and not _finite(state):
-                raise _divergence(name, step + 1, h, state, chunk)
-            sum_x2 += x2_step
-            sum_v2 += v2_step
-            sum_v4 += float(add_all(v4, axis=None))
-            sum_v6 += float(add_all(v4 * v2, axis=None))
-        return [sum_x2, sum_v2, sum_v4, sum_v6]
+    def observe(sums: list, step: int, state: PhaseState) -> bool:  # sums of x^2, v^2, v^4, v^6
+        if step <= burn_in:
+            return False
+        # add.reduce over all axes is np.sum without its dispatch
+        v2 = state.v * state.v
+        v4 = v2 * v2
+        x2_step = float(add_all(state.x * state.x, axis=None))
+        v2_step = float(add_all(v2, axis=None))
+        sums[0] += x2_step
+        sums[1] += v2_step
+        sums[2] += float(add_all(v4, axis=None))
+        sums[3] += float(add_all(v4 * v2, axis=None))
+        # a non-finite entry makes these sums non-finite, so only then (or
+        # when a square overflows) is the state checked entry by entry
+        return math.isfinite(x2_step + v2_step)
 
+    tags = (_TAG_STATIONARY_X, _TAG_STATIONARY_V, _TAG_STATIONARY_PATH)
     totals = np.zeros(4)
-    for part in _map_chunks(run_chunk, len(sizes), _chunk_workers(pot, threads, len(sizes))):
+    parts = _run_chains(
+        cfg, pot, stepper, n_chains, h, burn_in + kept, seed, tags, initial, threads, observe,
+        lambda: [0.0, 0.0, 0.0, 0.0],
+    )
+    for part in parts:
         totals += part
 
     pooled = totals / (float(kept) * n_chains * d)
@@ -836,10 +711,8 @@ def long_run_ground_truth(
         raise ValueError("need at least one sample and one step")
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    if initial is None:
-        initial = _default_initial(pot)
     clouds = _evolve_positions(
-        cfg, pot, "quicsort", quicsort_step, n_samples, h, (int(n_steps),), seed,
+        cfg, pot, "quicsort", n_samples, h, (int(n_steps),), seed,
         (_TAG_TRUTH_X, _TAG_TRUTH_V, _TAG_TRUTH_PATH), initial, threads,
     )
     return EmpiricalDistribution(clouds[int(n_steps)])

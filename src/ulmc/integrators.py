@@ -39,6 +39,8 @@ __all__ = [
     "SolverConfig",
     "PhaseState",
     "StepCoefficients",
+    "StepperSpec",
+    "ChainRunner",
     "DivergenceError",
     "phi0",
     "phi1",
@@ -49,6 +51,8 @@ __all__ = [
     "euler_step",
     "simulate",
     "STEPPERS",
+    "STEPPER_SPECS",
+    "stepper_spec",
     "LAMBDA_PLUS",
     "LAMBDA_MINUS",
 ]
@@ -153,9 +157,6 @@ def phi2(gamma: float, h: float, x) -> np.ndarray | float:
 class StepCoefficients:
     """phi values of one (gamma, h) pair at the stage points of the schemes."""
 
-    h: float
-    lambda_plus: float
-    lambda_minus: float
     phi0_plus: float
     phi0_minus: float
     phi0_one: float
@@ -174,9 +175,6 @@ def step_coefficients(gamma: float, h: float) -> StepCoefficients:
     if not (gamma > 0 and h > 0):
         raise ValueError("need gamma > 0 and h > 0")
     return StepCoefficients(
-        h=h,
-        lambda_plus=LAMBDA_PLUS,
-        lambda_minus=LAMBDA_MINUS,
         phi0_plus=float(phi0(gamma, h, LAMBDA_PLUS)),
         phi0_minus=float(phi0(gamma, h, LAMBDA_MINUS)),
         phi0_one=float(phi0(gamma, h, 1.0)),
@@ -294,9 +292,6 @@ def quicsort_step(cfg: SolverConfig, pot, state: PhaseState, inc: BrownianIncrem
     return PhaseState(x_new, v_new)
 
 
-quicsort_step.gradient_evals = 2
-
-
 def _ou_noise(s: _StepScalars, inc: BrownianIncrement) -> tuple[np.ndarray, np.ndarray]:
     """sigma times the position and velocity convolutions of one interval's
     piecewise-linear path surrogate against the OU kernel."""
@@ -332,10 +327,6 @@ def ubu_step(cfg: SolverConfig, pot, state: PhaseState, inc: BrownianIncrement) 
     return _ou_flow(cfg, kicked, right)
 
 
-ubu_step.gradient_evals = 1
-ubu_step.needs_halves = True
-
-
 def euler_step(cfg: SolverConfig, pot, state: PhaseState, inc: BrownianIncrement) -> PhaseState:
     """Exponential Euler: freeze the gradient at the left endpoint and
     integrate the resulting linear SDE exactly; one gradient."""
@@ -347,13 +338,82 @@ def euler_step(cfg: SolverConfig, pot, state: PhaseState, inc: BrownianIncrement
     return PhaseState(x_new, v_new)
 
 
-euler_step.gradient_evals = 1
+class StepperSpec(NamedTuple):
+    """What a study needs to know of a stepper besides its formula."""
+
+    gradient_evals: int
+    needs_halves: bool = False
+
 
 STEPPERS: dict[str, Callable] = {
     "quicsort": quicsort_step,
     "ubu": ubu_step,
     "euler": euler_step,
 }
+
+# Beside STEPPERS, whose values stay plain callables that can be wrapped by name.
+STEPPER_SPECS: dict[str, StepperSpec] = {
+    "quicsort": StepperSpec(gradient_evals=2),
+    "ubu": StepperSpec(gradient_evals=1, needs_halves=True),
+    "euler": StepperSpec(gradient_evals=1),
+}
+
+# Studies run their chains in chunks of this many, so that the noise stream
+# layout never depends on the thread count.
+CHUNK = 64
+
+
+def stepper_spec(method: str) -> StepperSpec:
+    """The spec of the stepper named ``method``; ValueError if there is none."""
+    if method not in STEPPER_SPECS:
+        raise ValueError(f"unknown method '{method}'; choose from {sorted(STEPPERS)}")
+    return STEPPER_SPECS[method]
+
+
+def _finite(state: PhaseState) -> bool:
+    return bool(np.isfinite(state.x).all() and np.isfinite(state.v).all())
+
+
+class ChainRunner:
+    """The chains of one study chunk, stepped by the stepper named ``method``.
+
+    A divergence names time ``steps * h`` and chain ``chunk * CHUNK + row``.
+    ``observe(step, state)`` sees each new state first and may return True
+    to vouch that it is finite, which skips the divergence check.
+    """
+
+    __slots__ = ("method", "stepper", "needs_halves", "state", "steps", "h", "chunk", "observe")
+
+    def __init__(self, method: str, state: PhaseState, h: float, chunk: int, observe=None):
+        self.method = method
+        self.needs_halves = stepper_spec(method).needs_halves
+        self.stepper = STEPPERS[method]
+        self.state = state
+        self.steps = 0
+        self.h = h
+        self.chunk = chunk
+        self.observe = observe
+
+    def advance(self, cfg: SolverConfig, pot, inc: BrownianIncrement) -> None:
+        """Step once on ``inc``; raise :class:`DivergenceError` on a non-finite state."""
+        state = self.stepper(cfg, pot, self.state, inc)
+        self.steps += 1
+        vouched = self.observe is not None and self.observe(self.steps, state)
+        if not vouched and not _finite(state):
+            raise self._divergence(state)
+        self.state = state
+
+    def _divergence(self, state: PhaseState) -> DivergenceError:
+        ok_x, ok_v = np.isfinite(state.x), np.isfinite(state.v)
+        bad = ~(ok_x & ok_v).all(axis=-1)
+        max_x, max_v = (
+            float(np.abs(a[ok]).max()) if ok.any() else None
+            for a, ok in ((state.x, ok_x), (state.v, ok_v))
+        )
+        return DivergenceError(
+            self.method, self.steps, self.steps * self.h, chunk=self.chunk,
+            chain=self.chunk * CHUNK + int(np.argmax(bad)), max_abs_x=max_x, max_abs_v=max_v,
+        )
 
 
 def simulate(
@@ -362,9 +422,9 @@ def simulate(
     initial: PhaseState,
     path: BrownianPath,
     times,
-    stepper: Callable = quicsort_step,
+    stepper: str = "quicsort",
 ) -> list[PhaseState]:
-    """Fold ``stepper`` over the partition ``times``, noise from ``path``.
+    """Fold the stepper named ``stepper`` over the partition ``times``, noise from ``path``.
 
     ``times`` must be strictly increasing; the state at ``times[0]`` is
     ``initial`` and the returned list is index-aligned with ``times``.  Step
@@ -379,14 +439,12 @@ def simulate(
         raise ValueError("times must be a nonempty 1-d array")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    needs_halves = getattr(stepper, "needs_halves", False)
-    name = getattr(stepper, "__name__", str(stepper))
     state = PhaseState(np.asarray(initial.x, dtype=float), np.asarray(initial.v, dtype=float))
     out = [state]
-    for i in range(times.size - 1):
-        inc = path.increment(i, times[i + 1] - times[i], with_halves=needs_halves)
-        state = stepper(cfg, pot, state, inc)
-        if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.v))):
-            raise DivergenceError(name, i + 1, float(times[i + 1]))
-        out.append(state)
+    runner = ChainRunner(stepper, state, math.nan, 0, lambda step, new: out.append(new))
+    try:
+        for i, dt in enumerate(np.diff(times)):
+            runner.advance(cfg, pot, path.increment(i, dt, with_halves=runner.needs_halves))
+    except DivergenceError as exc:  # steps may be uneven: name the partition's time
+        raise DivergenceError(stepper, exc.step, float(times[exc.step])) from None
     return out

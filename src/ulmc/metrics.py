@@ -31,9 +31,9 @@ _BLOCK_ROWS = 2048
 _MAX_ASSIGNMENT = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Weighted point cloud; weights are normalized to sum to one."""
+    """Weighted point cloud; weights are normalized to sum to one; ``==`` is identity."""
 
     samples: np.ndarray
     weights: np.ndarray | None = None

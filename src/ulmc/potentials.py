@@ -29,7 +29,6 @@ __all__ = [
     "LogisticDataset",
     "LogisticPosterior",
     "GradientCounter",
-    "quadratic_gradient",
     "logistic_potential_gradient",
     "load_dataset",
     "sample_prior",
@@ -85,11 +84,6 @@ class QuadraticPotential:
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self.curvatures * (x - self.center)
-
-
-def quadratic_gradient(p: QuadraticPotential, x) -> np.ndarray:
-    """Gradient lam ⊙ (x - c) of a diagonal quadratic."""
-    return p.gradient(x)
 
 
 @dataclass(frozen=True)

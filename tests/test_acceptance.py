@@ -16,7 +16,7 @@ import pytest
 from ulmc.brownian import BrownianPath, DyadicBrownianTree, combine, sample_increment
 from ulmc.cli import main
 from ulmc.harness import contractivity_study, stationary_study, strong_error_study
-from ulmc.integrators import STEPPERS, PhaseState, SolverConfig, simulate
+from ulmc.integrators import PhaseState, SolverConfig, simulate
 from ulmc.metrics import energy_distance_sq, wasserstein2
 from ulmc.potentials import (
     GradientCounter,
@@ -141,7 +141,7 @@ def test_gradient_accounting(capsys):
     for method in ("quicsort", "ubu"):
         counter = GradientCounter(QuadraticPotential(1.0, d=3))
         path = BrownianPath(seed=SEED, d=3)
-        simulate(cfg, counter, init, path, times, STEPPERS[method])
+        simulate(cfg, counter, init, path, times, method)
         calls[method] = counter.calls
     ok = calls["quicsort"] == 2 * 17 and calls["ubu"] == 17
     detail = (

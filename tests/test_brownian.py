@@ -156,20 +156,17 @@ def test_coefficient_variances_unit_interval():
 
 def test_coefficient_variances_scale_with_dt():
     rng = np.random.default_rng(102)
-    inc = bm.sample_increment(rng, 0.25, 1, shape=(1_000_000,), with_m=True)
+    inc = bm.sample_increment(rng, 0.25, 1, shape=(1_000_000,))
     assert abs(np.var(inc.k) - 0.25 / 720.0) < 0.02 * 0.25 / 720.0
-    assert abs(np.var(inc.m) - 0.25 / 100800.0) < 0.02 * 0.25 / 100800.0
     assert abs(np.var(inc.w) - 0.25) < 0.02 * 0.25
 
 
 def test_coefficients_uncorrelated():
     rng = np.random.default_rng(103)
-    inc = bm.sample_increment(rng, 1.0, 1, shape=(1_000_000,), with_m=True)
-    cols = np.stack(
-        [inc.w.ravel(), inc.h.ravel(), inc.k.ravel(), inc.m.ravel()]
-    )
+    inc = bm.sample_increment(rng, 1.0, 1, shape=(1_000_000,))
+    cols = np.stack([inc.w.ravel(), inc.h.ravel(), inc.k.ravel()])
     corr = np.corrcoef(cols)
-    off = corr - np.eye(4)
+    off = corr - np.eye(3)
     assert np.max(np.abs(off)) < 4.0 / np.sqrt(cols.shape[1])
 
 
@@ -284,7 +281,6 @@ _BATCHES = st.sampled_from([(), (3,), (2, 5)])
 _SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-@settings(deadline=None)
 @given(ratio=_RATIOS, dt=_DTS, batch=_BATCHES, seed=_SEEDS)
 def test_refine_recombines_for_any_ratio_and_dt(ratio, dt, batch, seed):
     rng = np.random.default_rng(seed)
@@ -297,7 +293,6 @@ def test_refine_recombines_for_any_ratio_and_dt(ratio, dt, batch, seed):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
 
 
-@settings(deadline=None)
 @given(ratio=_RATIOS, dt=_DTS, batch=_BATCHES, seed=_SEEDS)
 def test_refine_matches_two_stage_oracle(ratio, dt, batch, seed):
     inc = bm.sample_increment(np.random.default_rng(seed), dt, 2, shape=batch)
@@ -369,12 +364,6 @@ def test_refine_deterministic_under_identical_state():
     l1, r1 = bm.refine(inc, np.random.default_rng(7))
     l2, r2 = bm.refine(inc, np.random.default_rng(7))
     assert np.array_equal(l1.w, l2.w) and np.array_equal(r1.k, r2.k)
-
-
-def test_refine_rejects_m():
-    inc = bm.sample_increment(np.random.default_rng(111), 1.0, 2, with_m=True)
-    with pytest.raises(ValueError):
-        bm.refine(inc, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -449,22 +438,21 @@ _KEY_INDICES = (
 
 def _assert_same_increment(got, want):
     assert got.dt == want.dt
-    for name in ("w", "h", "k", "m"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None and b is None) or np.array_equal(a, b), name
+    for name in ("w", "h", "k"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert (got.halves is None) == (want.halves is None)
     for a, b in zip(got.halves or (), want.halves or ()):
         _assert_same_increment(a, b)
 
 
-def _reference_increment(seed, index, dt, d, shape, with_halves, with_m=False):
-    inc = bm.sample_increment(bm.keyed_generator(seed, 0, index), dt, d, shape=shape, with_m=with_m)
+def _reference_increment(seed, index, dt, d, shape, with_halves):
+    inc = bm.sample_increment(bm.keyed_generator(seed, 0, index), dt, d, shape=shape)
     if with_halves:
         inc = replace(inc, halves=bm.refine(inc, bm.keyed_generator(seed, 1, index)))
     return inc
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(seed=_KEY_SEEDS, index=_KEY_INDICES, batch=_BATCHES, with_halves=st.booleans())
 def test_path_increment_matches_keyed_generator(seed, index, batch, with_halves):
     path = bm.BrownianPath(seed, 3, shape=batch)
@@ -472,14 +460,7 @@ def test_path_increment_matches_keyed_generator(seed, index, batch, with_halves)
     _assert_same_increment(got, _reference_increment(seed, index, 0.1, 3, batch, with_halves))
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=_KEY_SEEDS, index=_KEY_INDICES)
-def test_path_increment_with_m_matches_keyed_generator(seed, index):
-    got = bm.BrownianPath(seed, 2).increment(index, 0.3, with_m=True)
-    _assert_same_increment(got, _reference_increment(seed, index, 0.3, 2, (), False, with_m=True))
-
-
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(seed=_KEY_SEEDS, index=_KEY_INDICES, batch=_BATCHES)
 def test_tree_matches_keyed_generator(seed, index, batch):
     tree = bm.DyadicBrownianTree(seed, 2, 4.0, shape=batch)
@@ -493,7 +474,7 @@ def test_tree_matches_keyed_generator(seed, index, batch):
         _assert_same_increment(a, b)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=_KEY_SEEDS,
     stream=st.integers(0, 3) | st.integers(8, 2**32 - 1),

@@ -321,6 +321,21 @@ def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch
         assert "Traceback" not in err
 
 
+def test_out_prefix_ending_in_a_separator_exits_2_before_running(tmp_path, monkeypatch, capsys):
+    # DIR/ as a prefix would name the hidden reports DIR/.csv and DIR/.json
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the study ran before the out prefix was checked")
+
+    monkeypatch.setattr(cli, "stationary_study", must_not_run)
+    argv = ["stationary", "--dimension", "2", "--chains", "4", "--burn-in", "1", "--kept", "2"]
+    for sep in ("/", os.sep):
+        assert main(argv + ["--out", f"{tmp_path}{sep}"]) == 2
+        err = capsys.readouterr().err
+        assert f"ulmc: out: '{tmp_path}{sep}' ends in a path separator" in err
+        assert "directory not found" not in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_reports_exit_2_with_diagnostic(tmp_path, capsys):
     (tmp_path / "r.csv").mkdir()  # a directory where the CSV should go
     argv = ["stationary", "--dimension", "2", "--chains", "4", "--burn-in", "1", "--kept", "2"]

@@ -12,13 +12,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ulmc import harness
-from ulmc.brownian import keyed_generator
+from ulmc.brownian import BrownianPath, DyadicBrownianTree, keyed_generator
 from ulmc.harness import (
     ConvergenceReport,
     MixingReport,
     OrderFit,
+    StationaryReport,
     compare_study,
     contract_csv,
     contractivity_study,
@@ -217,8 +219,7 @@ def test_counted_posterior_runs_like_the_posterior():
 def test_sample_clouds_thread_invariant_at_uneven_chain_count(pooled):
     # 130 chains: two full chunks and a chunk of 2
     pot = QuadraticPotential([1.0, 4.0])
-    fn = STEPPERS["ubu"]
-    args = (CFG, pot, "ubu", fn, 130, 0.1, (0, 3, 7), 5, (12, 13, 14), harness._default_initial(pot))
+    args = (CFG, pot, "ubu", 130, 0.1, (0, 3, 7), 5, (12, 13, 14), harness._default_initial(pot))
     one = harness._evolve_positions(*args, 1)
     pooled.clear()
     two = harness._evolve_positions(*args, 2)
@@ -255,13 +256,6 @@ def test_strong_study_j_doubling_within_mc_noise(mini_report):
     for method in mini_report.methods:
         for a, b in zip(mini_report.errors[method], doubled.errors[method]):
             assert abs(a - b) / b < 3.0 / math.sqrt(64)
-
-
-def test_strong_study_validates_shared_path():
-    rep = strong_error_study(
-        CFG, POT2, ["quicsort", "ubu"], 1.0, 2, [2, 3], 6, seed=5, validate_path=True
-    )
-    assert all(e > 0 for e in rep.errors["ubu"])
 
 
 def test_strong_study_rejects_bad_arguments():
@@ -511,3 +505,284 @@ def test_report_files_are_reproducible(tmp_path, mini_report):
     assert loaded["config"]["seed"] == 42
     assert loaded["report"]["fits"]["quicsort"]["order"] == mini_report.fits["quicsort"].order
     assert jpath.read_text().endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# the chain runner against the loops it replaced
+#
+# Before ChainRunner every study stepped its chains by hand: a per-chunk loop
+# over path increments (sample, compare, the long-run ground truth and
+# stationary), a recursive walk of the dyadic tree (converge) and a loop over
+# coupled pairs (contract).  Those loops are kept here as oracles, written
+# out as they were; the studies must reproduce them bit for bit, and
+# divergences with the same step, chunk, chain and magnitudes.
+
+_METHODS = ("quicsort", "ubu", "euler")
+_STIFF = QuadraticPotential([1.0, 2000.0])  # unstable at h = 0.3: diverges in 95-165 steps
+
+
+def _ref_finite(state):
+    return bool(np.isfinite(state.x).all() and np.isfinite(state.v).all())
+
+
+def _ref_divergence(name, step, h, state, chunk):
+    ok_x, ok_v = np.isfinite(state.x), np.isfinite(state.v)
+    bad = ~(ok_x & ok_v).all(axis=-1)
+    max_x, max_v = (
+        float(np.abs(a[ok]).max()) if ok.any() else None
+        for a, ok in ((state.x, ok_x), (state.v, ok_v))
+    )
+    return DivergenceError(
+        name, step, step * h, chunk=chunk, chain=chunk * 64 + int(np.argmax(bad)),
+        max_abs_x=max_x, max_abs_v=max_v,
+    )
+
+
+def _ref_chunk_loop(cfg, pot, method, chunk, size, h, n_steps, seed, tags, initial, observe):
+    """One chunk: fetch each increment, step, check, then hand the state over."""
+    tag_x, tag_v, tag_path = tags
+    state = harness._initial_state(cfg, pot, initial, seed, tag_x, tag_v, chunk, size)
+    path = BrownianPath(harness._child_seed(seed, tag_path, chunk), pot.meta.d, shape=(size,))
+    observe(0, state)
+    for step in range(1, n_steps + 1):
+        inc = path.increment(step - 1, h, with_halves=method == "ubu")
+        state = STEPPERS[method](cfg, pot, state, inc)
+        if not _ref_finite(state):
+            raise _ref_divergence(method, step, h, state, chunk)
+        observe(step, state)
+
+
+def _ref_clouds(cfg, pot, method, n_chains, h, record, seed, tags, initial, threads):
+    """Position clouds at the recorded steps; same signature as _evolve_positions."""
+    parts = {step: [] for step in sorted(record)}
+    for chunk, size in enumerate(harness._chunk_sizes(n_chains)):
+
+        def observe(step, state):
+            if step in parts:
+                parts[step].append(state.x.copy())
+
+        _ref_chunk_loop(cfg, pot, method, chunk, size, h, max(record), seed, tags, initial, observe)
+    return {step: np.concatenate(p, axis=0) for step, p in parts.items()}
+
+
+def _ref_stationary(cfg, pot, method, h, n_chains, burn_in, kept, seed, initial):
+    d = pot.meta.d
+    tags = (harness._TAG_STATIONARY_X, harness._TAG_STATIONARY_V, harness._TAG_STATIONARY_PATH)
+    totals = np.zeros(4)
+    for chunk, size in enumerate(harness._chunk_sizes(n_chains)):
+        sums = [0.0, 0.0, 0.0, 0.0]
+
+        def observe(step, state):
+            if step > burn_in:
+                v2 = state.v * state.v
+                v4 = v2 * v2
+                for i, moment in enumerate((state.x * state.x, v2, v4, v4 * v2)):
+                    sums[i] += float(np.sum(moment))
+
+        _ref_chunk_loop(cfg, pot, method, chunk, size, h, burn_in + kept, seed, tags, initial, observe)
+        totals += sums
+    pooled = totals / (float(kept) * n_chains * d)
+    return StationaryReport(
+        mean_x_sq=float(d * pooled[0]),
+        mean_v_sq=float(d * pooled[1]),
+        v_l2=math.sqrt(d * pooled[1]),
+        v_l4=math.sqrt(d) * pooled[2] ** 0.25,
+        v_l6=math.sqrt(d) * pooled[3] ** (1.0 / 6.0),
+        n_chains=n_chains, burn_in=burn_in, kept=kept, step_size=h, seed=seed,
+    )
+
+
+def _ref_strong_errors(cfg, pot, methods, horizon, paths, levels, fine_level, seed):
+    """Errors by the recursive tree walk, each level's states stepped by hand."""
+    keys = [(m, lvl) for m in methods for lvl in levels]
+    totals = dict.fromkeys(keys, 0.0)
+    initial = harness._default_initial(pot)
+    for chunk, size in enumerate(harness._chunk_sizes(paths)):
+        state0 = harness._initial_state(
+            cfg, pot, initial, seed, harness._TAG_CONVERGE_X, harness._TAG_CONVERGE_V, chunk, size
+        )
+        tree = DyadicBrownianTree(
+            harness._child_seed(seed, harness._TAG_CONVERGE_TREE, chunk), pot.meta.d, horizon,
+            shape=(size,),
+        )
+        # [method, level, state, steps]; the quicsort reference at fine_level last
+        runs = [[m, lvl, state0, 0] for m, lvl in keys] + [["quicsort", fine_level, state0, 0]]
+
+        def descend(index, inc, depth):
+            children = tree.split(inc, index) if depth < fine_level else None
+            for run in runs:
+                if run[1] == depth:
+                    step_inc = inc.with_halves(children) if run[0] == "ubu" else inc
+                    run[2] = STEPPERS[run[0]](cfg, pot, run[2], step_inc)
+                    run[3] += 1
+                    if not _ref_finite(run[2]):
+                        raise _ref_divergence(run[0], run[3], horizon / 2.0**depth, run[2], chunk)
+            if children is not None:
+                descend(2 * index, children[0], depth + 1)
+                descend(2 * index + 1, children[1], depth + 1)
+
+        descend(1, tree.root(), 0)
+        for key, run in zip(keys, runs):
+            totals[key] += float(np.sum((run[2].x - runs[-1][2].x) ** 2))
+    return {m: tuple(math.sqrt(totals[(m, lvl)] / paths) for lvl in levels) for m in methods}
+
+
+def _ref_contract(cfg, pot, h, n_steps, n_pairs, seed, pairs=None):
+    d = pot.meta.d
+    if pairs is None:
+        g = keyed_generator(seed, harness._TAG_CONTRACT_INIT, 0)
+        scale = math.sqrt(cfg.u)
+        pairs = [
+            PhaseState(g.standard_normal((n_pairs, d)), scale * g.standard_normal((n_pairs, d)))
+            for _ in range(2)
+        ]
+    a, b = pairs
+    path = BrownianPath(harness._child_seed(seed, harness._TAG_CONTRACT_PATH, 0), d, shape=(n_pairs,))
+    out = [harness._transformed_distance(cfg, a, b)]
+    for i in range(n_steps):
+        inc = path.increment(i, h)
+        a = STEPPERS["quicsort"](cfg, pot, a, inc)
+        b = STEPPERS["quicsort"](cfg, pot, b, inc)
+        if not (_ref_finite(a) and _ref_finite(b)):
+            raise DivergenceError("quicsort", i + 1, (i + 1) * h)
+        out.append(harness._transformed_distance(cfg, a, b))
+    return np.array(out)
+
+
+def _same_divergence(got, want):
+    for name in ("method", "step", "time", "chunk", "chain", "max_abs_x", "max_abs_v"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_clouds_equal_the_per_chunk_loop(method):
+    # 130 chains: two full chunks and a chunk of 2
+    pot = QuadraticPotential([1.0, 4.0])
+    args = (CFG, pot, method, 130, 0.1, (0, 3, 7), 5, (12, 13, 14), harness._default_initial(pot), 1)
+    got, want = harness._evolve_positions(*args), _ref_clouds(*args)
+    assert sorted(got) == sorted(want) == [0, 3, 7]
+    for step in want:
+        np.testing.assert_array_equal(got[step], want[step])
+
+
+def test_long_run_ground_truth_equals_the_per_chunk_loop(aniso_truth):
+    pot, _ = aniso_truth
+    tags = (harness._TAG_TRUTH_X, harness._TAG_TRUTH_V, harness._TAG_TRUTH_PATH)
+    want = _ref_clouds(CFG, pot, "quicsort", 130, 0.05, (20,), 81, tags, harness._default_initial(pot), 1)
+    cloud = long_run_ground_truth(CFG, pot, 130, 0.05, 20, seed=81)
+    np.testing.assert_array_equal(cloud.samples, want[20])
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_mixing_study_equals_the_per_chunk_loop(method, aniso_truth, monkeypatch):
+    pot, gt = aniso_truth
+    args = (CFG, pot, method, 130, 0.2, [0, 2, 5], gt)
+    got = mixing_study(*args, seed=31)
+    monkeypatch.setattr(harness, "_evolve_positions", _ref_clouds)
+    assert mixing_study(*args, seed=31) == got
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_stationary_study_equals_the_per_chunk_loop(method):
+    got = stationary_study(CFG, POT2, 0.1, 130, 7, 9, seed=6, stepper=method)
+    assert got == _ref_stationary(CFG, POT2, method, 0.1, 130, 7, 9, 6, harness._default_initial(POT2))
+
+
+def test_strong_error_study_equals_the_tree_walk():
+    rep = strong_error_study(CFG, POT2, _METHODS, 1.0, 130, (2, 3), 5, seed=12)
+    assert rep.errors == _ref_strong_errors(CFG, POT2, _METHODS, 1.0, 130, (2, 3), 5, 12)
+
+
+def test_contractivity_study_equals_the_pair_loop():
+    got = contractivity_study(CFG, POT2, 0.05, 30, 130, seed=4)
+    np.testing.assert_array_equal(got, _ref_contract(CFG, POT2, 0.05, 30, 130, 4))
+
+
+@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("burn_in", [0, 400])
+def test_stationary_divergence_equals_the_per_chunk_loop(method, burn_in):
+    # burn_in 0 diverges in kept steps, where the moment sums vouch for finite states
+    initial = harness._default_initial(_STIFF)
+    with pytest.raises(DivergenceError) as got, np.errstate(over="ignore", invalid="ignore"):
+        stationary_study(CFG, _STIFF, 0.3, 130, burn_in, 400 - burn_in + 1, seed=6, stepper=method)
+    with pytest.raises(DivergenceError) as want, np.errstate(over="ignore", invalid="ignore"):
+        _ref_stationary(CFG, _STIFF, method, 0.3, 130, burn_in, 400 - burn_in + 1, 6, initial)
+    _same_divergence(got.value, want.value)
+
+
+def test_divergence_in_a_later_chunk_equals_the_per_chunk_loop(aniso_truth, monkeypatch):
+    # chain 70 is row 6 of chunk 1 and starts at infinity
+    pot, gt = aniso_truth
+
+    def initial(rng, shape):
+        x = rng.standard_normal((*shape, 2))
+        if initial.calls == 1:
+            x[6, 1] = np.inf
+        initial.calls += 1
+        return x
+
+    errors = []
+    for clouds in (harness._evolve_positions, _ref_clouds):
+        initial.calls = 0
+        monkeypatch.setattr(harness, "_evolve_positions", clouds)
+        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
+            mixing_study(CFG, pot, "ubu", 130, 0.2, [0, 3], gt, seed=5, initial=initial)
+        errors.append(err.value)
+    assert (errors[0].chunk, errors[0].chain, errors[0].step) == (1, 70, 1)
+    _same_divergence(*errors)
+
+
+def test_strong_study_divergence_equals_the_tree_walk():
+    args = (CFG, _STIFF, _METHODS, 60.0, 130, (7, 8), 9)
+    with pytest.raises(DivergenceError) as got, np.errstate(over="ignore", invalid="ignore"):
+        strong_error_study(*args, seed=12)
+    with pytest.raises(DivergenceError) as want, np.errstate(over="ignore", invalid="ignore"):
+        _ref_strong_errors(*args, 12)
+    _same_divergence(got.value, want.value)
+
+
+def test_contract_divergence_names_the_pair():
+    # pair 5 of the second chains starts at infinity
+    g = keyed_generator(3, 8, 0)
+    a = PhaseState(g.standard_normal((130, 2)), g.standard_normal((130, 2)))
+    b = PhaseState(a.x + 1.0, a.v.copy())
+    b.x[5, 0] = np.inf
+    with pytest.raises(DivergenceError) as got, np.errstate(over="ignore", invalid="ignore"):
+        contractivity_study(CFG, POT2, 0.05, 4, 130, seed=4, initial_pairs=(a, b))
+    with pytest.raises(DivergenceError) as want, np.errstate(over="ignore", invalid="ignore"):
+        _ref_contract(CFG, POT2, 0.05, 4, 130, 4, pairs=(a, b))
+    exc = got.value
+    assert (exc.step, exc.time) == (want.value.step, want.value.time) == (1, 0.05)
+    assert (exc.chunk, exc.chain) == (0, 5)
+    assert 0.0 < exc.max_abs_x < 100.0 and 0.0 < exc.max_abs_v < 100.0
+
+
+# ---------------------------------------------------------------------------
+# thread invariance at any chain count, with the pool forced on
+
+_POOLED = settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_POOLED
+@given(n_chains=st.integers(1, 200), method=st.sampled_from(_METHODS))
+def test_stationary_thread_invariant_at_any_chain_count(pooled, n_chains, method):
+    one = stationary_study(CFG, POT2, 0.1, n_chains, 3, 4, seed=n_chains, stepper=method, threads=1)
+    pooled.clear()
+    three = stationary_study(CFG, POT2, 0.1, n_chains, 3, 4, seed=n_chains, stepper=method, threads=3)
+    # one chunk runs inline; more go to pool threads, however many of them start
+    assert (threading.get_ident() in pooled) == (n_chains <= harness.CHUNK)
+    assert one == three
+
+
+@_POOLED
+@given(n_chains=st.integers(1, 200), method=st.sampled_from(_METHODS))
+def test_mixing_thread_invariant_at_any_chain_count(pooled, aniso_truth, n_chains, method):
+    pot, gt = aniso_truth
+    args = (CFG, pot, method, n_chains, 0.2, [0, 3], gt)
+    one = mixing_study(*args, seed=n_chains, threads=1, metric_cap=256)
+    pooled.clear()
+    three = mixing_study(*args, seed=n_chains, threads=3, metric_cap=256)
+    # one chunk runs inline; more go to pool threads, however many of them start
+    assert (threading.get_ident() in pooled) == (n_chains <= harness.CHUNK)
+    assert one == three

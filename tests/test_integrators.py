@@ -14,6 +14,8 @@ from ulmc.brownian import BrownianIncrement, BrownianPath, refine, sample_increm
 from ulmc.integrators import (
     LAMBDA_MINUS,
     LAMBDA_PLUS,
+    STEPPER_SPECS,
+    STEPPERS,
     DivergenceError,
     PhaseState,
     SolverConfig,
@@ -25,6 +27,7 @@ from ulmc.integrators import (
     simulate,
     step_coefficients,
     ubu_step,
+    _ou_flow,
 )
 from ulmc.potentials import GradientCounter, QuadraticPotential
 
@@ -72,6 +75,24 @@ def test_phi_bounds_on_grid():
             assert np.all(p2 >= 0) and np.all(p2 <= 0.5 * xs**2 * h**2 * (1 + 1e-12))
 
 
+_STAGE_POINTS = st.sampled_from((LAMBDA_MINUS, 1.0 / 3.0, LAMBDA_PLUS, 1.0))
+
+
+@given(
+    a=st.floats(-12.0, 3.0).map(lambda e: 10.0**e),
+    gamma=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    x=_STAGE_POINTS,
+)
+def test_phi_finite_and_bounded_for_any_gamma_h(a, gamma, x):
+    # gamma*h = a from 1e-12 to 1e3; the bounds of test_phi_bounds_on_grid
+    h = a / gamma
+    p0, p1, p2 = (float(phi(gamma, h, x)) for phi in (phi0, phi1, phi2))
+    assert all(np.isfinite((p0, p1, p2)))
+    assert 0.0 <= p0 <= 1.0
+    assert 0.0 <= p1 <= x * h * (1 + 1e-12)
+    assert 0.0 <= p2 <= 0.5 * x**2 * h**2 * (1 + 1e-12)
+
+
 def test_phi2_stable_for_small_arguments():
     # spans both the series branch and the direct branch
     for gamma, h in ((1e-12, 1.0), (1e-8, 0.5), (1e-5, 1.0), (0.13, 0.01), (2.0, 0.2)):
@@ -81,11 +102,7 @@ def test_phi2_stable_for_small_arguments():
             assert got == pytest.approx(want, rel=1e-13)
 
 
-@given(
-    a=st.floats(0.025, 0.035),
-    gamma=st.floats(1e-3, 1e3),
-    x=st.sampled_from((LAMBDA_MINUS, 1.0 / 3.0, LAMBDA_PLUS, 1.0)),
-)
+@given(a=st.floats(0.025, 0.035), gamma=st.floats(1e-3, 1e3), x=_STAGE_POINTS)
 def test_phi2_continuous_across_series_switch(a, gamma, x):
     # _exprel2 leaves its series for expm1 at gamma*h*x = 0.03
     h = a / (gamma * x)
@@ -136,6 +153,24 @@ def test_free_flow_ubu():
     co = step_coefficients(cfg.gamma, h)
     np.testing.assert_allclose(out.x, state.x + co.phi1_one * state.v, rtol=1e-14)
     np.testing.assert_allclose(out.v, co.phi0_one * state.v, rtol=1e-14)
+
+
+@given(
+    gamma=st.floats(-6.0, np.log10(50.0)).map(lambda e: 10.0**e),
+    h=st.floats(-6.0, np.log10(7.0)).map(lambda e: 10.0**e),
+    u=st.floats(0.1, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quicsort_without_force_is_the_ou_flow(gamma, h, u, seed):
+    # algebraically equal; the two round differently, by a few ulps of the state
+    cfg = SolverConfig(gamma=gamma, u=u)
+    rng = np.random.default_rng(seed)
+    state = PhaseState(rng.standard_normal((8, 4)), rng.standard_normal((8, 4)))
+    inc = sample_increment(rng, h, 4, shape=(8,))
+    got, want = quicsort_step(cfg, _ZeroForce(), state, inc), _ou_flow(cfg, state, inc)
+    for a, b in ((got.x, want.x), (got.v, want.v)):
+        scale = max(np.abs(b).max(), np.abs(state.x).max(), np.abs(state.v).max())
+        assert np.abs(a - b).max() <= 4 * np.finfo(float).eps * scale
 
 
 def test_steps_deterministic():
@@ -214,10 +249,10 @@ def test_gradient_call_counts():
     inc = replace(inc, halves=tuple(
         sample_increment(rng, 0.05, 2) for _ in range(2)
     ))
-    for step, expected in ((quicsort_step, 2), (ubu_step, 1), (euler_step, 1)):
+    for name, expected in (("quicsort", 2), ("ubu", 1), ("euler", 1)):
         pot = GradientCounter(QuadraticPotential(1.0, d=2))
-        step(cfg, pot, state, inc)
-        assert pot.calls == expected == step.gradient_evals
+        STEPPERS[name](cfg, pot, state, inc)
+        assert pot.calls == expected == STEPPER_SPECS[name].gradient_evals
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +272,7 @@ def test_simulate_matches_manual_fold():
     pot = QuadraticPotential([1.0, 2.0])
     path = BrownianPath(seed=11, d=2)
     init = PhaseState(np.array([0.5, -0.5]), np.array([0.0, 1.0]))
-    traj = simulate(cfg, pot, init, path, [0.0, 0.25, 0.75], stepper=euler_step)
+    traj = simulate(cfg, pot, init, path, [0.0, 0.25, 0.75], stepper="euler")
     s = euler_step(cfg, pot, init, path.increment(0, 0.25))
     s = euler_step(cfg, pot, s, path.increment(1, 0.5))
     np.testing.assert_array_equal(traj[2].x, s.x)
@@ -261,7 +296,7 @@ def test_steppers_consume_identical_increments():
     init = PhaseState(np.zeros(3), np.zeros(3))
     times = np.linspace(0.0, 1.0, 6)
     logs = []
-    for stepper in (quicsort_step, ubu_step, euler_step):
+    for stepper in ("quicsort", "ubu", "euler"):
         path = _RecordingPath(BrownianPath(seed=21, d=3))
         simulate(cfg, pot, init, path, times, stepper=stepper)
         logs.append(np.stack(path.log))
@@ -287,7 +322,7 @@ def test_simulate_reports_divergence_step():
     with pytest.raises(DivergenceError) as err:
         simulate(cfg, _NanForce(), init, BrownianPath(3, 2), [0.0, 0.1, 0.2])
     assert err.value.step == 1
-    assert "quicsort_step" in str(err.value)
+    assert "of quicsort" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +487,7 @@ class _GradientLog:
         return self.pot.gradient(x)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(**_SOLVER, d=st.integers(4, 8))
 def test_steppers_equal_inline_formulas(gamma, u, dt, seed, method, d):
     # the stage positions are compared too: a stage factor rounded
@@ -468,7 +503,7 @@ def test_steppers_equal_inline_formulas(gamma, u, dt, seed, method, d):
         assert np.array_equal(a, b)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(**_SOLVER)
 def test_steppers_rows_bitwise_equal_across_batch_shapes(gamma, u, dt, seed, method):
     cfg = SolverConfig(gamma=gamma, u=u)

@@ -156,6 +156,14 @@ def test_energy_distance_reuses_a_clouds_own_pair_distances(monkeypatch):
     assert energy_distance_sq(clouds[0], ref) == want[0] and len(calls) == 5 + 1
 
 
+def test_empirical_distributions_compare_by_identity():
+    samples = np.arange(6.0).reshape(3, 2)
+    cloud = EmpiricalDistribution(samples)
+    assert cloud == cloud
+    assert cloud != EmpiricalDistribution(samples)
+    assert len({cloud, cloud}) == 1
+
+
 def test_wasserstein_identical_is_zero():
     pts = np.random.default_rng(407).standard_normal((12, 3))
     assert wasserstein2(pts, pts.copy()) == pytest.approx(0.0, abs=1e-12)
