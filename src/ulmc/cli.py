@@ -76,8 +76,8 @@ DEFAULTS: dict[str, str] = {
 # One flag per setting; the help line gains the default when it is not empty.
 _HELP: dict[str, str] = {
     "seed": "master seed",
-    "threads": "upper bound on chunk threads, or 'auto' for one per usable core; "
-    "small targets run their chunks serially, and output never depends on it",
+    "threads": "upper bound on chunk and distance threads, or 'auto' for one per "
+    "usable core; small targets and clouds run serially, and output never depends on it",
     "out": "output prefix for .csv and .json reports (default ulmc-EXPERIMENT)",
     "dataset": "labelled CSV for a logistic posterior target",
     "label_col": "label column index",

@@ -95,8 +95,9 @@ class LogisticDataset:
 
     Construction also fixes the arrays the potential evaluates with: the
     label-signed design ``signed_design = y[:, None] * [X, 1]`` of shape
-    ``(m_rows, d_feat + 1)`` and the prior precisions ``prior_precision``
-    (``1/(2V)`` per weight, 1 for the intercept).  Both are read-only, so
+    ``(m_rows, d_feat + 1)``, its exact half ``half_signed_design`` that the
+    gradient works with, and the prior precisions ``prior_precision``
+    (``1/(2V)`` per weight, 1 for the intercept).  All are read-only, so
     threads may share one dataset.
     """
 
@@ -104,6 +105,7 @@ class LogisticDataset:
     labels: np.ndarray
     feature_variance: float | None = None
     signed_design: np.ndarray = field(init=False, repr=False, compare=False)
+    half_signed_design: np.ndarray = field(init=False, repr=False, compare=False)
     prior_precision: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -132,9 +134,11 @@ class LogisticDataset:
         signed = labs[:, None] * np.hstack([feats, np.ones((feats.shape[0], 1))])
         prec = np.full(feats.shape[1] + 1, 1.0 / (2.0 * self.feature_variance))
         prec[-1] = 1.0
-        signed.setflags(write=False)
-        prec.setflags(write=False)
+        half = 0.5 * signed
+        for arr in (signed, half, prec):
+            arr.setflags(write=False)
         object.__setattr__(self, "signed_design", signed)
+        object.__setattr__(self, "half_signed_design", half)
         object.__setattr__(self, "prior_precision", prec)
 
     @property
@@ -171,16 +175,16 @@ def logistic_potential_gradient(dataset: LogisticDataset, params) -> np.ndarray:
     With z = params @ signed_design.T the gradient is
     ``params * prior_precision - sigma(-z) @ signed_design``.  The sigmoid
     factor is evaluated as sigma(-z) = (1 - tanh(z/2)) / 2, which stays
-    finite for logits of either sign and any magnitude.  Every temporary
-    belongs to this call.
+    finite for logits of either sign and any magnitude; both halvings ride
+    on the halved design, which is exact, so no pass over the logits scales
+    them.  Every temporary belongs to this call.
     """
     params = _check_params(dataset, params)
-    z = params @ dataset.signed_design.T
-    z *= 0.5
+    half = dataset.half_signed_design
+    z = params @ half.T  # z/2; the .T view keeps BLAS's summation order
     np.tanh(z, out=z)
-    z *= -0.5
-    z += 0.5  # now sigma(-z)
-    return params * dataset.prior_precision - z @ dataset.signed_design
+    np.subtract(1.0, z, out=z)  # now 2 sigma(-z)
+    return params * dataset.prior_precision - z @ half
 
 
 class LogisticPosterior:

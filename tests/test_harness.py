@@ -52,12 +52,37 @@ POT2 = QuadraticPotential(1.0, d=2)
 POT1 = QuadraticPotential(1.0, d=1)
 
 
+class _Ran(set):
+    """Threads that started chunks; ``metrics`` holds the threads that measured."""
+
+    def __init__(self):
+        super().__init__()
+        self.metrics = set()
+
+    def clear(self):
+        super().clear()
+        self.metrics.clear()
+
+
+def _record_metric_threads(monkeypatch, ran: _Ran) -> None:
+    """Record the thread of every distance the harness computes."""
+    for name in ("wasserstein2", "energy_distance_sq"):
+
+        def recording(*args, _fn=getattr(harness, name), **kwargs):
+            ran.metrics.add(threading.get_ident())
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, recording)
+
+
 @pytest.fixture
 def pooled(monkeypatch):
-    """Send every target's chunks to the thread pool; collect the threads that ran them."""
+    """Send every target's chunks and every checkpoint's distances to the thread
+    pools; collect the threads that ran them."""
     monkeypatch.setattr(harness, "_POOL_MIN_STATE", 0)
     monkeypatch.setattr(harness, "_POOL_MIN_LOGITS", 0)
-    ran = set()
+    monkeypatch.setattr(harness, "_POOL_MIN_POINTS", 0)
+    ran = _Ran()
     initial_state = harness._initial_state
 
     def recording(*args, **kwargs):
@@ -65,6 +90,7 @@ def pooled(monkeypatch):
         return initial_state(*args, **kwargs)
 
     monkeypatch.setattr(harness, "_initial_state", recording)
+    _record_metric_threads(monkeypatch, ran)
     return ran
 
 
@@ -165,7 +191,7 @@ def test_strong_study_thread_invariant(pooled):
     one = strong_error_study(CFG, POT2, ["quicsort"], 2.0, 160, [3, 4], 8, threads=1, **kwargs)
     pooled.clear()
     four = strong_error_study(CFG, POT2, ["quicsort"], 2.0, 160, [3, 4], 8, threads=4, **kwargs)
-    assert len(pooled) > 1
+    assert pooled and threading.get_ident() not in pooled
     assert one.errors == four.errors
 
 
@@ -183,7 +209,7 @@ def test_strong_study_thread_invariant_on_logistic_posterior(pooled):
         two = strong_error_study(*args, seed=8, threads=2)
     finally:
         sys.setswitchinterval(interval)
-    assert len(pooled) > 1
+    assert pooled and threading.get_ident() not in pooled
     assert one.errors == two.errors
 
 
@@ -198,6 +224,26 @@ def test_chunk_workers_pool_only_wide_chunks():
     assert harness._chunk_workers(large_data, 8, 3) == 3
     assert harness._chunk_workers(large_data, 8, 1) == 1
     assert harness._chunk_workers(large_data, 1, 4) == 1
+
+
+def test_metric_workers_pool_only_large_clouds():
+    assert harness._metric_workers(2, 9, 64) == 1
+    assert harness._metric_workers(2, 9, harness._POOL_MIN_POINTS) == 2
+    assert harness._metric_workers(2, 9, 640) == 2
+    # never more workers than measurements, and threads stays an upper bound
+    assert harness._metric_workers(8, 3, 640) == 3
+    assert harness._metric_workers(8, 1, 640) == 1
+    assert harness._metric_workers(1, 9, 640) == 1
+
+
+@pytest.mark.parametrize("n_chains, pools", [(harness._POOL_MIN_POINTS - 1, False), (harness._POOL_MIN_POINTS, True)])
+def test_metric_pool_follows_the_smaller_cloud(monkeypatch, aniso_truth, n_chains, pools):
+    pot, gt = aniso_truth
+    ran = _Ran()
+    _record_metric_threads(monkeypatch, ran)
+    mixing_study(CFG, pot, "quicsort", n_chains, 0.2, [0, 1], gt, seed=3, threads=2)
+    assert ran.metrics
+    assert (threading.get_ident() not in ran.metrics) == pools
 
 
 def test_counted_posterior_runs_like_the_posterior():
@@ -223,7 +269,7 @@ def test_sample_clouds_thread_invariant_at_uneven_chain_count(pooled):
     one = harness._evolve_positions(*args, 1)
     pooled.clear()
     two = harness._evolve_positions(*args, 2)
-    assert len(pooled) > 1
+    assert pooled and threading.get_ident() not in pooled
     assert sorted(one) == sorted(two) == [0, 3, 7]
     for step in one:
         assert one[step].shape == (130, 2)
@@ -420,7 +466,7 @@ def test_stationary_thread_invariant(pooled):
     rep1 = stationary_study(CFG, POT2, 0.1, 96, 50, 200, seed=6, threads=1)
     pooled.clear()
     rep3 = stationary_study(CFG, POT2, 0.1, 96, 50, 200, seed=6, threads=3)
-    assert len(pooled) > 1
+    assert pooled and threading.get_ident() not in pooled
     assert rep1 == rep3
 
 
@@ -779,10 +825,23 @@ def test_stationary_thread_invariant_at_any_chain_count(pooled, n_chains, method
 @given(n_chains=st.integers(1, 200), method=st.sampled_from(_METHODS))
 def test_mixing_thread_invariant_at_any_chain_count(pooled, aniso_truth, n_chains, method):
     pot, gt = aniso_truth
-    args = (CFG, pot, method, n_chains, 0.2, [0, 3], gt)
-    one = mixing_study(*args, seed=n_chains, threads=1, metric_cap=256)
+    cap = max(1, 3 * n_chains // 4)  # below the reference and, from 2 chains, the cloud: W2 subsamples
+    cps = [0, 3]
+
+    def run(threads):
+        kwargs = dict(seed=n_chains, threads=threads, metric_cap=cap)
+        return (
+            mixing_study(CFG, pot, method, n_chains, 0.2, cps, gt, **kwargs),
+            compare_study(CFG, pot, n_chains, 0.2, cps, gt, **kwargs),
+        )
+
     pooled.clear()
-    three = mixing_study(*args, seed=n_chains, threads=3, metric_cap=256)
+    one = run(1)
+    assert pooled.metrics == {threading.get_ident()}
+    pooled.clear()
+    three = run(3)
     # one chunk runs inline; more go to pool threads, however many of them start
     assert (threading.get_ident() in pooled) == (n_chains <= harness.CHUNK)
+    # every study measures two checkpoints, so its distances go to pool threads
+    assert pooled.metrics and threading.get_ident() not in pooled.metrics
     assert one == three

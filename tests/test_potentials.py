@@ -151,6 +151,33 @@ def test_logistic_gradient_matches_softplus_oracle(seed, rows, d_feat, batch, lo
     assert np.all(np.abs(g - want) <= 1e-12 * scale)
 
 
+def _full_design_gradient(dataset, params):
+    """The gradient as written on the full signed design: logits halved in place."""
+    z = params @ dataset.signed_design.T
+    z *= 0.5
+    np.tanh(z, out=z)
+    z *= -0.5
+    z += 0.5
+    return params * dataset.prior_precision - z @ dataset.signed_design
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.sampled_from([2, 7, 40, 200, 600]),
+    d_feat=st.integers(min_value=1, max_value=6),
+    batch=st.sampled_from([(), (1,), (64,), (130,), (3, 7)]),
+    log_scale=st.floats(min_value=-3.0, max_value=6.0),
+)
+def test_halved_design_gradient_is_bitwise_the_full_design_formula(seed, rows, d_feat, batch, log_scale):
+    # halving is exact, so moving both halvings onto the design changes no bit
+    rng = np.random.default_rng(seed)
+    ds = _random_dataset(rng, rows=rows, d_feat=d_feat)
+    params = rng.uniform(-1.0, 1.0, (*batch, d_feat + 1)) * 10.0**log_scale
+    np.testing.assert_array_equal(
+        logistic_potential_gradient(ds, params), _full_design_gradient(ds, params)
+    )
+
+
 def test_logistic_posterior_delegates_to_gradient_function():
     ds = _random_dataset(np.random.default_rng(209))
     pts = np.random.default_rng(210).standard_normal((3, 4))
@@ -163,7 +190,8 @@ def test_logistic_precomputed_design_is_read_only():
     ds = _random_dataset(np.random.default_rng(211))
     tilde = np.hstack([ds.features, np.ones((ds.n_rows, 1))])
     np.testing.assert_array_equal(ds.signed_design, ds.labels[:, None] * tilde)
-    for arr in (ds.signed_design, ds.prior_precision):
+    np.testing.assert_array_equal(ds.half_signed_design, 0.5 * ds.signed_design)
+    for arr in (ds.signed_design, ds.half_signed_design, ds.prior_precision):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
