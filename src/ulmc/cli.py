@@ -16,101 +16,44 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .harness import (
     compare_study,
     contract_csv,
+    contract_problems,
     contractivity_study,
+    converge_problems,
     convergence_csv,
     gaussian_ground_truth,
-    level_grid_problems,
+    ground_truth_problems,
     long_run_ground_truth,
     mixing_csv,
+    mixing_problems,
     mixing_study,
     stationary_csv,
+    stationary_problems,
     stationary_study,
     strong_error_study,
     write_json_report,
     write_text_report,
 )
-from .integrators import STEPPERS, DivergenceError, SolverConfig
+from .integrators import DivergenceError, SolverConfig
 from .metrics import distance_kernels
 from .potentials import LogisticPosterior, QuadraticPotential, load_dataset
 
 __all__ = ["RunConfig", "main", "validate_config"]
 
-EXPERIMENTS = ("converge", "sample", "contract", "stationary", "compare")
-
-# Built-in defaults, all as strings; the config file and flags override.
-DEFAULTS: dict[str, str] = {
-    "seed": "2024",
-    "threads": "auto",
-    "out": "",
-    "dataset": "",
-    "label_col": "0",
-    "standardize": "false",
-    "gamma": "auto",
-    "u": "auto",
-    "h": "0.05",
-    "levels": "3:9",
-    "fine_level": "14",
-    "paths": "256",
-    "chains": "512",
-    "horizon": "10.0",
-    "burn_in": "1000",
-    "kept": "10000",
-    "steps": "200",
-    "pairs": "1000",
-    "checkpoints": "0,2,5,10,25,50",
-    "method": "quicsort",
-    "methods": "quicsort,ubu,euler",
-    "dimension": "10",
-    "curvature": "1.0",
-    "truth_samples": "2048",
-    "truth_h": "auto",
-    "truth_steps": "2000",
+# Each experiment with its help line, in the order the parser lists them.
+EXPERIMENTS = {
+    "converge": "strong-error study against a shared-path fine reference",
+    "sample": "one method's mixing metrics against a reference cloud",
+    "contract": "coupled-pair contraction of the two-gradient method",
+    "stationary": "long-run moment statistics",
+    "compare": "methods at matched gradient budgets",
 }
-
-# One flag per setting; the help line gains the default when it is not empty.
-_HELP: dict[str, str] = {
-    "seed": "master seed",
-    "threads": "upper bound on chunk and distance threads, or 'auto' for one per "
-    "usable core; small targets and clouds run serially, and output never depends on it",
-    "out": "output prefix for .csv and .json reports (default ulmc-EXPERIMENT)",
-    "dataset": "labelled CSV for a logistic posterior target",
-    "label_col": "label column index",
-    "standardize": "standardize dataset feature columns",
-    "gamma": "friction, or 'auto' for max(2*sqrt(u*M1), 1)",
-    "u": "inverse mass, or 'auto' for 1/M1",
-    "h": "step size",
-    "levels": "coarse level exponents for converge, '3:9' or '3,5,7'",
-    "fine_level": "level exponent of the converge reference path",
-    "paths": "Monte Carlo paths for converge",
-    "chains": "chains for sample/compare/stationary",
-    "horizon": "integration time for converge",
-    "burn_in": "stationary steps discarded before the statistics",
-    "kept": "stationary steps kept for the statistics",
-    "steps": "contract steps",
-    "pairs": "coupled pairs for contract",
-    "checkpoints": "step indices where sample/compare measure, e.g. '0,2,5'",
-    "method": "stepper for sample",
-    "methods": "comma-separated steppers for converge and compare",
-    "dimension": "dimension of the Gaussian target (without --dataset)",
-    "curvature": "curvature of the Gaussian target (without --dataset)",
-    "truth_samples": "reference cloud size for sample/compare",
-    "truth_h": "step of the logistic reference run, or 'auto' for h/4",
-    "truth_steps": "steps of the logistic reference run",
-}
-
-_INT_KEYS = {
-    "seed", "paths", "chains", "label_col", "fine_level", "burn_in", "kept",
-    "steps", "pairs", "dimension", "truth_samples", "truth_steps",
-}
-_FLOAT_KEYS = {"h", "horizon", "curvature"}
-_AUTO_FLOAT_KEYS = {"gamma", "u", "truth_h"}
-_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 @dataclass
@@ -154,18 +97,36 @@ class RunConfig:
 
 
 def _parse_levels(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
     if ":" in raw:
         lo, _, hi = raw.partition(":")
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise ValueError(f"empty level range '{raw}'")
         return tuple(range(lo, hi + 1))
-    return tuple(int(part) for part in raw.split(",") if part.strip())
+    return _parse_list(int)(raw)
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(",") if part.strip())
+def _parse_list(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    """A parser of comma-separated values, each read by ``item``."""
+    return lambda raw: tuple(item(part.strip()) for part in raw.split(",") if part.strip())
+
+
+def _parse_finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got '{raw}'")
+    return value
+
+
+def _parse_auto_finite(raw: str) -> float | str:
+    return "auto" if raw.lower() == "auto" else _parse_finite(raw)
+
+
+def _parse_bool(raw: str) -> bool:
+    words = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+    if raw.lower() not in words:
+        raise ValueError(f"expected true/false, got '{raw}'")
+    return words[raw.lower()]
 
 
 def _available_cpus() -> int:
@@ -175,29 +136,48 @@ def _available_cpus() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
+# Every setting, in flag order: (built-in default, parser of the raw string,
+# help line).  The config file and flags override the defaults; the help line
+# gains the default when it is not empty.
+_SETTINGS: dict[str, tuple[str, Callable[[str], object], str]] = {
+    "seed": ("2024", int, "master seed"),
+    "threads": (
+        "auto", lambda raw: _available_cpus() if raw.lower() == "auto" else int(raw),
+        "upper bound on chunk and distance threads, or 'auto' for one per usable core; "
+        "small targets and clouds run serially, and output never depends on it",
+    ),
+    "out": ("", str, "output prefix for .csv and .json reports (default ulmc-EXPERIMENT)"),
+    "dataset": ("", str, "labelled CSV for a logistic posterior target"),
+    "label_col": ("0", int, "label column index"),
+    "standardize": ("false", _parse_bool, "standardize dataset feature columns"),
+    "gamma": ("auto", _parse_auto_finite, "friction, or 'auto' for max(2*sqrt(u*M1), 1)"),
+    "u": ("auto", _parse_auto_finite, "inverse mass, or 'auto' for 1/M1"),
+    "h": ("0.05", _parse_finite, "step size"),
+    "levels": ("3:9", _parse_levels, "coarse level exponents for converge, '3:9' or '3,5,7'"),
+    "fine_level": ("14", int, "level exponent of the converge reference path"),
+    "paths": ("256", int, "Monte Carlo paths for converge"),
+    "chains": ("512", int, "chains for sample/compare/stationary"),
+    "horizon": ("10.0", _parse_finite, "integration time for converge"),
+    "burn_in": ("1000", int, "stationary steps discarded before the statistics"),
+    "kept": ("10000", int, "stationary steps kept for the statistics"),
+    "steps": ("200", int, "contract steps"),
+    "pairs": ("1000", int, "coupled pairs for contract"),
+    "checkpoints": ("0,2,5,10,25,50", _parse_list(int), "step indices where sample/compare measure, e.g. '0,2,5'"),
+    "method": ("quicsort", str, "stepper for sample"),
+    "methods": ("quicsort,ubu,euler", _parse_list(str), "comma-separated steppers for converge and compare"),
+    "dimension": ("10", int, "dimension of the Gaussian target (without --dataset)"),
+    "curvature": ("1.0", _parse_finite, "curvature of the Gaussian target (without --dataset)"),
+    "truth_samples": ("2048", int, "reference cloud size for sample/compare"),
+    "truth_h": ("auto", _parse_auto_finite, "step of the logistic reference run, or 'auto' for h/4"),
+    "truth_steps": ("2000", int, "steps of the logistic reference run"),
+}
+DEFAULTS: dict[str, str] = {key: default for key, (default, _, _) in _SETTINGS.items()}
+
+
 def _coerce(key: str, raw: str, origin: str, diags: list[str]):
     """Turn one raw string setting into its typed value, logging failures."""
-    raw = raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _AUTO_FLOAT_KEYS:
-            return "auto" if raw.lower() == "auto" else float(raw)
-        if key == "threads":
-            return _available_cpus() if raw.lower() == "auto" else int(raw)
-        if key == "standardize":
-            if raw.lower() in _BOOL_WORDS:
-                return _BOOL_WORDS[raw.lower()]
-            raise ValueError(f"expected true/false, got '{raw}'")
-        if key == "levels":
-            return _parse_levels(raw)
-        if key == "checkpoints":
-            return _parse_int_list(raw)
-        if key == "methods":
-            return tuple(part.strip() for part in raw.split(",") if part.strip())
-        return raw  # out, dataset, method
+        return _SETTINGS[key][1](raw.strip())
     except ValueError as exc:
         diags.append(f"{origin}: bad value for '{key}': {exc}")
         return None
@@ -276,11 +256,8 @@ def _build_potential(rc: RunConfig, diags: list[str]):
 
 def _resolve_solver(rc: RunConfig, pot) -> SolverConfig:
     """Apply the auto policy: u = 1/M1, gamma = max(2 sqrt(u M1), 1)."""
-    u = 1.0 / pot.meta.M1 if rc.u == "auto" else float(rc.u)
-    if rc.gamma == "auto":
-        gamma = max(2.0 * math.sqrt(u * pot.meta.M1), 1.0)
-    else:
-        gamma = float(rc.gamma)
+    u = 1.0 / pot.meta.M1 if rc.u == "auto" else rc.u
+    gamma = max(2.0 * math.sqrt(u * pot.meta.M1), 1.0) if rc.gamma == "auto" else rc.gamma
     return SolverConfig(gamma=gamma, u=u)
 
 
@@ -292,8 +269,10 @@ def validate_config(rc: RunConfig) -> list[str]:
 def _validate(rc: RunConfig) -> tuple[list[str], object]:
     """The problems of ``rc``, and the potential built while checking it.
 
-    For experiments that compute distances this also imports SciPy, so its
-    cost falls in set-up and a missing SciPy is a diagnostic, not a
+    Each experiment checks only the settings it reads: the study's own
+    ``*_problems`` function names those, and this adds the settings no study
+    owns.  For experiments that compute distances this also imports SciPy,
+    so its cost falls in set-up and a missing SciPy is a diagnostic, not a
     traceback halfway through a run.
     """
     diags: list[str] = []
@@ -306,44 +285,14 @@ def _validate(rc: RunConfig) -> tuple[list[str], object]:
         diags.append("seed: must be below 2**64")
     if rc.threads < 1:
         diags.append("threads: must be at least 1")
-    if rc.h <= 0:
-        diags.append("h: step size must be positive")
-    if rc.horizon <= 0:
-        diags.append("horizon: must be positive")
-    if rc.gamma != "auto" and float(rc.gamma) <= 0:
-        diags.append("gamma: must be positive (or 'auto')")
-    if rc.u != "auto" and float(rc.u) <= 0:
-        diags.append("u: must be positive (or 'auto')")
-    if rc.paths < 2:
-        diags.append("paths: need at least 2")
-    if rc.chains < 1:
-        diags.append("chains: need at least 1")
-    diags.extend(level_grid_problems(rc.methods, rc.levels, rc.fine_level))
-    if rc.burn_in < 0:
-        diags.append("burn_in: must be nonnegative")
-    if rc.kept < 1:
-        diags.append("kept: need at least one kept step")
-    if rc.steps < 1:
-        diags.append("steps: need at least one step")
-    if rc.pairs < 1:
-        diags.append("pairs: need at least one pair")
-    if not rc.checkpoints or any(c < 0 for c in rc.checkpoints) or any(
-        b <= a for a, b in zip(rc.checkpoints, rc.checkpoints[1:])
-    ):
-        diags.append("checkpoints: must be strictly increasing step indices >= 0")
+    solver_problems = [
+        f"{key}: must be positive (or 'auto')"
+        for key in ("gamma", "u")
+        if getattr(rc, key) != "auto" and getattr(rc, key) <= 0
+    ]
+    diags += solver_problems
     if rc.label_col < 0:
         diags.append("label_col: must be nonnegative")
-    if rc.method not in STEPPERS:
-        diags.append(f"method: unknown method '{rc.method}'; choose from {sorted(STEPPERS)}")
-    for m in rc.methods:
-        if m not in STEPPERS:
-            diags.append(f"methods: unknown method '{m}'; choose from {sorted(STEPPERS)}")
-    if rc.truth_samples < 1:
-        diags.append("truth_samples: need at least one sample")
-    if rc.truth_h != "auto" and float(rc.truth_h) <= 0:
-        diags.append("truth_h: must be positive (or 'auto')")
-    if rc.truth_steps < 1:
-        diags.append("truth_steps: need at least one step")
     if rc.out.endswith(("/", os.sep)):
         diags.append(f"out: '{rc.out}' ends in a path separator; give a file name prefix")
     # the parent of the report file itself, which a trailing separator on
@@ -353,20 +302,17 @@ def _validate(rc: RunConfig) -> tuple[list[str], object]:
         diags.append(f"out: directory not found: {out_dir}")
 
     pot = _build_potential(rc, diags)
-    if pot is not None and rc.experiment == "contract":
-        solver = _resolve_solver(rc, pot)
-        floor = 2.0 * math.sqrt(solver.u * pot.meta.M1)
-        if solver.gamma < floor * (1.0 - 1e-12):
-            diags.append(
-                f"gamma: contraction is only guaranteed for gamma >= 2*sqrt(u*M1) "
-                f"= {floor:.6g}, got {solver.gamma:.6g}"
-            )
-        if rc.h > 0.1 / solver.gamma * (1.0 + 1e-12):
-            diags.append(
-                f"h: contraction is only guaranteed for h <= 0.1/gamma "
-                f"= {0.1 / solver.gamma:.6g}, got {rc.h:.6g}"
-            )
-    if rc.experiment in ("sample", "compare"):  # the experiments that compute distances
+    if rc.experiment == "converge":
+        diags += converge_problems(rc.methods, rc.horizon, rc.paths, rc.levels, rc.fine_level)
+    elif rc.experiment == "stationary":
+        diags += stationary_problems(rc.h, rc.chains, rc.burn_in, rc.kept)
+    elif rc.experiment == "contract" and pot is not None and not solver_problems:
+        diags += contract_problems(_resolve_solver(rc, pot), pot, rc.h, rc.steps, rc.pairs)
+    elif rc.experiment in ("sample", "compare"):  # the experiments that compute distances
+        methods = rc.method if rc.experiment == "sample" else rc.methods
+        diags += mixing_problems(methods, rc.chains, rc.h, rc.checkpoints)
+        long_run = (_truth_h(rc), rc.truth_steps) if rc.dataset else ()
+        diags += ground_truth_problems(rc.truth_samples, *long_run)
         try:
             distance_kernels()
         except ImportError as exc:
@@ -382,12 +328,15 @@ def _report_prefix(rc: RunConfig) -> str:
     return rc.out or f"ulmc-{rc.experiment}"
 
 
+def _truth_h(rc: RunConfig) -> float:
+    return rc.h / 4.0 if rc.truth_h == "auto" else rc.truth_h
+
+
 def _ground_truth(rc: RunConfig, pot, solver: SolverConfig):
     if isinstance(pot, QuadraticPotential):
         return gaussian_ground_truth(pot, rc.truth_samples, rc.seed)
-    truth_h = rc.h / 4.0 if rc.truth_h == "auto" else float(rc.truth_h)
     return long_run_ground_truth(
-        solver, pot, rc.truth_samples, truth_h, rc.truth_steps, rc.seed, threads=rc.threads
+        solver, pot, rc.truth_samples, _truth_h(rc), rc.truth_steps, rc.seed, threads=rc.threads
     )
 
 
@@ -457,19 +406,13 @@ def _parser() -> argparse.ArgumentParser:
         "contraction, and stationarity studies.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="|".join(EXPERIMENTS))
-    help_by_experiment = {
-        "converge": "strong-error study against a shared-path fine reference",
-        "sample": "one method's mixing metrics against a reference cloud",
-        "contract": "coupled-pair contraction of the two-gradient method",
-        "stationary": "long-run moment statistics",
-        "compare": "methods at matched gradient budgets",
-    }
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name, help=help_by_experiment[name])
+    for name, summary in EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", help="flat key = value settings file")
-        for key, default in DEFAULTS.items():
+        for key, (default, _, help_text) in _SETTINGS.items():
             action = argparse.BooleanOptionalAction if key == "standardize" else "store"
-            help_text = f"{_HELP[key]} (default {default})" if default else _HELP[key]
+            if default:
+                help_text = f"{help_text} (default {default})"
             sp.add_argument(f"--{key.replace('_', '-')}", action=action, help=help_text)
     return parser
 

@@ -32,7 +32,6 @@ from .integrators import (
     ChainRunner,
     PhaseState,
     SolverConfig,
-    stepper_spec,
 )
 from .metrics import (
     EmpiricalDistribution,
@@ -51,15 +50,19 @@ __all__ = [
     "StationaryReport",
     "compare_study",
     "contract_csv",
+    "contract_problems",
     "contractivity_study",
+    "converge_problems",
     "convergence_csv",
     "fit_order",
     "gaussian_ground_truth",
-    "level_grid_problems",
+    "ground_truth_problems",
     "long_run_ground_truth",
     "mixing_csv",
+    "mixing_problems",
     "mixing_study",
     "stationary_csv",
+    "stationary_problems",
     "stationary_study",
     "strong_error_study",
     "write_json_report",
@@ -285,33 +288,57 @@ def _descend(tree, cfg, pot, index, inc, depth, fine_depth, by_depth) -> None:
         _descend(tree, cfg, pot, 2 * index + 1, children[1], depth + 1, fine_depth, by_depth)
 
 
-def level_grid_problems(
-    methods: Sequence[str], coarse_levels: Sequence[int], fine_level: int
-) -> list[str]:
-    """Why a strong-error study cannot run on this level grid; empty if it can.
+def _unmet(*rules: tuple[bool, str]) -> list[str]:
+    """The problem of every ``(condition, problem)`` rule whose condition is false."""
+    return [problem for holds, problem in rules if not holds]
 
-    Each entry reads ``"<setting>: <problem>"``, naming the setting to change.
-    Methods not in ``STEPPER_SPECS`` are left to the caller to report.
+
+def _require(problems: list[str]) -> None:
+    """Raise the first of ``problems``, if any, as a ValueError."""
+    if problems:
+        raise ValueError(problems[0])
+
+
+def _method_problems(key: str, methods: Sequence[str]) -> list[str]:
+    if not methods:
+        return [f"{key}: need at least one method"]
+    return [
+        f"{key}: unknown method '{m}'; choose from {sorted(STEPPER_SPECS)}"
+        for m in dict.fromkeys(methods)
+        if m not in STEPPER_SPECS
+    ]
+
+
+def converge_problems(
+    methods: Sequence[str], horizon: float, paths: int, coarse_levels: Sequence[int], fine_level: int
+) -> list[str]:
+    """Why :func:`strong_error_study` cannot run on these arguments; empty if it can.
+
+    Each entry reads ``"<setting>: <problem>"``, naming the CLI setting to
+    change; the study raises the first.  Every study has such a function.
     """
+    problems = _method_problems("methods", methods) + _unmet(
+        (paths >= 2, "paths: need at least 2 for a Monte Carlo error estimate"),
+        (0.0 < horizon < math.inf, "horizon: must be positive and finite"),
+    )
     levels = sorted({int(lvl) for lvl in coarse_levels})
-    fine_level = int(fine_level)
     if not levels:
-        return ["levels: need at least one coarse level"]
-    if levels[0] < 0:
-        return ["levels: coarse levels are exponents of two and must be nonnegative"]
-    if fine_level < levels[-1]:
-        return [
+        problems.append("levels: need at least one coarse level")
+    elif levels[0] < 0:
+        problems.append("levels: coarse levels are exponents of two and must be nonnegative")
+    elif fine_level < levels[-1]:
+        problems.append(
             "fine_level: must be at least the finest coarse level so the fine "
             "increments combine dyadically onto every coarse grid"
-        ]
-    if fine_level in levels:
-        return [
+        )
+    elif fine_level in levels:
+        problems += [
             f"levels: method '{m}' needs increments refined into halves, so its "
             f"coarse levels must stay strictly below fine_level {fine_level}"
             for m in dict.fromkeys(methods)
             if m in STEPPER_SPECS and STEPPER_SPECS[m].needs_halves
         ]
-    return []
+    return problems
 
 
 def strong_error_study(
@@ -344,15 +371,7 @@ def strong_error_study(
     shared by all methods on a given path.
     """
     method_list = tuple(dict.fromkeys(str(m) for m in methods))
-    if not method_list:
-        raise ValueError("need at least one method")
-    if paths < 2:
-        raise ValueError("need at least 2 paths for a Monte Carlo error estimate")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    problems = level_grid_problems(method_list, coarse_levels, fine_level)
-    if problems:
-        raise ValueError(problems[0])
+    _require(converge_problems(method_list, horizon, paths, coarse_levels, fine_level))
     levels = tuple(sorted({int(lvl) for lvl in coarse_levels}))
     fine_level = int(fine_level)
 
@@ -415,6 +434,25 @@ def _transformed_distance(cfg: SolverConfig, a: PhaseState, b: PhaseState) -> fl
     return w_part + z_part
 
 
+def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: int) -> list[str]:
+    """Why :func:`contractivity_study` cannot run on these arguments; empty if it can."""
+    gamma_floor = 2.0 * math.sqrt(cfg.u * pot.meta.M1)
+    h_ceil = 0.1 / cfg.gamma
+    return _unmet(
+        (
+            cfg.gamma >= gamma_floor * (1.0 - 1e-12),
+            f"gamma: contraction is only guaranteed for gamma >= 2*sqrt(u*M1) "
+            f"= {gamma_floor:.6g}, got {cfg.gamma:.6g}",
+        ),
+        (
+            0.0 < h <= h_ceil * (1.0 + 1e-12),
+            f"h: contraction is only guaranteed for 0 < h <= 0.1/gamma = {h_ceil:.6g}, got {h:.6g}",
+        ),
+        (n_steps >= 1, "steps: need at least one step"),
+        (n_pairs >= 1, "pairs: need at least one pair"),
+    )
+
+
 def contractivity_study(
     cfg: SolverConfig,
     pot,
@@ -434,19 +472,8 @@ def contractivity_study(
     h <= 0.1 / gamma.  Returns an array of length ``n_steps + 1`` whose
     first entry is the initial distance.
     """
-    meta = pot.meta
-    gamma_floor = 2.0 * math.sqrt(cfg.u * meta.M1)
-    if cfg.gamma < gamma_floor * (1.0 - 1e-12):
-        raise ValueError(
-            f"contraction needs gamma >= 2*sqrt(u*M1) = {gamma_floor:.6g}, got {cfg.gamma:.6g}"
-        )
-    h_ceil = 0.1 / cfg.gamma
-    if h <= 0.0 or h > h_ceil * (1.0 + 1e-12):
-        raise ValueError(f"contraction needs 0 < h <= 0.1/gamma = {h_ceil:.6g}, got {h:.6g}")
-    if n_steps < 1 or n_pairs < 1:
-        raise ValueError("need at least one step and one pair")
-
-    d = meta.d
+    _require(contract_problems(cfg, pot, h, n_steps, n_pairs))
+    d = pot.meta.d
     if initial_pairs is None:
         g = keyed_generator(seed, _TAG_CONTRACT_INIT, 0)
         scale = math.sqrt(cfg.u)
@@ -513,6 +540,26 @@ def _evolve_positions(
     return {step: np.concatenate([p[step] for p in parts], axis=0) for step in sorted(wanted)}
 
 
+def mixing_problems(
+    methods: str | Sequence[str], n_chains: int, h: float, checkpoints: Sequence[int]
+) -> list[str]:
+    """Why :func:`mixing_study` or :func:`compare_study` cannot run; empty if it can.
+
+    ``methods`` is one stepper name, the ``method`` of a mixing study, or
+    the sequence of names a comparison runs.
+    """
+    key, names = ("method", [methods]) if isinstance(methods, str) else ("methods", methods)
+    cps = list(checkpoints)
+    return _method_problems(key, names) + _unmet(
+        (n_chains >= 1, "chains: need at least 1"),
+        (0.0 < h < math.inf, "h: step size must be positive and finite"),
+        (
+            bool(cps) and cps[0] >= 0 and all(b > a for a, b in zip(cps, cps[1:])),
+            "checkpoints: must be strictly increasing step indices >= 0",
+        ),
+    )
+
+
 def _mixing_reports(
     cfg, pot, runs, n_chains, ground_truth, seed, initial, threads, metric_cap
 ) -> list[MixingReport]:
@@ -523,14 +570,6 @@ def _mixing_reports(
     with the inputs a serial loop would give it, including the keyed
     subsamples, and the results are gathered in submission order.
     """
-    if n_chains < 1:
-        raise ValueError("need at least one chain")
-    for method, h, cps in runs:
-        stepper_spec(method)
-        if not cps or any(c < 0 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints must be strictly increasing step indices >= 0")
-        if h <= 0.0:
-            raise ValueError("step size must be positive")
     gt = _as_dist(ground_truth)
 
     tags = (_TAG_MIXING_X, _TAG_MIXING_V, _TAG_MIXING_PATH)
@@ -605,6 +644,7 @@ def mixing_study(
     in the seed); the energy distance always uses the full clouds.
     """
     cps = tuple(int(c) for c in checkpoints)
+    _require(mixing_problems(stepper, n_chains, h, cps))
     (report,) = _mixing_reports(
         cfg, pot, [(stepper, h, cps)], n_chains, ground_truth, seed, initial, threads, metric_cap
     )
@@ -634,10 +674,12 @@ def compare_study(
     :func:`mixing_study`; the checkpoints of all methods share one pool of
     distance workers.
     """
+    methods = tuple(dict.fromkeys(methods))
     cps = tuple(int(c) for c in checkpoints)
+    _require(mixing_problems(methods, n_chains, h, cps))
     runs = []
-    for m in dict.fromkeys(methods):
-        evals = stepper_spec(m).gradient_evals
+    for m in methods:
+        evals = STEPPER_SPECS[m].gradient_evals
         scale = 2 // evals
         runs.append((m, h * evals / 2.0, tuple(c * scale for c in cps)))
     reports = _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, initial, threads, metric_cap)
@@ -670,6 +712,16 @@ class StationaryReport:
         return {"kind": "stationary", **asdict(self)}
 
 
+def stationary_problems(h: float, n_chains: int, burn_in: int, kept: int) -> list[str]:
+    """Why :func:`stationary_study` cannot run on these arguments; empty if it can."""
+    return _unmet(
+        (0.0 < h < math.inf, "h: step size must be positive and finite"),
+        (n_chains >= 1, "chains: need at least 1"),
+        (burn_in >= 0, "burn_in: must be nonnegative"),
+        (kept >= 1, "kept: need at least one kept step"),
+    )
+
+
 def stationary_study(
     cfg: SolverConfig,
     pot,
@@ -691,13 +743,7 @@ def stationary_study(
     pooled per-coordinate moment, which for a Gaussian stationary law gives
     sqrt(u d), 3^(1/4) sqrt(u d), 15^(1/6) sqrt(u d) at p = 1, 2, 3.
     """
-    if n_chains < 1:
-        raise ValueError("need at least one chain")
-    if burn_in < 0 or kept < 1:
-        raise ValueError("burn_in must be >= 0 and kept >= 1")
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-
+    _require(stationary_problems(h, n_chains, burn_in, kept))
     d = pot.meta.d
     add_all = np.add.reduce
 
@@ -741,10 +787,22 @@ def stationary_study(
     )
 
 
+def ground_truth_problems(n_samples: int, h: float | None = None, n_steps: int | None = None) -> list[str]:
+    """Why a reference cloud cannot be built; empty if it can.
+
+    ``h`` and ``n_steps`` are the run of :func:`long_run_ground_truth`; leave
+    them out for the exact draws of :func:`gaussian_ground_truth`.
+    """
+    return _unmet(
+        (n_samples >= 1, "truth_samples: need at least one sample"),
+        (h is None or 0.0 < h < math.inf, "truth_h: step size must be positive and finite"),
+        (n_steps is None or n_steps >= 1, "truth_steps: need at least one step"),
+    )
+
+
 def gaussian_ground_truth(pot: QuadraticPotential, n: int, seed: int) -> EmpiricalDistribution:
     """Exact draws from the Gaussian position law exp(-f) of a quadratic f."""
-    if n < 1:
-        raise ValueError("need at least one draw")
+    _require(ground_truth_problems(n))
     rng = keyed_generator(seed, _TAG_TRUTH, 0)
     z = rng.standard_normal((int(n), pot.meta.d))
     return EmpiricalDistribution(pot.center + z / np.sqrt(pot.curvatures))
@@ -768,10 +826,7 @@ def long_run_ground_truth(
     chain.  A stand-in for an exact sampler; make ``h`` small and
     ``n_steps * h`` comfortably longer than the mixing time.
     """
-    if n_samples < 1 or n_steps < 1:
-        raise ValueError("need at least one sample and one step")
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
+    _require(ground_truth_problems(n_samples, h, n_steps))
     clouds = _evolve_positions(
         cfg, pot, "quicsort", n_samples, h, (int(n_steps),), seed,
         (_TAG_TRUTH_X, _TAG_TRUTH_V, _TAG_TRUTH_PATH), initial, threads,

@@ -5,14 +5,17 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ulmc
 from ulmc import cli
 from ulmc.cli import DEFAULTS, RunConfig, main, validate_config, _parser, _resolve
+from ulmc.potentials import synthetic_dataset
 
 SMALL_CONVERGE = """\
 # quick settings for a toy run
@@ -351,3 +354,113 @@ def test_seed_of_2_pow_64_or_more_exits_2(tmp_path, capsys):
     assert "ulmc: seed: must be below 2**64" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
     assert validate_config(_default_config("stationary", seed=2**64 - 1)) == []
+
+
+# ---------------------------------------------------------------------------
+# Each study owns its preconditions; the CLI checks only what its experiment reads.
+
+_TINY = {
+    "chains": 4, "kept": 2, "burn_in": 2, "paths": 2, "levels": (1, 2), "fine_level": 3,
+    "steps": 2, "pairs": 2, "checkpoints": (0, 2), "truth_samples": 8, "truth_steps": 2,
+    "dimension": 2,
+}
+_DATA = "<dataset>"  # replaced by a small labelled CSV
+
+_BAD_SETTINGS = [
+    ("converge", "methods", {"methods": ()}),
+    ("converge", "methods", {"methods": ("quicsort", "rk4")}),
+    ("converge", "paths", {"paths": 1}),
+    ("converge", "horizon", {"horizon": 0.0}),
+    ("converge", "levels", {"levels": ()}),
+    ("converge", "levels", {"levels": (-1, 2)}),
+    ("converge", "fine_level", {"fine_level": 1}),
+    ("converge", "levels", {"levels": (1, 3)}),  # ubu needs halves below fine_level 3
+    ("sample", "method", {"method": "leapfrog"}),
+    ("sample", "chains", {"chains": 0}),
+    ("sample", "h", {"h": 0.0}),
+    ("sample", "checkpoints", {"checkpoints": ()}),
+    ("sample", "checkpoints", {"checkpoints": (2, 2)}),
+    ("sample", "checkpoints", {"checkpoints": (-1, 2)}),
+    ("compare", "methods", {"methods": ()}),
+    ("compare", "methods", {"methods": ("quicsort", "rk4")}),
+    ("compare", "chains", {"chains": 0}),
+    ("compare", "h", {"h": -1.0}),
+    ("stationary", "h", {"h": 0.0}),
+    ("stationary", "chains", {"chains": 0}),
+    ("stationary", "burn_in", {"burn_in": -1}),
+    ("stationary", "kept", {"kept": 0}),
+    ("contract", "gamma", {"gamma": 1.0, "h": 0.04}),
+    ("contract", "h", {"h": 0.2}),
+    ("contract", "h", {"h": 0.0}),
+    ("contract", "steps", {"steps": 0}),
+    ("contract", "pairs", {"pairs": 0}),
+    ("sample", "truth_samples", {"truth_samples": 0}),
+    ("compare", "truth_samples", {"truth_samples": 0, "dataset": _DATA}),
+    ("sample", "truth_h", {"truth_h": 0.0, "dataset": _DATA}),
+    ("sample", "truth_steps", {"truth_steps": 0, "dataset": _DATA}),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, setting, bad", _BAD_SETTINGS,
+    ids=[f"{e}-{k}-{i}" for i, (e, k, _) in enumerate(_BAD_SETTINGS)],
+)
+def test_cli_first_diagnostic_is_what_the_study_raises(experiment, setting, bad, tmp_path):
+    if bad.get("dataset") == _DATA:
+        data = synthetic_dataset(rows=20, d_feat=2, seed=3)
+        np.savetxt(tmp_path / "d.csv", np.column_stack([data.labels, data.features]), delimiter=",")
+        bad = dict(bad, dataset=str(tmp_path / "d.csv"))
+    rc = _default_config(experiment, **{**_TINY, **bad})
+    diags, pot = cli._validate(rc)
+    assert diags and diags[0].startswith(f"{setting}: ")
+    with pytest.raises(ValueError) as exc:
+        cli._dispatch(rc, pot, cli._resolve_solver(rc, pot))
+    assert str(exc.value) == diags[0]
+
+
+def test_settings_the_experiment_never_reads_are_not_checked(tmp_path):
+    argv = ["stationary", "--dimension", "2", "--chains", "4", "--burn-in", "1", "--kept", "2"]
+    assert main(argv + ["--paths", "1", "--out", str(tmp_path / "st")]) == 0
+    assert (tmp_path / "st.csv").is_file()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["h", "horizon", "curvature", "gamma", "u", "truth_h"])
+def test_non_finite_numbers_exit_2(key, value, capsys):
+    flag = f"--{key.replace('_', '-')}"
+    assert main(["stationary", f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert f"ulmc: flag {flag}: bad value for '{key}': expected a finite number" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("setting, value", [("gamma", "-1"), ("u", "0")])
+def test_contract_with_bad_gamma_or_u_exits_2(setting, value, capsys):
+    assert main(["contract", f"--{setting}", value]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ulmc: {setting}: must be positive (or 'auto')\n"
+
+
+@pytest.mark.parametrize("experiment", ["converge", "compare"])
+def test_empty_method_list_exits_2(experiment, tmp_path, capsys):
+    assert main([experiment, "--methods", ",", "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err == "ulmc: methods: need at least one method\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=50)
+@given(
+    experiment=st.sampled_from(list(cli.EXPERIMENTS)),
+    key=st.sampled_from(sorted(DEFAULTS)),
+    value=st.sampled_from(["-1", "0", "1", "nan", "inf", "-inf", "1e-300", ""]),
+)
+def test_any_one_bad_setting_exits_cleanly(experiment, key, value):
+    """A tiny run with one setting replaced ends in 0, 2 or 3, never an exception."""
+    entries = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in _TINY.items()}
+    entries["out"] = "run"
+    entries[key] = value
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)  # every report, whatever the drawn out prefix, lands here
+        Path("run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        assert main([experiment, "--config", "run.cfg"]) in (0, 2, 3)

@@ -481,6 +481,22 @@ def test_stationary_rejects_bad_arguments():
         stationary_study(CFG, POT2, 0.0, 4, 10, 10, seed=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_studies_reject_non_finite_step_sizes(value):
+    gt = gaussian_ground_truth(POT2, 16, seed=0)
+    calls = [
+        ("horizon", lambda: strong_error_study(CFG, POT2, ["quicsort"], value, 4, [2], 5, seed=0)),
+        ("h", lambda: mixing_study(CFG, POT2, "quicsort", 8, value, [1], gt, seed=0)),
+        ("h", lambda: compare_study(CFG, POT2, 8, value, [1], gt, seed=0)),
+        ("h", lambda: stationary_study(CFG, POT2, value, 4, 1, 2, seed=0)),
+        ("h", lambda: contractivity_study(CFG, POT1, value, 2, 2, seed=0)),
+        ("truth_h", lambda: long_run_ground_truth(CFG, POT2, 4, value, 2, seed=0)),
+    ]
+    for setting, call in calls:
+        with pytest.raises(ValueError, match=f"^{setting}: "):
+            call()
+
+
 def test_report_invariants_enforced():
     with pytest.raises(ValueError):
         ConvergenceReport(
