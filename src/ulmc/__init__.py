@@ -6,9 +6,8 @@ space-time coefficients of Brownian intervals and refines them exactly;
 two-gradient step, a one-gradient splitting step, and a frozen-gradient
 baseline; :mod:`ulmc.potentials` supplies quadratic and Bayesian logistic
 targets with smoothness metadata; :mod:`ulmc.metrics` compares sample
-clouds by energy distance, exact transport, and pooled norm moments; and
-:mod:`ulmc.harness` orchestrates the reproducible studies behind the
-``ulmc`` command line.
+clouds by energy distance and exact transport; and :mod:`ulmc.harness`
+orchestrates the reproducible studies behind the ``ulmc`` command line.
 """
 
 from .brownian import (
@@ -41,13 +40,11 @@ from .integrators import (
     euler_step,
     quicsort_step,
     simulate,
-    step_coefficients,
     ubu_step,
 )
 from .metrics import (
     EmpiricalDistribution,
     energy_distance_sq,
-    moment_stats,
     subsample,
     wasserstein2,
 )
@@ -90,14 +87,12 @@ __all__ = [
     "load_dataset",
     "long_run_ground_truth",
     "mixing_study",
-    "moment_stats",
     "quicsort_step",
     "refine",
     "sample_increment",
     "sample_prior",
     "simulate",
     "stationary_study",
-    "step_coefficients",
     "strong_error_study",
     "subsample",
     "synthetic_dataset",

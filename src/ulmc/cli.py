@@ -14,7 +14,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, make_dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -56,59 +56,19 @@ EXPERIMENTS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Fully typed settings for one experiment run."""
-
-    experiment: str
-    seed: int
-    threads: int
-    out: str
-    dataset: str
-    label_col: int
-    standardize: bool
-    gamma: float | str
-    u: float | str
-    h: float
-    levels: tuple[int, ...]
-    fine_level: int
-    paths: int
-    chains: int
-    horizon: float
-    burn_in: int
-    kept: int
-    steps: int
-    pairs: int
-    checkpoints: tuple[int, ...]
-    method: str
-    methods: tuple[str, ...]
-    dimension: int
-    curvature: float
-    truth_samples: int
-    truth_h: float | str
-    truth_steps: int
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-
-def _parse_levels(raw: str) -> tuple[int, ...]:
+def _parse_levels(raw: str) -> list[int]:
     if ":" in raw:
         lo, _, hi = raw.partition(":")
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise ValueError(f"empty level range '{raw}'")
-        return tuple(range(lo, hi + 1))
+        return list(range(lo, hi + 1))
     return _parse_list(int)(raw)
 
 
-def _parse_list(item: Callable[[str], object]) -> Callable[[str], tuple]:
+def _parse_list(item: Callable[[str], object]) -> Callable[[str], list]:
     """A parser of comma-separated values, each read by ``item``."""
-    return lambda raw: tuple(item(part.strip()) for part in raw.split(",") if part.strip())
+    return lambda raw: [item(part.strip()) for part in raw.split(",") if part.strip()]
 
 
 def _parse_finite(raw: str) -> float:
@@ -172,6 +132,10 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], object], str]] = {
     "truth_steps": ("2000", int, "steps of the logistic reference run"),
 }
 DEFAULTS: dict[str, str] = {key: default for key, (default, _, _) in _SETTINGS.items()}
+
+RunConfig = make_dataclass("RunConfig", ["experiment", *_SETTINGS], namespace={
+    "__module__": __name__, "__doc__": "An experiment's name and the parsed value of each setting.",
+})
 
 
 def _coerce(key: str, raw: str, origin: str, diags: list[str]):
@@ -266,8 +230,8 @@ def validate_config(rc: RunConfig) -> list[str]:
     return _validate(rc)[0]
 
 
-def _validate(rc: RunConfig) -> tuple[list[str], object]:
-    """The problems of ``rc``, and the potential built while checking it.
+def _validate(rc: RunConfig) -> tuple[list[str], object, SolverConfig | None]:
+    """The problems of ``rc``, and the potential and solver built while checking it.
 
     Each experiment checks only the settings it reads: the study's own
     ``*_problems`` function names those, and this adds the settings no study
@@ -291,7 +255,7 @@ def _validate(rc: RunConfig) -> tuple[list[str], object]:
         if getattr(rc, key) != "auto" and getattr(rc, key) <= 0
     ]
     diags += solver_problems
-    if rc.label_col < 0:
+    if rc.dataset and rc.label_col < 0:
         diags.append("label_col: must be nonnegative")
     if rc.out.endswith(("/", os.sep)):
         diags.append(f"out: '{rc.out}' ends in a path separator; give a file name prefix")
@@ -302,12 +266,18 @@ def _validate(rc: RunConfig) -> tuple[list[str], object]:
         diags.append(f"out: directory not found: {out_dir}")
 
     pot = _build_potential(rc, diags)
+    solver = None
+    if pot is not None and not solver_problems:
+        try:
+            solver = _resolve_solver(rc, pot)
+        except ValueError as exc:  # the auto policy can overflow on finite input
+            diags.append(str(exc))
     if rc.experiment == "converge":
         diags += converge_problems(rc.methods, rc.horizon, rc.paths, rc.levels, rc.fine_level)
     elif rc.experiment == "stationary":
         diags += stationary_problems(rc.h, rc.chains, rc.burn_in, rc.kept)
-    elif rc.experiment == "contract" and pot is not None and not solver_problems:
-        diags += contract_problems(_resolve_solver(rc, pot), pot, rc.h, rc.steps, rc.pairs)
+    elif rc.experiment == "contract" and solver is not None:
+        diags += contract_problems(solver, pot, rc.h, rc.steps, rc.pairs)
     elif rc.experiment in ("sample", "compare"):  # the experiments that compute distances
         methods = rc.method if rc.experiment == "sample" else rc.methods
         diags += mixing_problems(methods, rc.chains, rc.h, rc.checkpoints)
@@ -320,7 +290,7 @@ def _validate(rc: RunConfig) -> tuple[list[str], object]:
                 f"scipy: {rc.experiment} computes distances with SciPy, "
                 f"which failed to import: {exc}"
             )
-    return diags, pot
+    return diags, pot, solver
 
 
 def _report_prefix(rc: RunConfig) -> str:
@@ -421,13 +391,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     rc, diags = _resolve(args)
     if not diags and rc is not None:
-        diags, pot = _validate(rc)
+        diags, pot, solver = _validate(rc)
     if diags:
         for diag in diags:
             print(f"ulmc: {diag}", file=sys.stderr)
         return 2
 
-    solver = _resolve_solver(rc, pot)
     try:
         # a divergence is aborted with context below, so the overflow
         # warnings numpy emits on the way there are just noise
@@ -440,7 +409,7 @@ def main(argv=None) -> int:
     prefix = _report_prefix(rc)
     csv_path = f"{prefix}.csv"
     json_path = f"{prefix}.json"
-    config = rc.to_dict()
+    config = asdict(rc)
     config["gamma_resolved"] = solver.gamma
     config["u_resolved"] = solver.u
     report = {"experiment": rc.experiment, "config": config, "report": payload}

@@ -38,14 +38,12 @@ from .brownian import BrownianIncrement, BrownianPath
 __all__ = [
     "SolverConfig",
     "PhaseState",
-    "StepCoefficients",
     "StepperSpec",
     "ChainRunner",
     "DivergenceError",
     "phi0",
     "phi1",
     "phi2",
-    "step_coefficients",
     "quicsort_step",
     "ubu_step",
     "euler_step",
@@ -59,6 +57,7 @@ __all__ = [
 
 LAMBDA_PLUS = (3.0 + math.sqrt(3.0)) / 6.0
 LAMBDA_MINUS = (3.0 - math.sqrt(3.0)) / 6.0
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,9 @@ class SolverConfig:
     u: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.gamma > 0 and self.u > 0):
-            raise ValueError(f"need gamma > 0 and u > 0, got {self.gamma}, {self.u}")
+        for key in ("u", "gamma"):  # auto gamma derives from u: name u first
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key}: must be positive and finite, got {getattr(self, key)}")
 
     @property
     def sigma(self) -> float:
@@ -123,19 +123,26 @@ class DivergenceError(RuntimeError):
         super().__init__(msg)
 
 
-def _exprel2(a):
-    """exp(-a) + a - 1 without cancellation for small a >= 0."""
-    a = np.asarray(a, dtype=float)
-    small = a < 0.03
-    safe = np.where(small, 1.0, a)
-    direct = np.expm1(-safe) + safe
-    # Horner form of a^2/2 - a^3/6 + ... - a^7/5040 + a^8/40320
-    series = a * a * (
+_SERIES_BELOW = 0.03  # _exprel2 uses its series below this argument
+
+
+def _exprel2_over_sq(a):
+    """(exp(-a) + a - 1) / a**2 for 0 <= a < 0.03: Horner form of
+    1/2 - a/6 + ... - a^5/5040 + a^6/40320."""
+    return (
         1.0 / 2
         + a * (-1.0 / 6 + a * (1.0 / 24 + a * (-1.0 / 120
         + a * (1.0 / 720 + a * (-1.0 / 5040 + a / 40320)))))
     )
-    return np.where(small, series, direct)
+
+
+def _exprel2(a):
+    """exp(-a) + a - 1 without cancellation for small a >= 0."""
+    a = np.asarray(a, dtype=float)
+    small = a < _SERIES_BELOW
+    safe = np.where(small, 1.0, a)
+    direct = np.expm1(-safe) + safe
+    return np.where(small, a * a * _exprel2_over_sq(a), direct)
 
 
 def phi0(gamma: float, h: float, x) -> np.ndarray | float:
@@ -150,42 +157,13 @@ def phi1(gamma: float, h: float, x) -> np.ndarray | float:
 
 def phi2(gamma: float, h: float, x) -> np.ndarray | float:
     """(exp(-x*gamma*h) + x*gamma*h - 1) / gamma**2, evaluated stably."""
-    return _exprel2(np.asarray(x, dtype=float) * gamma * h) / gamma**2
-
-
-@dataclass(frozen=True)
-class StepCoefficients:
-    """phi values of one (gamma, h) pair at the stage points of the schemes."""
-
-    phi0_plus: float
-    phi0_minus: float
-    phi0_one: float
-    phi1_plus: float
-    phi1_minus: float
-    phi1_third: float
-    phi1_one: float
-    phi2_plus: float
-    phi2_minus: float
-    phi2_one: float
-
-
-@functools.lru_cache(maxsize=512)
-def step_coefficients(gamma: float, h: float) -> StepCoefficients:
-    """Evaluate and cache the phi values a step of size ``h`` needs."""
-    if not (gamma > 0 and h > 0):
-        raise ValueError("need gamma > 0 and h > 0")
-    return StepCoefficients(
-        phi0_plus=float(phi0(gamma, h, LAMBDA_PLUS)),
-        phi0_minus=float(phi0(gamma, h, LAMBDA_MINUS)),
-        phi0_one=float(phi0(gamma, h, 1.0)),
-        phi1_plus=float(phi1(gamma, h, LAMBDA_PLUS)),
-        phi1_minus=float(phi1(gamma, h, LAMBDA_MINUS)),
-        phi1_third=float(phi1(gamma, h, 1.0 / 3.0)),
-        phi1_one=float(phi1(gamma, h, 1.0)),
-        phi2_plus=float(phi2(gamma, h, LAMBDA_PLUS)),
-        phi2_minus=float(phi2(gamma, h, LAMBDA_MINUS)),
-        phi2_one=float(phi2(gamma, h, 1.0)),
-    )
+    x = np.asarray(x, dtype=float)
+    a = x * gamma * h
+    if gamma**2 >= _TINY:
+        return _exprel2(a) / gamma**2
+    # gamma**2 is subnormal or zero: take the series' a**2 / gamma**2 as
+    # (x*h)**2 and divide the direct form by gamma twice
+    return np.where(a < _SERIES_BELOW, (x * h) ** 2 * _exprel2_over_sq(a), _exprel2(a) / gamma / gamma)
 
 
 def _scalar(value: float) -> np.ndarray:
@@ -235,26 +213,30 @@ class _StepScalars(NamedTuple):
 
 @functools.lru_cache(maxsize=512)
 def _step_scalars(gamma: float, u: float, h: float) -> _StepScalars:
-    co = step_coefficients(gamma, h)
+    phi0_plus, phi0_minus, phi0_one = (float(phi0(gamma, h, x)) for x in (LAMBDA_PLUS, LAMBDA_MINUS, 1.0))
+    phi1_plus, phi1_minus, phi1_third, phi1_one = (
+        float(phi1(gamma, h, x)) for x in (LAMBDA_PLUS, LAMBDA_MINUS, 1.0 / 3.0, 1.0)
+    )
+    phi2_plus, phi2_minus, phi2_one = (float(phi2(gamma, h, x)) for x in (LAMBDA_PLUS, LAMBDA_MINUS, 1.0))
     products = dict(
         dt=h,
         sigma=math.sqrt(2.0 * gamma * u),
-        phi0_one=co.phi0_one,
-        phi1_plus=co.phi1_plus,
-        phi1_minus=co.phi1_minus,
-        phi1_one=co.phi1_one,
-        phi2_one=co.phi2_one,
-        phi2_minus_h=co.phi2_minus / h,
-        phi2_plus_h=co.phi2_plus / h,
-        phi1_one_h=co.phi1_one / h,
-        phi2_one_h=co.phi2_one / h,
-        phi1_third_uh=co.phi1_third * u * h,
-        half_phi0_plus_uh=0.5 * co.phi0_plus * u * h,
-        half_phi0_minus_uh=0.5 * co.phi0_minus * u * h,
-        half_phi1_plus_uh=0.5 * co.phi1_plus * u * h,
-        half_phi1_minus_uh=0.5 * co.phi1_minus * u * h,
-        phi2_one_u=co.phi2_one * u,
-        phi1_one_u=co.phi1_one * u,
+        phi0_one=phi0_one,
+        phi1_plus=phi1_plus,
+        phi1_minus=phi1_minus,
+        phi1_one=phi1_one,
+        phi2_one=phi2_one,
+        phi2_minus_h=phi2_minus / h,
+        phi2_plus_h=phi2_plus / h,
+        phi1_one_h=phi1_one / h,
+        phi2_one_h=phi2_one / h,
+        phi1_third_uh=phi1_third * u * h,
+        half_phi0_plus_uh=0.5 * phi0_plus * u * h,
+        half_phi0_minus_uh=0.5 * phi0_minus * u * h,
+        half_phi1_plus_uh=0.5 * phi1_plus * u * h,
+        half_phi1_minus_uh=0.5 * phi1_minus * u * h,
+        phi2_one_u=phi2_one * u,
+        phi1_one_u=phi1_one * u,
     )
     return _StepScalars(**{name: _scalar(value) for name, value in products.items()})
 

@@ -1,10 +1,9 @@
-"""Distances between empirical distributions, and moment statistics.
+"""Distances between uniform empirical distributions.
 
 Energy distance with the negative-distance kernel and exact-assignment
-2-Wasserstein, plus the velocity/gradient moment summaries used to check
-stationary tail bounds.  Everything here is a pure function of its inputs
-with a deterministic summation order, so repeated runs reproduce results to
-the bit.
+2-Wasserstein between point clouds.  Everything here is a pure function of
+its inputs with a deterministic summation order, so repeated runs reproduce
+results to the bit.
 
 SciPy is imported on the first distance computed, not with this module, so
 runs that compute no distance start without paying for its import.
@@ -13,17 +12,15 @@ runs that compute no distance start without paying for its import.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "EmpiricalDistribution",
-    "MomentStats",
     "distance_kernels",
     "energy_distance_sq",
     "wasserstein2",
-    "moment_stats",
     "subsample",
 ]
 
@@ -33,10 +30,10 @@ _MAX_ASSIGNMENT = 4096
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Weighted point cloud; weights are normalized to sum to one; ``==`` is identity."""
+    """Uniform point cloud of ``samples``, each of weight 1/n; ``==`` is identity."""
 
     samples: np.ndarray
-    weights: np.ndarray | None = None
+    weights: np.ndarray = field(init=False, repr=False)  # 1/n each; energy sums are wx @ block @ wy
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.samples, dtype=float)
@@ -45,16 +42,7 @@ class EmpiricalDistribution:
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("samples must be a nonempty (n, d) matrix")
         object.__setattr__(self, "samples", pts)
-        if self.weights is None:
-            w = np.full(pts.shape[0], 1.0 / pts.shape[0])
-        else:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (pts.shape[0],):
-                raise ValueError("need one weight per sample")
-            if np.any(w < 0) or w.sum() <= 0:
-                raise ValueError("weights must be nonnegative with positive total")
-            w = w / w.sum()
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", np.full(pts.shape[0], 1.0 / pts.shape[0]))
 
     @property
     def n(self) -> int:
@@ -66,15 +54,12 @@ class EmpiricalDistribution:
 
     @functools.cached_property
     def mean_pairwise_distance(self) -> float:
-        """Weighted mean distance between two independent draws from the cloud.
+        """Mean distance between two independent draws from the cloud.
 
         Computed on first use and kept, so a reference cloud measured
         against many others pays for its own pairs once.
         """
         return _weighted_mean_distance(self.samples, self.weights, self.samples, self.weights)
-
-    def is_uniform(self) -> bool:
-        return bool(np.allclose(self.weights, 1.0 / self.n, rtol=0, atol=1e-12))
 
 
 def _as_dist(obj) -> EmpiricalDistribution:
@@ -107,36 +92,23 @@ def _weighted_mean_distance(xs, wx, ys, wy) -> float:
     return total
 
 
-def energy_distance_sq(mu, nu, *, unbiased: bool = False) -> float:
+def energy_distance_sq(mu, nu) -> float:
     """Squared energy distance 2A - B - C between two point clouds.
 
-    A, B, C are the weighted mean distances between, within mu, and within
-    nu.  The default V-statistic keeps all pairs (its value is nonnegative
-    by construction and is clamped at zero against rounding).  With
-    ``unbiased`` the within-cloud terms are renormalized to exclude the
-    diagonal, which removes the O(1/n) bias at the price of admitting small
-    negative outputs.
+    A, B, C are the mean distances between, within mu, and within nu.  This
+    V-statistic keeps all pairs; its value is nonnegative by construction
+    and is clamped at zero against rounding.
     """
     mu = _as_dist(mu)
     nu = _as_dist(nu)
     if mu.d != nu.d:
         raise ValueError(f"dimension mismatch: {mu.d} vs {nu.d}")
     a = _weighted_mean_distance(mu.samples, mu.weights, nu.samples, nu.weights)
-    b = mu.mean_pairwise_distance
-    c = nu.mean_pairwise_distance
-    if unbiased:
-        for dist in (mu, nu):
-            excess = 1.0 - float(dist.weights @ dist.weights)
-            if excess <= 0:
-                raise ValueError("unbiased estimator needs at least two distinct samples")
-        b /= 1.0 - float(mu.weights @ mu.weights)
-        c /= 1.0 - float(nu.weights @ nu.weights)
-        return 2.0 * a - b - c
-    return max(2.0 * a - b - c, 0.0)
+    return max(2.0 * a - mu.mean_pairwise_distance - nu.mean_pairwise_distance, 0.0)
 
 
 def wasserstein2(mu, nu) -> float:
-    """2-Wasserstein distance between equally sized uniform point clouds.
+    """2-Wasserstein distance between equally sized point clouds.
 
     Solved as an exact assignment problem on squared Euclidean costs; in one
     dimension this reduces to matching sorted coordinates.  Clouds larger
@@ -150,8 +122,6 @@ def wasserstein2(mu, nu) -> float:
         raise ValueError(
             f"need equal sample counts, got {mu.n} and {nu.n}; subsample first"
         )
-    if not (mu.is_uniform() and nu.is_uniform()):
-        raise ValueError("exact matching requires uniform weights")
     if mu.n > _MAX_ASSIGNMENT:
         raise ValueError(
             f"clouds of {mu.n} points exceed the exact-assignment cap of "
@@ -167,72 +137,8 @@ def wasserstein2(mu, nu) -> float:
 
 
 def subsample(dist, n: int, rng: np.random.Generator) -> EmpiricalDistribution:
-    """Uniform-weight subsample of ``n`` points (without replacement).
-
-    Non-uniform input weights are honoured as selection probabilities.
-    """
+    """Subsample of ``n`` points, drawn without replacement."""
     dist = _as_dist(dist)
     if not 1 <= n <= dist.n:
         raise ValueError(f"cannot take {n} of {dist.n} samples")
-    p = None if dist.is_uniform() else dist.weights
-    idx = rng.choice(dist.n, size=n, replace=False, p=p)
-    return EmpiricalDistribution(dist.samples[idx])
-
-
-@dataclass(frozen=True)
-class MomentStats:
-    """L2/L4/L6 statistics of velocities and of gradients at positions.
-
-    Norms follow the exchangeable-coordinate convention: the order-2p
-    statistic is sqrt(d) times the 2p-th root of the pooled per-coordinate
-    moment, which for an isotropic Gaussian N(0, u I_d) gives exactly
-    sqrt(ud), 3^(1/4) sqrt(ud) and 15^(1/6) sqrt(ud) at p = 1, 2, 3 in any
-    dimension.  Gradient fields are None when no potential was supplied.
-    """
-
-    mean_v_sq: float | None
-    v_l2: float | None
-    v_l4: float | None
-    v_l6: float | None
-    mean_grad_sq: float | None = None
-    grad_l2: float | None = None
-    grad_l4: float | None = None
-    grad_l6: float | None = None
-
-
-def _pooled_norms(values: np.ndarray, weights: np.ndarray) -> tuple[float, float, float, float]:
-    d = values.shape[1]
-    mom = lambda p: float(weights @ np.mean(values**p, axis=1))
-    m2, m4, m6 = mom(2), mom(4), mom(6)
-    root = np.sqrt(d)
-    return d * m2, root * m2**0.5, root * m4**0.25, root * m6 ** (1.0 / 6.0)
-
-
-def moment_stats(dist, pot=None) -> MomentStats:
-    """Moment summary of a sample cloud.
-
-    Without ``pot`` the samples are velocities.  With ``pot`` (dimension d
-    from ``pot.meta.d``) the cloud may hold phase samples of width 2d laid
-    out as (position, velocity), yielding both summaries, or width d, which
-    is read as positions only.
-    """
-    dist = _as_dist(dist)
-    if pot is None:
-        stats = _pooled_norms(dist.samples, dist.weights)
-        return MomentStats(*stats)
-    d = pot.meta.d
-    if dist.d == 2 * d:
-        positions, velocities = dist.samples[:, :d], dist.samples[:, d:]
-    elif dist.d == d:
-        positions, velocities = dist.samples, None
-    else:
-        raise ValueError(
-            f"sample width {dist.d} fits neither phase (2d = {2 * d}) nor "
-            f"position (d = {d}) layout"
-        )
-    grads = pot.gradient(positions)
-    g = _pooled_norms(grads, dist.weights)
-    if velocities is None:
-        return MomentStats(None, None, None, None, *g)
-    v = _pooled_norms(velocities, dist.weights)
-    return MomentStats(*v, *g)
+    return EmpiricalDistribution(dist.samples[rng.choice(dist.n, size=n, replace=False)])

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +260,7 @@ def test_unknown_flag_value_exits_2(capsys):
 
 def test_run_config_round_trips_to_dict():
     rc = _default_config("converge")
-    payload = rc.to_dict()
+    payload = asdict(rc)
     assert payload["experiment"] == "converge"
     assert payload["levels"] == list(range(3, 10))
     assert isinstance(payload["checkpoints"], list)
@@ -411,10 +412,10 @@ def test_cli_first_diagnostic_is_what_the_study_raises(experiment, setting, bad,
         np.savetxt(tmp_path / "d.csv", np.column_stack([data.labels, data.features]), delimiter=",")
         bad = dict(bad, dataset=str(tmp_path / "d.csv"))
     rc = _default_config(experiment, **{**_TINY, **bad})
-    diags, pot = cli._validate(rc)
+    diags, pot, solver = cli._validate(rc)
     assert diags and diags[0].startswith(f"{setting}: ")
     with pytest.raises(ValueError) as exc:
-        cli._dispatch(rc, pot, cli._resolve_solver(rc, pot))
+        cli._dispatch(rc, pot, solver)
     assert str(exc.value) == diags[0]
 
 
@@ -439,6 +440,36 @@ def test_contract_with_bad_gamma_or_u_exits_2(setting, value, capsys):
     assert main(["contract", f"--{setting}", value]) == 2
     err = capsys.readouterr().err
     assert err == f"ulmc: {setting}: must be positive (or 'auto')\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", "--chains", "4", "--truth-samples", "8"], ["contract"]],
+    ids=["sample", "contract"],
+)
+def test_auto_policy_overflow_exits_2(argv, tmp_path, capsys):
+    # u = 1/M1 overflows to inf on this finite curvature
+    assert main(argv + ["--curvature", "1e-320", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "ulmc: u: must be positive and finite, got inf\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tiny_gamma_runs_without_a_false_divergence(tmp_path, capsys):
+    argv = ["sample", "--gamma", "1e-300", "--chains", "4", "--truth-samples", "8",
+            "--dimension", "2", "--checkpoints", "0,2", "--out", str(tmp_path / "g")]
+    assert main(argv) == 0
+    assert "non-finite" not in capsys.readouterr().err
+
+
+def test_label_col_is_checked_only_with_a_dataset(tmp_path, capsys):
+    argv = ["stationary", "--dimension", "2", "--chains", "4", "--burn-in", "1", "--kept", "2",
+            "--label-col", "-1", "--out", str(tmp_path / "st")]
+    assert main(argv) == 0
+    data = synthetic_dataset(rows=20, d_feat=2, seed=3)
+    np.savetxt(tmp_path / "d.csv", np.column_stack([data.labels, data.features]), delimiter=",")
+    assert main(argv + ["--dataset", str(tmp_path / "d.csv")]) == 2
+    assert "ulmc: label_col: must be nonnegative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment", ["converge", "compare"])

@@ -4,12 +4,14 @@ stationary moments of the quadratic case."""
 
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from ulmc import integrators
 from ulmc.brownian import BrownianIncrement, BrownianPath, refine, sample_increment, zero_increment
 from ulmc.integrators import (
     LAMBDA_MINUS,
@@ -25,7 +27,6 @@ from ulmc.integrators import (
     phi2,
     quicsort_step,
     simulate,
-    step_coefficients,
     ubu_step,
     _ou_flow,
 )
@@ -46,6 +47,16 @@ def _phi2_by_rational_taylor(gamma, h, x):
         e += term
         term *= -a / k
     return float((e + a - 1) / Fraction(gamma) ** 2)
+
+
+def _phis(gamma, h):
+    """phi0, phi1 and phi2 of one (gamma, h) pair at the stage points, e.g. ``phi1_third``."""
+    points = {"plus": LAMBDA_PLUS, "minus": LAMBDA_MINUS, "third": 1.0 / 3.0, "one": 1.0}
+    return SimpleNamespace(**{
+        f"{phi.__name__}_{name}": float(phi(gamma, h, x))
+        for phi in (phi0, phi1, phi2)
+        for name, x in points.items()
+    })
 
 
 def _zero_inc_with_halves(h, d):
@@ -121,10 +132,27 @@ def test_phi_identities():
     )
 
 
-def test_step_coefficients_cached_and_validated():
-    assert step_coefficients(1.0, 0.1) is step_coefficients(1.0, 0.1)
-    with pytest.raises(ValueError):
-        step_coefficients(-1.0, 0.1)
+@given(
+    gamma=st.floats(-300.0, -3.0).map(lambda e: 10.0**e),
+    h=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+    x=_STAGE_POINTS,
+)
+def test_phi2_finite_for_tiny_gamma(gamma, h, x):
+    # gamma**2 underflows below gamma ~ 1e-154; phi2 tends to (x*h)**2/2
+    a = x * gamma * h
+    want = (x * h) ** 2 / 2 * (1 - a / 3 + a**2 / 12)
+    got = float(phi2(gamma, h, x))
+    assert np.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-13 + a**3 / 30)
+
+
+def test_phi2_bits_unchanged_while_gamma_squared_is_normal():
+    # the plain quotient wherever gamma**2 does not underflow
+    xs = np.array([LAMBDA_MINUS, 1.0 / 3.0, LAMBDA_PLUS, 1.0])
+    for gamma in (1.5e-154, 1e-100, 1e-8, 0.3, 2.0, 40.0):
+        for h in (1e-3, 0.05, 0.7):
+            want = integrators._exprel2(xs * gamma * h) / gamma**2
+            assert np.array_equal(phi2(gamma, h, xs), want)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +164,7 @@ def test_free_flow_quicsort_and_euler_bitwise():
     h = 0.7
     state = PhaseState(np.array([0.4, -1.2]), np.array([1.1, 0.3]))
     inc = zero_increment(h, 2)
-    co = step_coefficients(cfg.gamma, h)
+    co = _phis(cfg.gamma, h)
     want_x = state.x + co.phi1_one * state.v
     want_v = co.phi0_one * state.v
     for step in (quicsort_step, euler_step):
@@ -150,7 +178,7 @@ def test_free_flow_ubu():
     h = 0.7
     state = PhaseState(np.array([0.4, -1.2]), np.array([1.1, 0.3]))
     out = ubu_step(cfg, _ZeroForce(), state, _zero_inc_with_halves(h, 2))
-    co = step_coefficients(cfg.gamma, h)
+    co = _phis(cfg.gamma, h)
     np.testing.assert_allclose(out.x, state.x + co.phi1_one * state.v, rtol=1e-14)
     np.testing.assert_allclose(out.v, co.phi0_one * state.v, rtol=1e-14)
 
@@ -196,6 +224,10 @@ def test_solver_config_validation():
         SolverConfig(gamma=0.0)
     with pytest.raises(ValueError):
         SolverConfig(gamma=1.0, u=-2.0)
+    for key in ("gamma", "u"):
+        for value in (0.0, -1.0, np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^{key}: must be positive and finite"):
+                SolverConfig(**{"gamma": 1.0, "u": 1.0, key: value})
     cfg = SolverConfig(gamma=2.0, u=1.0)
     assert cfg.sigma == pytest.approx(2.0)
 
@@ -382,12 +414,12 @@ def test_stationary_moments_quadratic():
 # steppers against their inline formulas, and across batch shapes
 #
 # The oracles are the stepper formulas written out with every phi product
-# formed where it is used; the steppers read the products from a cached
-# record instead and must agree to the bit.
+# formed where it is used, from phi0, phi1 and phi2 (see _phis); the steppers
+# read the products from a cached record instead and must agree to the bit.
 
 
 def _quicsort_oracle(cfg, pot, state, inc):
-    co = step_coefficients(cfg.gamma, inc.dt)
+    co = _phis(cfg.gamma, inc.dt)
     h = inc.dt
     u = cfg.u
     sigma = cfg.sigma
@@ -415,7 +447,7 @@ def _quicsort_oracle(cfg, pot, state, inc):
 
 
 def _ou_flow_oracle(cfg, state, inc):
-    co = step_coefficients(cfg.gamma, inc.dt)
+    co = _phis(cfg.gamma, inc.dt)
     jump = inc.h + 6.0 * inc.k
     rate = (inc.w - 12.0 * inc.k) / inc.dt
     conv = co.phi0_one * jump + co.phi1_one * rate + (6.0 * inc.k - inc.h)
@@ -433,7 +465,7 @@ def _ubu_oracle(cfg, pot, state, inc):
 
 
 def _euler_oracle(cfg, pot, state, inc):
-    co = step_coefficients(cfg.gamma, inc.dt)
+    co = _phis(cfg.gamma, inc.dt)
     g = pot.gradient(state.x)
     jump = inc.h + 6.0 * inc.k
     rate = (inc.w - 12.0 * inc.k) / inc.dt
