@@ -209,13 +209,11 @@ def _build_potential(rc: RunConfig, diags: list[str]):
             diags.append(f"dataset: {exc}")
             return None
         return LogisticPosterior(data)
-    if rc.dimension < 1:
-        diags.append("dimension: must be at least 1")
+    try:
+        return QuadraticPotential(rc.curvature, d=rc.dimension)
+    except ValueError as exc:
+        diags.append(str(exc))
         return None
-    if rc.curvature <= 0:
-        diags.append("curvature: must be positive")
-        return None
-    return QuadraticPotential(rc.curvature, d=rc.dimension)
 
 
 def _resolve_solver(rc: RunConfig, pot) -> SolverConfig:
@@ -235,9 +233,10 @@ def _validate(rc: RunConfig) -> tuple[list[str], object, SolverConfig | None]:
 
     Each experiment checks only the settings it reads: the study's own
     ``*_problems`` function names those, and this adds the settings no study
-    owns.  For experiments that compute distances this also imports SciPy,
-    so its cost falls in set-up and a missing SciPy is a diagnostic, not a
-    traceback halfway through a run.
+    owns.  For experiments that compute distances this also loads SciPy's
+    two compiled distance kernels, a few milliseconds where importing
+    ``scipy.optimize`` would take a large share of a small run, so that a
+    missing SciPy is a diagnostic, not a traceback halfway through a run.
     """
     diags: list[str] = []
     if rc.experiment not in EXPERIMENTS:

@@ -5,14 +5,22 @@ Energy distance with the negative-distance kernel and exact-assignment
 its inputs with a deterministic summation order, so repeated runs reproduce
 results to the bit.
 
-SciPy is imported on the first distance computed, not with this module, so
-runs that compute no distance start without paying for its import.
+SciPy is loaded on the first distance computed, not with this module, so
+runs that compute no distance start without paying for it.  Even then only
+the two compiled modules behind ``cdist`` and ``linear_sum_assignment`` are
+loaded, not ``scipy.optimize`` and ``scipy.spatial`` around them (see
+:func:`distance_kernels`).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+import os
+import sys
+import threading
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -26,6 +34,7 @@ __all__ = [
 
 _BLOCK_ROWS = 2048
 _MAX_ASSIGNMENT = 4096
+_LOADING = threading.Lock()  # two threads' first distances load each module once
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,26 +77,66 @@ def _as_dist(obj) -> EmpiricalDistribution:
     return EmpiricalDistribution(np.asarray(obj, dtype=float))
 
 
+def _compiled_module(name: str):
+    """SciPy's extension module ``name``, loaded from its own file, or None.
+
+    Only the compiled file runs, not the ``__init__`` of the packages above
+    it: those of ``scipy.optimize`` and ``scipy.spatial`` import
+    ``scipy.linalg``, ``scipy.special`` and more, which cost far more than the
+    kernels.  The module goes into ``sys.modules`` under its own name, so a
+    later import of its package reuses it.  None when SciPy is not installed
+    or ``name`` is not an extension module there.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # locates the package without running it
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    folder = os.path.join(scipy.submodule_search_locations[0], *name.split(".")[1:-1])
+    spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None or not isinstance(spec.loader, ExtensionFileLoader):
+        return None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 @functools.cache
 def distance_kernels():
-    """SciPy's ``(cdist, linear_sum_assignment)``, imported on the first call.
+    """SciPy's ``(cdist_euclidean, cdist_sqeuclidean, linear_sum_assignment)``.
 
-    Raises ImportError when SciPy cannot be imported; a failed import is not
+    Loaded on the first call, straight from the compiled modules that the
+    public ``scipy.spatial.distance.cdist`` and
+    ``scipy.optimize.linear_sum_assignment`` call, so distances keep their
+    bits.  An installed SciPy laid out otherwise gets the public functions,
+    and only then is the full ``scipy.optimize`` imported.  Raises
+    ImportError when SciPy cannot be imported; a failed import is not
     cached, so a later call tries again.
     """
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
+    with _LOADING:
+        pybind = _compiled_module("scipy.spatial._distance_pybind")
+        lsap = _compiled_module("scipy.optimize._lsap")
+    try:
+        return pybind.cdist_euclidean, pybind.cdist_sqeuclidean, lsap.linear_sum_assignment
+    except AttributeError:  # a module not found (None) or without these names
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
 
-    return cdist, linear_sum_assignment
+        return (
+            functools.partial(cdist, metric="euclidean"),
+            functools.partial(cdist, metric="sqeuclidean"),
+            linear_sum_assignment,
+        )
 
 
 def _weighted_mean_distance(xs, wx, ys, wy) -> float:
     """sum_ij wx_i wy_j ||x_i - y_j||, accumulated over fixed row blocks."""
-    cdist, _ = distance_kernels()
+    cdist_euclidean, _, _ = distance_kernels()
     total = 0.0
     for start in range(0, xs.shape[0], _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
-        block = cdist(xs[start:stop], ys)
+        block = cdist_euclidean(xs[start:stop], ys)
         total += float(wx[start:stop] @ block @ wy)
     return total
 
@@ -130,8 +179,8 @@ def wasserstein2(mu, nu) -> float:
     if mu.d == 1:
         diff = np.sort(mu.samples[:, 0]) - np.sort(nu.samples[:, 0])
         return float(np.sqrt(np.mean(diff**2)))
-    cdist, linear_sum_assignment = distance_kernels()
-    cost = cdist(mu.samples, nu.samples, metric="sqeuclidean")
+    _, cdist_sqeuclidean, linear_sum_assignment = distance_kernels()
+    cost = cdist_sqeuclidean(mu.samples, nu.samples)
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
 

@@ -64,13 +64,18 @@ class QuadraticPotential:
     """f(x) = 1/2 sum_j lam_j (x_j - c_j)^2 with per-coordinate curvatures."""
 
     def __init__(self, curvatures, center=0.0, *, d: int | None = None):
+        # "<setting>: <problem>" in the CLI's setting names; the CLI reports these as they are
         lam = np.asarray(curvatures, dtype=float)
         if lam.ndim == 0:
             if d is None:
-                raise ValueError("scalar curvature needs an explicit dimension d")
+                raise ValueError("dimension: a scalar curvature needs an explicit dimension d")
+            if d < 1:
+                raise ValueError("dimension: must be at least 1")
             lam = np.full(d, float(lam))
-        if lam.ndim != 1 or np.any(lam <= 0):
-            raise ValueError("curvatures must be a vector of positives")
+        if lam.ndim != 1 or lam.size == 0:
+            raise ValueError("curvature: need a nonempty vector of curvatures")
+        if not np.all(lam > 0):  # NaN included
+            raise ValueError("curvature: must be positive")
         self.curvatures = lam
         self.center = np.broadcast_to(np.asarray(center, dtype=float), lam.shape).copy()
         self.meta = PotentialMeta(

@@ -311,6 +311,22 @@ def test_compare_without_scipy_exits_2_before_running(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_compare_loads_only_the_two_compiled_distance_kernels(tmp_path):
+    # scipy.optimize and scipy.spatial would bring scipy.linalg, scipy.special and more
+    argv = ["compare", "--dimension", "2", "--chains", "4", "--checkpoints", "0,2",
+            "--truth-samples", "8", "--out", "cmp"]
+    code = (
+        f"import json, sys; from ulmc.cli import main; code = main({argv!r}); "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy')))); sys.exit(code)"
+    )
+    proc = _run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert not loaded & {"scipy.optimize", "scipy.spatial", "scipy.linalg"}
+    assert {"scipy.optimize._lsap", "scipy.spatial._distance_pybind"} <= loaded
+    assert (tmp_path / "cmp.csv").is_file()
+
+
 def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("the study ran before the out directory was checked")
@@ -417,6 +433,16 @@ def test_cli_first_diagnostic_is_what_the_study_raises(experiment, setting, bad,
     with pytest.raises(ValueError) as exc:
         cli._dispatch(rc, pot, solver)
     assert str(exc.value) == diags[0]
+
+
+@pytest.mark.parametrize(
+    "flag, problem",
+    [("--dimension", "dimension: must be at least 1"), ("--curvature", "curvature: must be positive")],
+)
+def test_bad_gaussian_target_exits_2(flag, problem, capsys):
+    # the diagnostic is QuadraticPotential's own ValueError (test_potentials.py)
+    assert main(["stationary", flag, "0"]) == 2
+    assert capsys.readouterr().err == f"ulmc: {problem}\n"
 
 
 def test_settings_the_experiment_never_reads_are_not_checked(tmp_path):

@@ -522,17 +522,62 @@ class _GradientLog:
 @settings(max_examples=60)
 @given(**_SOLVER, d=st.integers(4, 8))
 def test_steppers_equal_inline_formulas(gamma, u, dt, seed, method, d):
-    # the stage positions are compared too: a stage factor rounded
-    # differently often leaves no trace in the new state
+    assert _stepper_matches_oracle(gamma, u, dt, seed, method, d, chains=8)
+
+
+# (gamma, u, h) at which the three-factor products of _step_scalars, all
+# quicsort's, round differently when regrouped as p * (u * h) or (p * h) * u
+# instead of p * u * h; the random property above meets such points only by
+# chance, and together these rows catch every product regrouped either way
+_REGROUPING_SENSITIVE = [(0.3, 0.3, 0.45), (0.7, 4.9, 0.1), (17.0, 0.1, 0.3)]
+_THREE_FACTOR = {  # field of _StepScalars: (phi value, its constant factor)
+    "phi1_third_uh": ("phi1_third", 1.0),
+    "half_phi0_plus_uh": ("phi0_plus", 0.5),
+    "half_phi0_minus_uh": ("phi0_minus", 0.5),
+    "half_phi1_plus_uh": ("phi1_plus", 0.5),
+    "half_phi1_minus_uh": ("phi1_minus", 0.5),
+}
+_REGROUPINGS = {"p * (u * h)": lambda p, u, h: p * (u * h), "(p * h) * u": lambda p, u, h: p * h * u}
+
+
+@pytest.mark.parametrize("method", sorted(_ORACLES))
+@pytest.mark.parametrize("gamma, u, dt", _REGROUPING_SENSITIVE)
+def test_steppers_equal_inline_formulas_where_regrouping_shows(gamma, u, dt, method):
+    assert _stepper_matches_oracle(gamma, u, dt, seed=11, method=method, d=8, chains=64)
+
+
+def test_regrouping_table_catches_every_regrouped_product(monkeypatch):
+    for field, (phi, factor) in _THREE_FACTOR.items():
+        for grouping, regroup in _REGROUPINGS.items():
+            caught = []
+            for gamma, u, dt in _REGROUPING_SENSITIVE:
+                p = factor * getattr(_phis(gamma, dt), phi)
+                mutant = integrators._step_scalars(gamma, u, dt)._replace(
+                    **{field: integrators._scalar(regroup(p, u, dt))}
+                )
+                monkeypatch.setattr(integrators, "_step_scalars", lambda *args: mutant)
+                caught.append(not _stepper_matches_oracle(gamma, u, dt, 11, "quicsort", 8, chains=64))
+                monkeypatch.undo()
+            assert any(caught), f"{field} regrouped as {grouping}"
+
+
+def _stepper_matches_oracle(gamma, u, dt, seed, method, d, chains):
+    """Whether the stepper's new state and stage positions equal its oracle's to the bit.
+
+    The stage positions count too: a stage factor rounded differently often
+    leaves no trace in the new state.
+    """
     cfg = SolverConfig(gamma=gamma, u=u)
-    pot, state, inc = _random_problem(seed, dt, d, (8,))
+    pot, state, inc = _random_problem(seed, dt, d, (chains,))
     step, oracle = _ORACLES[method]
     got_log, want_log = _GradientLog(pot), _GradientLog(pot)
     got, want = step(cfg, got_log, state, inc), oracle(cfg, want_log, state, inc)
-    assert np.array_equal(got.x, want.x) and np.array_equal(got.v, want.v)
-    assert len(got_log.points) == len(want_log.points)
-    for a, b in zip(got_log.points, want_log.points):
-        assert np.array_equal(a, b)
+    return (
+        np.array_equal(got.x, want.x)
+        and np.array_equal(got.v, want.v)
+        and len(got_log.points) == len(want_log.points)
+        and all(np.array_equal(a, b) for a, b in zip(got_log.points, want_log.points))
+    )
 
 
 @settings(max_examples=30)

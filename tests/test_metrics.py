@@ -3,9 +3,13 @@ energy distance and full permutation enumeration for small Wasserstein
 problems."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from ulmc import metrics
 from ulmc.metrics import (
@@ -188,3 +192,79 @@ def test_empirical_distribution_validation():
         EmpiricalDistribution(np.zeros((0, 2)))
     dist = EmpiricalDistribution(np.zeros((4, 1)))
     np.testing.assert_allclose(dist.weights, 0.25)
+
+
+# ---------------------------------------------------------------------------
+# SciPy's kernels, loaded straight from their compiled modules
+
+
+def _laid_out(a, layout):
+    """``a`` as a C-ordered, Fortran-ordered or row-strided array."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    rows = np.zeros((2 * a.shape[0], a.shape[1]))
+    rows[::2] = a
+    return rows[::2]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def fresh_kernels():
+    metrics.distance_kernels.cache_clear()
+    yield
+    metrics.distance_kernels.cache_clear()
+
+
+def test_distance_kernels_come_from_the_compiled_modules(fresh_kernels):
+    euclidean, sqeuclidean, lsap = metrics.distance_kernels()
+    assert euclidean is sys.modules["scipy.spatial._distance_pybind"].cdist_euclidean
+    assert sqeuclidean is sys.modules["scipy.spatial._distance_pybind"].cdist_sqeuclidean
+    assert lsap is sys.modules["scipy.optimize._lsap"].linear_sum_assignment
+
+
+@settings(max_examples=80)
+@given(
+    d=st.integers(1, 64),
+    n=st.integers(1, 80),
+    m=st.integers(1, 80),
+    scale=st.floats(-5.0, 5.0).map(lambda e: 10.0**e),
+    layout=st.sampled_from(["C", "F", "rows"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_direct_kernels_equal_public_scipy(d, n, m, scale, layout, seed):
+    rng = np.random.default_rng(seed)
+    xs = _laid_out(scale * rng.standard_normal((n, d)), layout)
+    ys = _laid_out(scale * rng.standard_normal((m, d)), layout)
+    euclidean, sqeuclidean, lsap = metrics.distance_kernels()
+    assert _same_bits(euclidean(xs, ys), cdist(xs, ys))
+    assert _same_bits(sqeuclidean(xs, ys), cdist(xs, ys, metric="sqeuclidean"))
+    cost = _laid_out(cdist(xs, ys, metric="sqeuclidean"), layout)
+    for got, want in zip(lsap(cost), linear_sum_assignment(cost)):
+        assert _same_bits(got, want)
+
+
+def test_distances_keep_their_bits_on_the_public_fallback(fresh_kernels, monkeypatch):
+    rng = np.random.default_rng(413)
+    equal_pairs = [
+        (scale * rng.standard_normal((n, d)), scale * rng.standard_normal((n, d)) + 0.5 * scale)
+        for n, d, scale in ((40, 3, 1.0), (130, 10, 1e4), (9, 64, 1e-4))
+    ]
+    # more rows than one energy block, so the block accumulation runs too
+    uneven = (rng.standard_normal((metrics._BLOCK_ROWS + 300, 2)), rng.standard_normal((90, 2)))
+
+    def distances():
+        values = [wasserstein2(x, y) for x, y in equal_pairs]
+        values += [energy_distance_sq(x, y) for x, y in [*equal_pairs, uneven]]
+        return [v.hex() for v in values]
+
+    direct = distances()
+    monkeypatch.setattr(metrics, "_compiled_module", lambda name: None)
+    metrics.distance_kernels.cache_clear()
+    euclidean, _, lsap = metrics.distance_kernels()
+    assert euclidean.func is cdist and lsap is linear_sum_assignment
+    assert distances() == direct

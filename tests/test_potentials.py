@@ -83,6 +83,23 @@ def test_quadratic_scalar_curvature_needs_dimension():
     assert p.meta.d == 3
 
 
+@pytest.mark.parametrize(
+    "curvatures, d, problem",
+    [
+        (1.0, 0, "dimension: must be at least 1"),
+        (1.0, -2, "dimension: must be at least 1"),
+        ([], None, "curvature: need a nonempty vector of curvatures"),
+        ([[1.0, 2.0]], None, "curvature: need a nonempty vector of curvatures"),
+        (0.0, 3, "curvature: must be positive"),
+        ([1.0, float("nan")], None, "curvature: must be positive"),
+    ],
+)
+def test_quadratic_rejects_empty_or_bad_curvatures(curvatures, d, problem):
+    with pytest.raises(ValueError) as exc:
+        QuadraticPotential(curvatures, d=d)
+    assert str(exc.value) == problem
+
+
 # ---------------------------------------------------------------------------
 # logistic posterior
 
