@@ -17,6 +17,14 @@ and in that form increments compose exactly across adjacent intervals.  A
 coarse increment and its recursive refinement therefore describe one and the
 same underlying path, which is what lets a fine reference solution and a
 coarse solution be driven by identical noise.
+
+Noise is addressed, not drawn in sequence.  The ``seed`` of a path or tree
+is its 128-bit Philox4x64 key; the harness packs it from the run seed, a tag
+and a chunk with :func:`chunk_key`.  Each draw starts Philox at the 64-bit
+counter words ``(0, 0, index, stream)``, low word first: ``index`` is the
+step or tree node and ``stream`` names what is drawn.  A draw advances only
+the low word, so draws at distinct addresses never share a block, and no
+key is hashed.
 """
 
 from __future__ import annotations
@@ -40,27 +48,41 @@ __all__ = [
     "combine",
     "refine",
     "bridge_matrices",
+    "chunk_key",
     "keyed_generator",
 ]
 
+_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# Width of the counter word that holds a draw's step or node index.
+_INDEX_BITS = 64
 
 # Coefficient variances on a unit interval.
 _VAR_H = 1.0 / 12.0
 _VAR_K = 1.0 / 720.0
 
-# Stream tags 0-3 are reserved by this module; see keyed_generator.
+# Counter word 3 of a draw, naming what is drawn; word 2 is the step or node.
 _STREAM_STEP = 0
 _STREAM_STEP_HALF = 1
 _STREAM_TREE_ROOT = 2
 _STREAM_TREE_SPLIT = 3
 
 
-def _as_coeff(name: str, value) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        raise ValueError(f"{name} must have a trailing coordinate axis, got a scalar")
-    return arr
+def _check_interval(record, names: tuple[str, str, str]) -> None:
+    """Check and normalize a frozen interval record in place: a positive
+    ``dt`` and three float arrays ``names`` of one shape with a coordinate axis."""
+    if not record.dt > 0.0:
+        raise ValueError(f"dt must be positive, got {record.dt}")
+    object.__setattr__(record, "dt", float(record.dt))
+    for name in names:
+        arr = np.asarray(getattr(record, name), dtype=float)
+        if arr.ndim == 0:
+            raise ValueError(f"{name} must have a trailing coordinate axis, got a scalar")
+        object.__setattr__(record, name, arr)
+    shapes = {getattr(record, name).shape for name in names}
+    if len(shapes) != 1:
+        raise ValueError(f"{', '.join(names)} shapes disagree: {sorted(shapes)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,14 +105,7 @@ class BrownianIncrement:
     )
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        object.__setattr__(self, "dt", float(self.dt))
-        for name in ("w", "h", "k"):
-            object.__setattr__(self, name, _as_coeff(name, getattr(self, name)))
-        shapes = {self.w.shape, self.h.shape, self.k.shape}
-        if len(shapes) != 1:
-            raise ValueError(f"coefficient shapes disagree: {sorted(shapes)}")
+        _check_interval(self, ("w", "h", "k"))
 
     @classmethod
     def _trusted(cls, dt, w, h, k, halves=None) -> "BrownianIncrement":
@@ -116,13 +131,7 @@ class TimeIntegrals:
     i2: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        object.__setattr__(self, "dt", float(self.dt))
-        for name in ("w", "i1", "i2"):
-            object.__setattr__(self, name, _as_coeff(name, getattr(self, name)))
-        if not (self.w.shape == self.i1.shape == self.i2.shape):
-            raise ValueError("w, i1, i2 shapes disagree")
+        _check_interval(self, ("w", "i1", "i2"))
 
 
 def sample_increment(
@@ -302,156 +311,67 @@ def refine(
     return left, right
 
 
-def keyed_generator(seed: int, stream: int, *index: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream, index).
+def chunk_key(seed: int, tag: int, chunk: int) -> int:
+    """The 128-bit Philox key of work unit ``(tag, chunk)`` under ``seed``.
+
+    The low key word is ``seed`` modulo 2**64, the high one holds ``tag`` in
+    its low half and ``chunk`` in its high half.  Distinct keys give
+    independent Philox streams, so no hash is needed.
+    """
+    if not (0 <= tag <= _MASK32 and 0 <= chunk <= _MASK32):
+        raise ValueError(f"tag and chunk must lie in [0, 2**32), got {tag} and {chunk}")
+    return int(seed) & _MASK64 | int(tag) << 64 | int(chunk) << 96
+
+
+def keyed_generator(seed: int, tag: int, chunk: int) -> np.random.Generator:
+    """A fresh Philox generator keyed by :func:`chunk_key`, counter at zero.
 
     Output depends only on the key, never on creation order, which makes
-    dyadic refinement and parallel chains order-independent.  Stream tags
-    0-3 are reserved by this module; other modules should key their draws
-    with tags >= 8.
+    parallel chunks order-independent.
     """
-    ss = np.random.SeedSequence(
-        entropy=int(seed) & _MASK64, spawn_key=(int(stream), *map(int, index))
-    )
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(key=chunk_key(seed, tag, chunk)))
 
 
-# SeedSequence's hash constants (numpy.random.bit_generator).  _keyed below
-# replays its mixing to get the Philox key keyed_generator would use; NumPy
-# keeps SeedSequence's output fixed across releases, and the tests compare
-# the two draw for draw.
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-# Keys are derived for blocks of this many consecutive indices at a time; a
-# block is 4 KB, and at most 256 blocks are cached.
-_KEY_BLOCK = 256
+# Each thread's one Philox generator; every draw resets its whole state first,
+# so no draw depends on what an earlier one left behind.
+_LOCAL = threading.local()
 
 
-def _hash_consts(init: int, mult: int, n: int) -> list[int]:
-    """The first ``n`` values of a hash-constant sequence, ``init`` included."""
-    out = [init]
-    for _ in range(n - 1):
-        out.append(out[-1] * mult & _M32)
-    return out
+class _KeyedNoise:
+    """Base of the noise sources: ``seed`` is their Philox key, taken modulo 2**128."""
 
+    @functools.cached_property
+    def _key(self) -> tuple[int, int]:
+        key = int(self.seed)
+        return key & _MASK64, key >> 64 & _MASK64
 
-# hashmix calls 0-3 take the seed words, 4-15 the pool cross-mix, 16-19 the
-# stream word and 20-23 the index word; each xors constant i, multiplies by i+1.
-_CONSTS_A = _hash_consts(_INIT_A, _MULT_A, 25)
-_CONSTS_B = _hash_consts(_INIT_B, _MULT_B, 5)
-_INDEX_XOR = np.array(_CONSTS_A[20:24], dtype=np.uint32)[:, None]
-_INDEX_MUL = np.array(_CONSTS_A[21:25], dtype=np.uint32)[:, None]
-_OUT_XOR = np.array(_CONSTS_B[0:4], dtype=np.uint32)[:, None]
-_OUT_MUL = np.array(_CONSTS_B[1:5], dtype=np.uint32)[:, None]
-_SHIFT = np.uint32(16)
+    def _keyed(self, stream: int, index: int) -> np.random.Generator:
+        """A generator drawing what ``Philox(key=seed, counter=(0, 0, index, stream))`` draws.
 
-
-def _hashmix(value: int, call: int) -> int:
-    value = (value ^ _CONSTS_A[call]) * _CONSTS_A[call + 1] & _M32
-    return value ^ value >> 16
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _M32
-    return r ^ r >> 16
-
-
-def _stream_pool(seed: int, stream: int) -> np.ndarray:
-    """``_MIX_L`` times each pool word of ``SeedSequence(seed, spawn_key=(stream, i))``
-    before the index word ``i`` mixes in, as a (4, 1) uint32 column.
-
-    ``seed`` is already masked to 64 bits, whose two words are padded with
-    zeros to the pool size of four.
-    """
-    pool = [_hashmix(word, i) for i, word in enumerate((seed & _M32, seed >> 32, 0, 0))]
-    call = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
-                call += 1
-    for dst in range(4):
-        pool[dst] = _mix(pool[dst], _hashmix(stream, call + dst))
-    return np.array([_MIX_L * p & _M32 for p in pool], dtype=np.uint32)[:, None]
-
-
-@functools.lru_cache(maxsize=256)
-def _key_block(seed: int, stream: int, block: int) -> np.ndarray:
-    """Philox keys of ``keyed_generator(seed, stream, i)`` for the ``_KEY_BLOCK``
-    indices ``i`` of ``block``, as a read-only (_KEY_BLOCK, 2) uint64 array.
-
-    The index word is mixed into the seed-and-stream pool, and the pool is
-    expanded into four output words, as ``SeedSequence.generate_state(2, np.uint64)``
-    does, for the whole block at once in wrapping uint32 arithmetic.
-    """
-    start = block * _KEY_BLOCK
-    v = np.arange(start, start + _KEY_BLOCK, dtype=np.uint32)[None, :] ^ _INDEX_XOR
-    v *= _INDEX_MUL
-    v ^= v >> _SHIFT
-    v *= np.uint32(_MIX_R)
-    np.subtract(_stream_pool(seed, stream), v, out=v)
-    v ^= v >> _SHIFT
-    v ^= _OUT_XOR
-    v *= _OUT_MUL
-    v ^= v >> _SHIFT
-    # output words pair up little-endian into the two 64-bit key words
-    keys = np.ascontiguousarray(v.T, dtype="<u4").view("<u8").astype(np.uint64)
-    keys.setflags(write=False)
-    return keys
-
-
-_ZERO4 = np.zeros(4, dtype=np.uint64)
-
-
-class _ThreadGenerator(threading.local):
-    """One Philox generator per thread, made on the thread's first keyed draw
-    (so importing this module does not load ``numpy.random``).
-
-    Every draw resets its whole state first, so no draw depends on what an
-    earlier one left behind, and threads never share it.
-    """
-
-    bit_generator: np.random.Philox | None = None
-    generator: np.random.Generator | None = None
-
-
-_THREAD_GENERATOR = _ThreadGenerator()
-
-
-def _keyed(seed: int, stream: int, index: int) -> np.random.Generator:
-    """A generator drawing what ``keyed_generator(seed, stream, index)`` draws.
-
-    It is this thread's one reused generator, so it is valid only until the
-    next ``_keyed`` call on the thread.  Its Philox is reset to the key and a
-    zero counter with an empty buffer, the state a fresh Philox starts in;
-    the key comes from a cached block, so no ``SeedSequence`` is built.  An
-    index of 2**32 or more takes two spawn-key words and goes to
-    ``keyed_generator`` itself.
-    """
-    index = int(index)
-    if not 0 <= index <= _M32:
-        return keyed_generator(seed, stream, index)
-    block, row = divmod(index, _KEY_BLOCK)
-    local = _THREAD_GENERATOR
-    if local.generator is None:
-        local.bit_generator = np.random.Philox(0)
-        local.generator = np.random.Generator(local.bit_generator)
-    local.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": _key_block(int(seed) & _MASK64, stream, block)[row]},
-        "buffer": _ZERO4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return local.generator
+        It is this thread's one reused generator, made on the thread's first
+        draw (so importing this module does not load ``numpy.random``) and
+        valid only until its next.  Its Philox is reset to the key and counter
+        with an empty buffer, the state a fresh Philox starts in.
+        """
+        index = int(index)
+        if not 0 <= index < 1 << _INDEX_BITS:
+            raise ValueError(f"noise index must lie in [0, 2**{_INDEX_BITS}), got {index}")
+        gen = getattr(_LOCAL, "generator", None)
+        if gen is None:
+            gen = _LOCAL.generator = np.random.Generator(np.random.Philox(key=0))
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, index, stream), "key": self._key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
 
 
 @dataclass(frozen=True)
-class BrownianPath:
+class BrownianPath(_KeyedNoise):
     """Seed-addressed noise for a stepwise simulation.
 
     The increment of step ``i`` depends only on ``(seed, i)`` and the call
@@ -471,15 +391,15 @@ class BrownianPath:
         *,
         with_halves: bool = False,
     ) -> BrownianIncrement:
-        g = _keyed(self.seed, _STREAM_STEP, index)
+        g = self._keyed(_STREAM_STEP, index)
         inc = sample_increment(g, dt, self.d, shape=self.shape)
         if with_halves:
-            inc = inc.with_halves(refine(inc, _keyed(self.seed, _STREAM_STEP_HALF, index)))
+            inc = inc.with_halves(refine(inc, self._keyed(_STREAM_STEP_HALF, index)))
         return inc
 
 
 @dataclass(frozen=True)
-class DyadicBrownianTree:
+class DyadicBrownianTree(_KeyedNoise):
     """Dyadic refinement tree of one path over ``[0, horizon]``.
 
     Nodes are heap-indexed: the root interval is node 1 and node ``i`` splits
@@ -494,11 +414,11 @@ class DyadicBrownianTree:
     shape: tuple[int, ...] = ()
 
     def root(self) -> BrownianIncrement:
-        g = _keyed(self.seed, _STREAM_TREE_ROOT, 1)
+        g = self._keyed(_STREAM_TREE_ROOT, 1)
         return sample_increment(g, self.horizon, self.d, shape=self.shape)
 
     def split(
         self, inc: BrownianIncrement, index: int
     ) -> tuple[BrownianIncrement, BrownianIncrement]:
         """Split node ``index`` (holding ``inc``) into its two children."""
-        return refine(inc, _keyed(self.seed, _STREAM_TREE_SPLIT, index))
+        return refine(inc, self._keyed(_STREAM_TREE_SPLIT, index))

@@ -22,8 +22,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .brownian import (
+    _INDEX_BITS,
     BrownianPath,
     DyadicBrownianTree,
+    chunk_key,
     keyed_generator,
 )
 from .integrators import (
@@ -88,35 +90,20 @@ _POOL_MIN_LOGITS = 32768
 # 128 and 0.58x at 640.
 _POOL_MIN_POINTS = 128
 
-_CSV_VERSION = "ulmc-csv v1"
+_CSV_VERSION = "ulmc-csv v2"
 
-# Stream tags for keyed_generator draws made by this module (brownian.py
-# reserves tags 0-3 for itself).
-_TAG_CONVERGE_X = 8
-_TAG_CONVERGE_V = 9
-_TAG_CONVERGE_TREE = 10
-_TAG_MIXING_X = 12
-_TAG_MIXING_V = 13
-_TAG_MIXING_PATH = 14
+# Tags of the work units this module keys with chunk_key.  A chain study's
+# triple keys its initial positions, its initial velocities and its noise
+# (converge's noise is a dyadic tree, the others' a path).
+_TAGS_CONVERGE = (8, 9, 10)
+_TAGS_MIXING = (12, 13, 14)
+_TAGS_STATIONARY = (18, 19, 20)
+_TAGS_TRUTH = (24, 25, 26)
 _TAG_CONTRACT_INIT = 16
 _TAG_CONTRACT_PATH = 17
-_TAG_STATIONARY_X = 18
-_TAG_STATIONARY_V = 19
-_TAG_STATIONARY_PATH = 20
 _TAG_TRUTH = 21
 _TAG_SUBSAMPLE_REF = 22
 _TAG_SUBSAMPLE_EMP = 23
-_TAG_TRUTH_X = 24
-_TAG_TRUTH_V = 25
-_TAG_TRUTH_PATH = 26
-
-
-def _child_seed(seed: int, tag: int, chunk: int) -> int:
-    """Derive an independent 64-bit seed for one (tag, chunk) work unit."""
-    ss = np.random.SeedSequence(
-        entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=(int(tag), int(chunk))
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _chunk_sizes(total: int) -> list[int]:
@@ -171,8 +158,10 @@ def _default_initial(pot) -> Callable[[np.random.Generator, tuple[int, ...]], np
     return lambda rng, shape: rng.standard_normal((*shape, d))
 
 
-def _initial_state(cfg, pot, initial, seed, tag_x, tag_v, chunk, size) -> PhaseState:
-    """Positions from ``initial`` (None for the default sampler), velocities from N(0, u I)."""
+def _initial_state(cfg, pot, initial, seed, tags, chunk, size) -> PhaseState:
+    """Positions from ``initial`` (None for the default sampler), velocities from N(0, u I),
+    keyed by the first two of a study's ``tags``."""
+    tag_x, tag_v = tags[:2]
     if initial is None:
         initial = _default_initial(pot)
     d = pot.meta.d
@@ -186,12 +175,11 @@ def _initial_state(cfg, pot, initial, seed, tag_x, tag_v, chunk, size) -> PhaseS
 def _run_chains(cfg, pot, method, n_chains, h, n_steps, seed, tags, initial, threads, observe, start):
     """Step chunked chains on keyed paths, returning each chunk's ``start()`` in
     chunk order after ``observe(it, step, state)`` has seen states 0 to ``n_steps``."""
-    tag_x, tag_v, tag_path = tags
     sizes = _chunk_sizes(int(n_chains))
 
     def run_chunk(chunk: int):
-        state = _initial_state(cfg, pot, initial, seed, tag_x, tag_v, chunk, sizes[chunk])
-        path = BrownianPath(_child_seed(seed, tag_path, chunk), pot.meta.d, shape=(sizes[chunk],))
+        state = _initial_state(cfg, pot, initial, seed, tags, chunk, sizes[chunk])
+        path = BrownianPath(chunk_key(seed, tags[2], chunk), pot.meta.d, shape=(sizes[chunk],))
         result = start()
         watch = functools.partial(observe, result)
         watch(0, state)
@@ -218,14 +206,16 @@ class OrderFit:
 def fit_order(rows: Iterable[tuple[float, float]]) -> OrderFit:
     """Fit log2(error) against log2(step count) by ordinary least squares.
 
-    ``rows`` holds (step count, error) pairs; at least three are required
-    and both entries must be positive.
+    ``rows`` holds (step count, error) pairs; at least three are required,
+    both entries must be positive and at least two step counts must differ.
     """
     pts = [(float(n), float(err)) for n, err in rows]
     if len(pts) < 3:
         raise ValueError("need at least 3 (step count, error) rows to fit an order")
     if any(n <= 0 or err <= 0 for n, err in pts):
         raise ValueError("step counts and errors must be positive to fit in log space")
+    if len({n for n, _ in pts}) < 2:
+        raise ValueError("need at least 2 distinct step counts to fit an order")
     x = np.log2([n for n, _ in pts])
     y = np.log2([err for _, err in pts])
     xc = x - x.mean()
@@ -320,6 +310,11 @@ def converge_problems(
     problems = _method_problems("methods", methods) + _unmet(
         (paths >= 2, "paths: need at least 2 for a Monte Carlo error estimate"),
         (0.0 < horizon < math.inf, "horizon: must be positive and finite"),
+        (
+            fine_level <= _INDEX_BITS,
+            f"fine_level: tree node indices below 2**fine_level must fit the "
+            f"{_INDEX_BITS}-bit noise index, so it can be at most {_INDEX_BITS}",
+        ),
     )
     levels = sorted({int(lvl) for lvl in coarse_levels})
     if not levels:
@@ -381,10 +376,8 @@ def strong_error_study(
 
     def run_chunk(chunk: int) -> dict[tuple[str, int], float]:
         size = sizes[chunk]
-        state0 = _initial_state(cfg, pot, initial, seed, _TAG_CONVERGE_X, _TAG_CONVERGE_V, chunk, size)
-        tree = DyadicBrownianTree(
-            _child_seed(seed, _TAG_CONVERGE_TREE, chunk), d, float(horizon), shape=(size,)
-        )
+        state0 = _initial_state(cfg, pot, initial, seed, _TAGS_CONVERGE, chunk, size)
+        tree = DyadicBrownianTree(chunk_key(seed, _TAGS_CONVERGE[2], chunk), d, float(horizon), shape=(size,))
         runs: dict[tuple[str, int], ChainRunner] = {}
         by_depth: dict[int, list[ChainRunner]] = {}
         for m, lvl in keys:
@@ -485,7 +478,7 @@ def contractivity_study(
             if s.x.shape != (n_pairs, d) or s.v.shape != (n_pairs, d):
                 raise ValueError(f"initial pair states must have shape {(n_pairs, d)}")
 
-    path = BrownianPath(_child_seed(seed, _TAG_CONTRACT_PATH, 0), d, shape=(n_pairs,))
+    path = BrownianPath(chunk_key(seed, _TAG_CONTRACT_PATH, 0), d, shape=(n_pairs,))
     # one pair per row, so a divergence names the pair as its chain
     run_a, run_b = (ChainRunner("quicsort", s, h, 0) for s in (state_a, state_b))
     out = np.empty(n_steps + 1)
@@ -572,9 +565,8 @@ def _mixing_reports(
     """
     gt = _as_dist(ground_truth)
 
-    tags = (_TAG_MIXING_X, _TAG_MIXING_V, _TAG_MIXING_PATH)
     clouds = [
-        _evolve_positions(cfg, pot, method, n_chains, h, cps, seed, tags, initial, threads)
+        _evolve_positions(cfg, pot, method, n_chains, h, cps, seed, _TAGS_MIXING, initial, threads)
         for method, h, cps in runs
     ]
 
@@ -763,10 +755,9 @@ def stationary_study(
         # when a square overflows) is the state checked entry by entry
         return math.isfinite(x2_step + v2_step)
 
-    tags = (_TAG_STATIONARY_X, _TAG_STATIONARY_V, _TAG_STATIONARY_PATH)
     totals = np.zeros(4)
     parts = _run_chains(
-        cfg, pot, stepper, n_chains, h, burn_in + kept, seed, tags, initial, threads, observe,
+        cfg, pot, stepper, n_chains, h, burn_in + kept, seed, _TAGS_STATIONARY, initial, threads, observe,
         lambda: [0.0, 0.0, 0.0, 0.0],
     )
     for part in parts:
@@ -828,20 +819,20 @@ def long_run_ground_truth(
     """
     _require(ground_truth_problems(n_samples, h, n_steps))
     clouds = _evolve_positions(
-        cfg, pot, "quicsort", n_samples, h, (int(n_steps),), seed,
-        (_TAG_TRUTH_X, _TAG_TRUTH_V, _TAG_TRUTH_PATH), initial, threads,
+        cfg, pot, "quicsort", n_samples, h, (int(n_steps),), seed, _TAGS_TRUTH, initial, threads
     )
     return EmpiricalDistribution(clouds[int(n_steps)])
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv(kind: str, header: str, rows: Iterable[tuple]) -> str:
+    """The tagged CSV of ``rows``; numbers other than ints get 17 significant digits."""
+    lines = [f"# {_CSV_VERSION} {kind}", header]
+    lines += [",".join(str(v) if isinstance(v, (str, int)) else format(float(v), ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def convergence_csv(report: ConvergenceReport) -> str:
-    lines = [f"# {_CSV_VERSION} converge", "method,N,rms_error"]
-    lines += [f"{m},{n},{_fmt(e)}" for m, n, e in report.rows()]
-    return "\n".join(lines) + "\n"
+    return _csv("converge", "method,N,rms_error", report.rows())
 
 
 def mixing_csv(reports, kind: str = "sample") -> str:
@@ -852,22 +843,15 @@ def mixing_csv(reports, kind: str = "sample") -> str:
         reports = [reports]
     elif isinstance(reports, Mapping):
         reports = list(reports.values())
-    lines = [f"# {_CSV_VERSION} {kind}", "method,grad_evals,energy_dist,w2"]
-    for rep in reports:
-        lines += [f"{m},{ge},{_fmt(e)},{_fmt(w)}" for m, ge, e, w in rep.rows()]
-    return "\n".join(lines) + "\n"
+    return _csv(kind, "method,grad_evals,energy_dist,w2", (row for rep in reports for row in rep.rows()))
 
 
 def contract_csv(distances) -> str:
-    lines = [f"# {_CSV_VERSION} contract", "step,distance"]
-    lines += [f"{i},{_fmt(v)}" for i, v in enumerate(np.asarray(distances, dtype=float))]
-    return "\n".join(lines) + "\n"
+    return _csv("contract", "step,distance", enumerate(np.asarray(distances, dtype=float).tolist()))
 
 
 def stationary_csv(report: StationaryReport) -> str:
-    lines = [f"# {_CSV_VERSION} stationary", "statistic,value"]
-    lines += [f"{name},{_fmt(value)}" for name, value in report.rows()]
-    return "\n".join(lines) + "\n"
+    return _csv("stationary", "statistic,value", report.rows())
 
 
 def write_text_report(path, text: str) -> None:

@@ -419,6 +419,8 @@ def simulate(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a nonempty 1-d array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     state = PhaseState(np.asarray(initial.x, dtype=float), np.asarray(initial.v, dtype=float))

@@ -10,7 +10,6 @@ linear reconstruction of the same path.
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -424,16 +423,25 @@ def test_path_halves_leave_root_unchanged():
 
 
 # ---------------------------------------------------------------------------
-# keyed noise: paths and trees reproduce keyed_generator's streams
+# keyed noise: the ulmc-csv v2 layout
 #
-# Paths and trees derive each Philox key from the cached seed-and-stream part
-# of SeedSequence's hash and reset one generator per thread to it; the public
-# keyed_generator builds the SeedSequence itself and is the reference.
+# A path's or tree's seed is its Philox key, and each draw starts Philox at
+# counter words (0, 0, index, stream); keyed_generator keys by (seed mod 2**64,
+# tag, chunk) packed into the two key words, with a zero counter.  The oracle
+# is a fresh Philox built from those integers, packed here by hand.
 
-_KEY_SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
-_KEY_INDICES = (
-    st.sampled_from([0, 1, 255, 256, 2**31, 2**32 - 1, 2**32]) | st.integers(0, 2**32 + 8)
-)
+_KEY_SEEDS = st.sampled_from([0, 1, 2**64 - 1, -1, -(2**40)]) | st.integers(-(2**70), 2**70)
+_KEY_WORDS = st.sampled_from([0, 8, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+_KEY_INDICES = st.sampled_from([0, 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+def _philox(key, stream=0, index=0):
+    counter = index * 2**128 + stream * 2**192
+    return np.random.Generator(np.random.Philox(key=key % 2**128, counter=counter))
+
+
+def _packed(seed, tag, chunk):
+    return seed % 2**64 + tag * 2**64 + chunk * 2**96
 
 
 def _assert_same_increment(got, want):
@@ -445,51 +453,68 @@ def _assert_same_increment(got, want):
         _assert_same_increment(a, b)
 
 
-def _reference_increment(seed, index, dt, d, shape, with_halves):
-    inc = bm.sample_increment(bm.keyed_generator(seed, 0, index), dt, d, shape=shape)
-    if with_halves:
-        inc = replace(inc, halves=bm.refine(inc, bm.keyed_generator(seed, 1, index)))
-    return inc
-
-
 @settings(max_examples=60)
-@given(seed=_KEY_SEEDS, index=_KEY_INDICES, batch=_BATCHES, with_halves=st.booleans())
-def test_path_increment_matches_keyed_generator(seed, index, batch, with_halves):
-    path = bm.BrownianPath(seed, 3, shape=batch)
-    got = path.increment(index, 0.1, with_halves=with_halves)
-    _assert_same_increment(got, _reference_increment(seed, index, 0.1, 3, batch, with_halves))
-
-
-@settings(max_examples=60)
-@given(seed=_KEY_SEEDS, index=_KEY_INDICES, batch=_BATCHES)
-def test_tree_matches_keyed_generator(seed, index, batch):
-    tree = bm.DyadicBrownianTree(seed, 2, 4.0, shape=batch)
-    root = tree.root()
-    _assert_same_increment(
-        root, bm.sample_increment(bm.keyed_generator(seed, 2, 1), 4.0, 2, shape=batch)
+@given(
+    seed=_KEY_SEEDS, tag=_KEY_WORDS, chunk=_KEY_WORDS, index=_KEY_INDICES, batch=_BATCHES,
+    with_halves=st.booleans(),
+)
+def test_path_increment_equals_philox_oracle(seed, tag, chunk, index, batch, with_halves):
+    key = _packed(seed, tag, chunk)
+    got = bm.BrownianPath(bm.chunk_key(seed, tag, chunk), 3, shape=batch).increment(
+        index, 0.1, with_halves=with_halves
     )
-    got = tree.split(root, index)
-    want = bm.refine(root, bm.keyed_generator(seed, 3, index))
-    for a, b in zip(got, want):
+    want = bm.sample_increment(_philox(key, 0, index), 0.1, 3, shape=batch)
+    if with_halves:
+        want = want.with_halves(bm.refine(want, _philox(key, 1, index)))
+    _assert_same_increment(got, want)
+
+
+@settings(max_examples=60)
+@given(seed=_KEY_SEEDS, tag=_KEY_WORDS, chunk=_KEY_WORDS, index=_KEY_INDICES, batch=_BATCHES)
+def test_tree_root_and_split_equal_philox_oracle(seed, tag, chunk, index, batch):
+    key = _packed(seed, tag, chunk)
+    tree = bm.DyadicBrownianTree(bm.chunk_key(seed, tag, chunk), 2, 4.0, shape=batch)
+    root = tree.root()
+    _assert_same_increment(root, bm.sample_increment(_philox(key, 2, 1), 4.0, 2, shape=batch))
+    for a, b in zip(tree.split(root, index), bm.refine(root, _philox(key, 3, index))):
         _assert_same_increment(a, b)
 
 
 @settings(max_examples=60)
-@given(
-    seed=_KEY_SEEDS,
-    stream=st.integers(0, 3) | st.integers(8, 2**32 - 1),
-    index=_KEY_INDICES,
-)
-def test_keyed_draws_match_keyed_generator(seed, stream, index):
-    got = bm._keyed(seed, stream, index).standard_normal(9)
-    assert np.array_equal(got, bm.keyed_generator(seed, stream, index).standard_normal(9))
+@given(seed=_KEY_SEEDS, tag=_KEY_WORDS, chunk=_KEY_WORDS)
+def test_keyed_generator_equals_philox_oracle(seed, tag, chunk):
+    got = bm.keyed_generator(seed, tag, chunk).standard_normal(9)
+    assert np.array_equal(got, _philox(_packed(seed, tag, chunk)).standard_normal(9))
 
 
-def test_keyed_draws_mask_seed_like_keyed_generator():
-    # both take the seed modulo 2**64, negative seeds included
-    for seed in (-1, -(2**40), 2**64 + 3):
-        got = bm._keyed(seed, 0, 5).standard_normal(4)
-        assert np.array_equal(got, bm.keyed_generator(seed, 0, 5).standard_normal(4))
+def test_path_and_tree_take_their_key_modulo_2_128():
+    for seed in (-1, -(2**70), 2**128 + 5):
+        got = bm.BrownianPath(seed, 2).increment(7, 0.5)
+        _assert_same_increment(got, bm.sample_increment(_philox(seed, 0, 7), 0.5, 2))
+        root = bm.DyadicBrownianTree(seed, 2, 1.0).root()
+        _assert_same_increment(root, bm.sample_increment(_philox(seed, 2, 1), 1.0, 2))
+
+
+def test_v2_layout_is_pinned():
+    # float.hex of a few draws, so any change of key or counter layout shows
+    from ulmc import harness
+
+    inc = bm.BrownianPath(seed=1, d=2).increment(0, 1.0)
+    assert [x.hex() for x in inc.w] == [
+        "0x1.053197c7442ddp+0",
+        "0x1.84f9208f01294p-1",
+    ]
+    tree = bm.DyadicBrownianTree(seed=1, d=2, horizon=1.0)
+    left, _ = tree.split(tree.root(), 1)
+    assert [x.hex() for x in left.w] == [
+        "-0x1.9692d0a8e73a1p-5",
+        "0x1.9970d799ea16cp-2",
+    ]
+    assert [x.hex() for x in bm.keyed_generator(1, 8, 0).standard_normal(2)] == [
+        "0x1.73af52cea5a43p+0",
+        "-0x1.4d0b4b051959ep+0",
+    ]
+    assert harness._CSV_VERSION == "ulmc-csv v2"
 
 
 def test_keyed_draws_reject_negative_index_like_keyed_generator():
@@ -497,6 +522,16 @@ def test_keyed_draws_reject_negative_index_like_keyed_generator():
         bm.keyed_generator(1, 0, -1)
     with pytest.raises(ValueError):
         bm.BrownianPath(1, 2).increment(-1, 0.1)
+    # an index must fit its 64-bit counter word, tags and chunks their 32-bit halves
+    path, tree = bm.BrownianPath(1, 2), bm.DyadicBrownianTree(1, 2, 1.0)
+    for index in (-1, 2**64, 2**70):
+        with pytest.raises(ValueError, match="noise index"):
+            path.increment(index, 0.1, with_halves=True)
+        with pytest.raises(ValueError, match="noise index"):
+            tree.split(tree.root(), index)
+    for tag, chunk in ((-1, 0), (2**32, 0), (0, 2**32)):
+        with pytest.raises(ValueError, match="tag and chunk"):
+            bm.keyed_generator(1, tag, chunk)
 
 
 def test_one_path_and_tree_shared_by_threads_match_serial_use():

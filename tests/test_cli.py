@@ -50,7 +50,7 @@ def test_converge_end_to_end(tmp_path, capsys, monkeypatch):
     assert "quicsort" in out and "slope" in out
 
     lines = (tmp_path / "conv.csv").read_text().splitlines()
-    assert lines[0] == "# ulmc-csv v1 converge"
+    assert lines[0] == "# ulmc-csv v2 converge"
     assert lines[1] == "method,N,rms_error"
     assert len(lines) == 2 + 3 * 3  # three methods, three levels
 
@@ -113,6 +113,16 @@ def test_converge_levels_reaching_fine_level_exits_2(capsys):
     assert "ulmc: levels:" in err and "'ubu'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fine_level", ["1500", "65"])
+def test_converge_fine_level_beyond_the_noise_index_exits_2(fine_level, tmp_path, capsys):
+    argv = ["converge", "--fine-level", fine_level, "--levels", "3:5", "--paths", "2",
+            "--dimension", "2", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "ulmc: fine_level: " in err and "at most 64" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dataset_with_nan_feature_exits_2_naming_it(tmp_path, capsys):
     data = _write(tmp_path / "nan.csv", "1,0.5,2.0\n0,nan,1.0\n1,0.3,0.2\n")
     assert main(["sample", "--dataset", data]) == 2
@@ -159,7 +169,7 @@ def test_contract_run_writes_distances(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path / "c.cfg", "steps = 40\npairs = 100\ndimension = 1\n")
     assert main(["contract", "--config", cfg, "--h", "0.05", "--seed", "3", "--out", "ct"]) == 0
     lines = (tmp_path / "ct.csv").read_text().splitlines()
-    assert lines[0] == "# ulmc-csv v1 contract"
+    assert lines[0] == "# ulmc-csv v2 contract"
     assert lines[1] == "step,distance"
     assert len(lines) == 2 + 41
     dist = [float(line.split(",")[1]) for line in lines[2:]]
@@ -172,7 +182,7 @@ def test_stationary_run_writes_statistics(tmp_path, monkeypatch):
     cfg = _write(tmp_path / "s.cfg", "burn_in = 50\nkept = 200\nchains = 16\ndimension = 2\n")
     assert main(["stationary", "--config", cfg, "--seed", "3", "--out", "st"]) == 0
     lines = (tmp_path / "st.csv").read_text().splitlines()
-    assert lines[0] == "# ulmc-csv v1 stationary"
+    assert lines[0] == "# ulmc-csv v2 stationary"
     names = [line.split(",")[0] for line in lines[2:]]
     assert names == ["mean_x_sq", "mean_v_sq", "v_l2", "v_l4", "v_l6"]
 
@@ -415,6 +425,7 @@ _BAD_SETTINGS = [
     ("compare", "truth_samples", {"truth_samples": 0, "dataset": _DATA}),
     ("sample", "truth_h", {"truth_h": 0.0, "dataset": _DATA}),
     ("sample", "truth_steps", {"truth_steps": 0, "dataset": _DATA}),
+    ("converge", "fine_level", {"fine_level": 65}),  # node indices past the 64-bit counter word
 ]
 
 

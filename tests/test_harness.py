@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ulmc import harness
-from ulmc.brownian import BrownianPath, DyadicBrownianTree, keyed_generator
+from ulmc.brownian import BrownianPath, DyadicBrownianTree, chunk_key, keyed_generator
 from ulmc.harness import (
     ConvergenceReport,
     MixingReport,
@@ -24,6 +24,7 @@ from ulmc.harness import (
     compare_study,
     contract_csv,
     contractivity_study,
+    converge_problems,
     convergence_csv,
     fit_order,
     gaussian_ground_truth,
@@ -139,6 +140,22 @@ def test_fit_order_needs_three_rows():
 def test_fit_order_rejects_nonpositive_errors():
     with pytest.raises(ValueError):
         fit_order([(8, 0.1), (16, 0.0), (32, 0.01)])
+
+
+def test_fit_order_needs_two_distinct_step_counts():
+    with pytest.raises(ValueError, match="distinct step counts"):
+        fit_order([(4, 1.0), (4, 0.5), (4, 0.25)])
+    assert fit_order([(4, 1.0), (4, 0.5), (8, 0.25)]).slope < 0.0
+
+
+def test_fine_level_must_fit_the_noise_index():
+    # tree node indices stay below 2**fine_level and must fit a 64-bit counter word
+    assert converge_problems(["quicsort"], 1.0, 2, [3, 4, 5], 64) == []
+    for fine_level in (65, 1500):
+        problems = converge_problems(["quicsort"], 1.0, 2, [3, 4, 5], fine_level)
+        assert problems and problems[0].startswith("fine_level: ")
+        with pytest.raises(ValueError, match="^fine_level: "):
+            strong_error_study(CFG, POT2, ["quicsort"], 1.0, 2, [3, 4, 5], fine_level, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -518,7 +535,7 @@ def test_report_invariants_enforced():
 def test_convergence_csv_schema(mini_report):
     text = convergence_csv(mini_report)
     lines = text.splitlines()
-    assert lines[0] == "# ulmc-csv v1 converge"
+    assert lines[0] == "# ulmc-csv v2 converge"
     assert lines[1] == "method,N,rms_error"
     assert len(lines) == 2 + 12
     method, n, err = lines[2].split(",")
@@ -532,7 +549,7 @@ def test_mixing_csv_schema(aniso_truth):
     rep = mixing_study(CFG, pot, "quicsort", 64, 0.2, [0, 3], gt, seed=1)
     text = mixing_csv({"quicsort": rep}, kind="compare")
     lines = text.splitlines()
-    assert lines[0] == "# ulmc-csv v1 compare"
+    assert lines[0] == "# ulmc-csv v2 compare"
     assert lines[1] == "method,grad_evals,energy_dist,w2"
     assert lines[2].startswith("quicsort,0,")
     with pytest.raises(ValueError):
@@ -541,13 +558,13 @@ def test_mixing_csv_schema(aniso_truth):
 
 def test_contract_and_stationary_csv():
     text = contract_csv([1.0, 0.5, 0.25])
-    assert text.splitlines()[0] == "# ulmc-csv v1 contract"
+    assert text.splitlines()[0] == "# ulmc-csv v2 contract"
     assert text.splitlines()[2] == "0,1"
     assert text.splitlines()[3] == "1,0.5"
     rep = stationary_study(CFG, POT2, 0.1, 8, 10, 20, seed=2)
     stat = stationary_csv(rep)
     lines = stat.splitlines()
-    assert lines[0] == "# ulmc-csv v1 stationary"
+    assert lines[0] == "# ulmc-csv v2 stationary"
     assert lines[1] == "statistic,value"
     assert lines[2].startswith("mean_x_sq,")
 
@@ -602,9 +619,8 @@ def _ref_divergence(name, step, h, state, chunk):
 
 def _ref_chunk_loop(cfg, pot, method, chunk, size, h, n_steps, seed, tags, initial, observe):
     """One chunk: fetch each increment, step, check, then hand the state over."""
-    tag_x, tag_v, tag_path = tags
-    state = harness._initial_state(cfg, pot, initial, seed, tag_x, tag_v, chunk, size)
-    path = BrownianPath(harness._child_seed(seed, tag_path, chunk), pot.meta.d, shape=(size,))
+    state = harness._initial_state(cfg, pot, initial, seed, tags, chunk, size)
+    path = BrownianPath(chunk_key(seed, tags[2], chunk), pot.meta.d, shape=(size,))
     observe(0, state)
     for step in range(1, n_steps + 1):
         inc = path.increment(step - 1, h, with_halves=method == "ubu")
@@ -629,7 +645,7 @@ def _ref_clouds(cfg, pot, method, n_chains, h, record, seed, tags, initial, thre
 
 def _ref_stationary(cfg, pot, method, h, n_chains, burn_in, kept, seed, initial):
     d = pot.meta.d
-    tags = (harness._TAG_STATIONARY_X, harness._TAG_STATIONARY_V, harness._TAG_STATIONARY_PATH)
+    tags = harness._TAGS_STATIONARY
     totals = np.zeros(4)
     for chunk, size in enumerate(harness._chunk_sizes(n_chains)):
         sums = [0.0, 0.0, 0.0, 0.0]
@@ -660,12 +676,9 @@ def _ref_strong_errors(cfg, pot, methods, horizon, paths, levels, fine_level, se
     totals = dict.fromkeys(keys, 0.0)
     initial = harness._default_initial(pot)
     for chunk, size in enumerate(harness._chunk_sizes(paths)):
-        state0 = harness._initial_state(
-            cfg, pot, initial, seed, harness._TAG_CONVERGE_X, harness._TAG_CONVERGE_V, chunk, size
-        )
+        state0 = harness._initial_state(cfg, pot, initial, seed, harness._TAGS_CONVERGE, chunk, size)
         tree = DyadicBrownianTree(
-            harness._child_seed(seed, harness._TAG_CONVERGE_TREE, chunk), pot.meta.d, horizon,
-            shape=(size,),
+            chunk_key(seed, harness._TAGS_CONVERGE[2], chunk), pot.meta.d, horizon, shape=(size,)
         )
         # [method, level, state, steps]; the quicsort reference at fine_level last
         runs = [[m, lvl, state0, 0] for m, lvl in keys] + [["quicsort", fine_level, state0, 0]]
@@ -699,7 +712,7 @@ def _ref_contract(cfg, pot, h, n_steps, n_pairs, seed, pairs=None):
             for _ in range(2)
         ]
     a, b = pairs
-    path = BrownianPath(harness._child_seed(seed, harness._TAG_CONTRACT_PATH, 0), d, shape=(n_pairs,))
+    path = BrownianPath(chunk_key(seed, harness._TAG_CONTRACT_PATH, 0), d, shape=(n_pairs,))
     out = [harness._transformed_distance(cfg, a, b)]
     for i in range(n_steps):
         inc = path.increment(i, h)
@@ -730,7 +743,7 @@ def test_clouds_equal_the_per_chunk_loop(method):
 
 def test_long_run_ground_truth_equals_the_per_chunk_loop(aniso_truth):
     pot, _ = aniso_truth
-    tags = (harness._TAG_TRUTH_X, harness._TAG_TRUTH_V, harness._TAG_TRUTH_PATH)
+    tags = harness._TAGS_TRUTH
     want = _ref_clouds(CFG, pot, "quicsort", 130, 0.05, (20,), 81, tags, harness._default_initial(pot), 1)
     cloud = long_run_ground_truth(CFG, pot, 130, 0.05, 20, seed=81)
     np.testing.assert_array_equal(cloud.samples, want[20])

@@ -343,6 +343,14 @@ def test_simulate_rejects_bad_partition():
         simulate(cfg, QuadraticPotential(1.0, d=1), init, BrownianPath(0, 1), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("times", [[0.0, np.inf], [0.0, np.nan, 1.0], [-np.inf, 0.0]])
+def test_simulate_rejects_non_finite_times(times):
+    cfg = SolverConfig(gamma=1.0)
+    init = PhaseState(np.zeros(1), np.zeros(1))
+    with pytest.raises(ValueError, match="times must be finite"):
+        simulate(cfg, QuadraticPotential(1.0, d=1), init, BrownianPath(0, 1), times)
+
+
 class _NanForce:
     def gradient(self, x):
         return np.full_like(x, np.nan)
