@@ -1,13 +1,14 @@
 """Experiment drivers: convergence, contraction, stationarity, and mixing.
 
 Every study here is deterministic given its seed and arguments.  Work is cut
-into fixed-size chunks of paths or chains, each chunk draws its noise from
-generators keyed by (seed, tag, chunk), and per-chunk results are folded in
-chunk order.  Mixing studies evolve their clouds first and then measure every
-checkpoint, gathering the distances in checkpoint order.  The ``threads``
-argument therefore changes wall time, never output; it caps the chunk workers
-and the distance workers, and work too small to gain from threads runs
-serially in the calling thread.
+into fixed-size chunks of paths or chains, each chunk draws its initial state
+(positions from the dataset prior or N(0, I), velocities from N(0, u I)) and
+its noise from generators keyed by (seed, tag, chunk), and per-chunk results
+are folded in chunk order.  Mixing studies evolve their clouds first and then
+measure every checkpoint, gathering the distances in checkpoint order.  The
+``threads`` argument therefore changes wall time, never output; it caps the
+chunk workers and the distance workers, and work too small to gain from
+threads runs serially in the calling thread.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ _POOL_MIN_LOGITS = 32768
 # 128 and 0.58x at 640.
 _POOL_MIN_POINTS = 128
 
+# A checkpoint's exact W2 uses at most this many points of each cloud, subsampled by seed.
+_METRIC_CAP = 2048
+
+_MIN_STEP = math.ulp(0.0)  # the smallest positive float; shorter steps are 0
+
 _CSV_VERSION = "ulmc-csv v2"
 
 # Tags of the work units this module keys with chunk_key.  A chain study's
@@ -144,42 +150,51 @@ def _pool_map(fn: Callable, items: Sequence, workers: int) -> list:
     return [fn(item) for item in items]
 
 
+def _matched_step(method: str, h: float) -> float:
+    """The step at which ``method`` spends the gradients of a two-gradient step of ``h``."""
+    return h / (2 // STEPPER_SPECS[method].gradient_evals)
+
+
+def _shortest_step(method: str, step: float) -> float:
+    """The shortest interval ``method`` steps over at ``step``: its left half if it steps on halves."""
+    return 0.5 * step if STEPPER_SPECS[method].needs_halves else step
+
+
 def _map_chunks(worker: Callable[[int], object], n_chunks: int, threads: int) -> list:
     """Run chunk workers on up to ``threads`` threads, returning results in order."""
     return _pool_map(worker, range(n_chunks), threads)
 
 
-def _default_initial(pot) -> Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]:
-    """Initial-position sampler: the dataset prior when there is one, else N(0, I)."""
+def _initial_state(cfg, pot, seed, tags, chunk, size) -> PhaseState:
+    """Positions from the dataset prior when ``pot`` has one, else N(0, I), and
+    velocities from N(0, u I), keyed by the first two of a study's ``tags``."""
+    d = pot.meta.d
+    g = keyed_generator(seed, tags[0], chunk)
     dataset = getattr(pot, "dataset", None)
-    if dataset is not None:
-        return lambda rng, shape: sample_prior(dataset, rng, shape=shape)
-    d = pot.meta.d
-    return lambda rng, shape: rng.standard_normal((*shape, d))
-
-
-def _initial_state(cfg, pot, initial, seed, tags, chunk, size) -> PhaseState:
-    """Positions from ``initial`` (None for the default sampler), velocities from N(0, u I),
-    keyed by the first two of a study's ``tags``."""
-    tag_x, tag_v = tags[:2]
-    if initial is None:
-        initial = _default_initial(pot)
-    d = pot.meta.d
-    x0 = np.asarray(initial(keyed_generator(seed, tag_x, chunk), (size,)), dtype=float)
-    if x0.shape != (size, d):
-        raise ValueError(f"initial sampler returned shape {x0.shape}, expected {(size, d)}")
-    v0 = math.sqrt(cfg.u) * keyed_generator(seed, tag_v, chunk).standard_normal((size, d))
+    x0 = g.standard_normal((size, d)) if dataset is None else sample_prior(dataset, g, shape=(size,))
+    v0 = math.sqrt(cfg.u) * keyed_generator(seed, tags[1], chunk).standard_normal((size, d))
     return PhaseState(x0, v0)
 
 
-def _run_chains(cfg, pot, method, n_chains, h, n_steps, seed, tags, initial, threads, observe, start):
-    """Step chunked chains on keyed paths, returning each chunk's ``start()`` in
-    chunk order after ``observe(it, step, state)`` has seen states 0 to ``n_steps``."""
-    sizes = _chunk_sizes(int(n_chains))
+def _chunked(cfg, pot, n, seed, tags, threads, body: Callable) -> list:
+    """``body(chunk, state, key)`` for each chunk of ``n`` paths or chains, in chunk order:
+    ``state`` is the chunk's keyed initial state and ``key`` its noise key, so every
+    run on a chunk starts alike and reads one noise."""
+    sizes = _chunk_sizes(int(n))
 
     def run_chunk(chunk: int):
-        state = _initial_state(cfg, pot, initial, seed, tags, chunk, sizes[chunk])
-        path = BrownianPath(chunk_key(seed, tags[2], chunk), pot.meta.d, shape=(sizes[chunk],))
+        state = _initial_state(cfg, pot, seed, tags, chunk, sizes[chunk])
+        return body(chunk, state, chunk_key(seed, tags[2], chunk))
+
+    return _map_chunks(run_chunk, len(sizes), _chunk_workers(pot, threads, len(sizes)))
+
+
+def _run_chains(cfg, pot, method, n_chains, h, n_steps, seed, tags, threads, observe, start):
+    """Step chunked chains on keyed paths, returning each chunk's ``start()`` in
+    chunk order after ``observe(it, step, state)`` has seen states 0 to ``n_steps``."""
+
+    def run_chunk(chunk: int, state: PhaseState, key: int):
+        path = BrownianPath(key, pot.meta.d, shape=(len(state.x),))
         result = start()
         watch = functools.partial(observe, result)
         watch(0, state)
@@ -188,7 +203,7 @@ def _run_chains(cfg, pot, method, n_chains, h, n_steps, seed, tags, initial, thr
             run.advance(cfg, pot, path.increment(step, h, with_halves=run.needs_halves))
         return result
 
-    return _map_chunks(run_chunk, len(sizes), _chunk_workers(pot, threads, len(sizes)))
+    return _chunked(cfg, pot, n_chains, seed, tags, threads, run_chunk)
 
 
 @dataclass(frozen=True)
@@ -315,6 +330,10 @@ def converge_problems(
             f"fine_level: tree node indices below 2**fine_level must fit the "
             f"{_INDEX_BITS}-bit noise index, so it can be at most {_INDEX_BITS}",
         ),
+        (  # halvings round, and below this horizon the shortest finest step is 0
+            not 0.0 < horizon < math.inf or fine_level > _INDEX_BITS or horizon >= math.ldexp(_MIN_STEP, fine_level),
+            f"horizon: must be at least 2**fine_level * {_MIN_STEP:g}, or the finest steps underflow to 0",
+        ),
     )
     levels = sorted({int(lvl) for lvl in coarse_levels})
     if not levels:
@@ -346,7 +365,6 @@ def strong_error_study(
     fine_level: int,
     seed: int,
     *,
-    initial: Callable | None = None,
     threads: int = 1,
 ) -> ConvergenceReport:
     """Strong L2 errors against a shared-path fine reference.
@@ -355,49 +373,41 @@ def strong_error_study(
     level n, the 2**n interval increments of one Brownian path over
     [0, horizon].  Each method at each coarse level and the reference
     (the two-gradient stepper at ``fine_level``) consume the same tree, so
-    differences measure integrator error alone.  The reported error for a
-    method at step count N = 2**n is
+    differences measure integrator error alone; a two-gradient run at
+    ``fine_level`` is the reference itself and errs by exactly 0.  The
+    reported error for a method at step count N = 2**n is
 
         S = sqrt(mean over paths of |X_N(horizon) - X_fine(horizon)|^2)
 
     with positions compared at the final time.  Initial positions come
-    from ``initial`` (default: the dataset prior when the potential has
-    one, else standard normal) and initial velocities from N(0, u I),
-    shared by all methods on a given path.
+    from the dataset prior when the potential has one, else N(0, I), and
+    initial velocities from N(0, u I), shared by all methods on a given path.
     """
     method_list = tuple(dict.fromkeys(str(m) for m in methods))
     _require(converge_problems(method_list, horizon, paths, coarse_levels, fine_level))
     levels = tuple(sorted({int(lvl) for lvl in coarse_levels}))
     fine_level = int(fine_level)
 
-    d = pot.meta.d
-    sizes = _chunk_sizes(int(paths))
     keys = [(m, lvl) for m in method_list for lvl in levels]
+    ref_key = ("quicsort", fine_level)
 
-    def run_chunk(chunk: int) -> dict[tuple[str, int], float]:
-        size = sizes[chunk]
-        state0 = _initial_state(cfg, pot, initial, seed, _TAGS_CONVERGE, chunk, size)
-        tree = DyadicBrownianTree(chunk_key(seed, _TAGS_CONVERGE[2], chunk), d, float(horizon), shape=(size,))
-        runs: dict[tuple[str, int], ChainRunner] = {}
+    def run_chunk(chunk: int, state0: PhaseState, key: int) -> dict[tuple[str, int], float]:
+        tree = DyadicBrownianTree(key, pot.meta.d, float(horizon), shape=(len(state0.x),))
+        runs = {
+            (m, lvl): ChainRunner(m, state0, horizon / 2.0**lvl, chunk)
+            for m, lvl in dict.fromkeys([*keys, ref_key])
+        }
         by_depth: dict[int, list[ChainRunner]] = {}
-        for m, lvl in keys:
-            run = ChainRunner(m, state0, horizon / 2.0**lvl, chunk)
-            runs[(m, lvl)] = run
+        for (_, lvl), run in runs.items():
             by_depth.setdefault(lvl, []).append(run)
-        fine_run = ChainRunner("quicsort", state0, horizon / 2.0**fine_level, chunk)
-        by_depth.setdefault(fine_level, []).append(fine_run)
         _descend(tree, cfg, pot, 1, tree.root(), 0, fine_level, by_depth)
-        ref = fine_run.state.x
-        return {key: float(np.sum((runs[key].state.x - ref) ** 2)) for key in keys}
+        ref = runs[ref_key].state.x
+        return {k: float(np.sum((runs[k].state.x - ref) ** 2)) for k in keys}
 
-    totals = {key: 0.0 for key in keys}
-    for part in _map_chunks(run_chunk, len(sizes), _chunk_workers(pot, threads, len(sizes))):
-        for key, val in part.items():
-            totals[key] += val
-
+    parts = _chunked(cfg, pot, paths, seed, _TAGS_CONVERGE, threads, run_chunk)
     step_counts = tuple(2**lvl for lvl in levels)
     errors = {
-        m: tuple(math.sqrt(totals[(m, lvl)] / paths) for lvl in levels)
+        m: tuple(math.sqrt(sum(part[(m, lvl)] for part in parts) / paths) for lvl in levels)
         for m in method_list
     }
     fits = {}
@@ -453,8 +463,6 @@ def contractivity_study(
     n_steps: int,
     n_pairs: int,
     seed: int,
-    *,
-    initial_pairs: tuple[PhaseState, PhaseState] | None = None,
 ) -> np.ndarray:
     """Transformed distance between synchronously coupled chains, per step.
 
@@ -467,17 +475,10 @@ def contractivity_study(
     """
     _require(contract_problems(cfg, pot, h, n_steps, n_pairs))
     d = pot.meta.d
-    if initial_pairs is None:
-        g = keyed_generator(seed, _TAG_CONTRACT_INIT, 0)
-        scale = math.sqrt(cfg.u)
-        state_a = PhaseState(g.standard_normal((n_pairs, d)), scale * g.standard_normal((n_pairs, d)))
-        state_b = PhaseState(g.standard_normal((n_pairs, d)), scale * g.standard_normal((n_pairs, d)))
-    else:
-        state_a, state_b = initial_pairs
-        for s in (state_a, state_b):
-            if s.x.shape != (n_pairs, d) or s.v.shape != (n_pairs, d):
-                raise ValueError(f"initial pair states must have shape {(n_pairs, d)}")
-
+    g = keyed_generator(seed, _TAG_CONTRACT_INIT, 0)
+    scale = math.sqrt(cfg.u)
+    state_a = PhaseState(g.standard_normal((n_pairs, d)), scale * g.standard_normal((n_pairs, d)))
+    state_b = PhaseState(g.standard_normal((n_pairs, d)), scale * g.standard_normal((n_pairs, d)))
     path = BrownianPath(chunk_key(seed, _TAG_CONTRACT_PATH, 0), d, shape=(n_pairs,))
     # one pair per row, so a divergence names the pair as its chain
     run_a, run_b = (ChainRunner("quicsort", s, h, 0) for s in (state_a, state_b))
@@ -519,9 +520,7 @@ class MixingReport:
         return {"kind": "mixing", **asdict(self)}
 
 
-def _evolve_positions(
-    cfg, pot, method, n_chains, h, record, seed, tags, initial, threads
-) -> dict[int, np.ndarray]:
+def _evolve_positions(cfg, pot, method, n_chains, h, record, seed, tags, threads) -> dict[int, np.ndarray]:
     """Advance chunked chains, returning position clouds at the recorded steps."""
     wanted = frozenset(record)
 
@@ -529,7 +528,7 @@ def _evolve_positions(
         if step in wanted:
             snaps[step] = state.x.copy()
 
-    parts = _run_chains(cfg, pot, method, n_chains, h, max(wanted), seed, tags, initial, threads, observe, dict)
+    parts = _run_chains(cfg, pot, method, n_chains, h, max(wanted), seed, tags, threads, observe, dict)
     return {step: np.concatenate([p[step] for p in parts], axis=0) for step in sorted(wanted)}
 
 
@@ -543,7 +542,7 @@ def mixing_problems(
     """
     key, names = ("method", [methods]) if isinstance(methods, str) else ("methods", methods)
     cps = list(checkpoints)
-    return _method_problems(key, names) + _unmet(
+    problems = _method_problems(key, names) + _unmet(
         (n_chains >= 1, "chains: need at least 1"),
         (0.0 < h < math.inf, "h: step size must be positive and finite"),
         (
@@ -551,11 +550,15 @@ def mixing_problems(
             "checkpoints: must be strictly increasing step indices >= 0",
         ),
     )
+    return problems + [
+        f"h: {m} would step over intervals that underflow to 0"
+        for m in dict.fromkeys(names)
+        if 0.0 < h < math.inf and m in STEPPER_SPECS
+        and not _shortest_step(m, h if key == "method" else _matched_step(m, h)) > 0.0
+    ]
 
 
-def _mixing_reports(
-    cfg, pot, runs, n_chains, ground_truth, seed, initial, threads, metric_cap
-) -> list[MixingReport]:
+def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> list[MixingReport]:
     """One report per ``(method, h, checkpoints)`` run, in run order.
 
     Every run's clouds are evolved first, with the chunk rule.  Then every
@@ -566,18 +569,16 @@ def _mixing_reports(
     gt = _as_dist(ground_truth)
 
     clouds = [
-        _evolve_positions(cfg, pot, method, n_chains, h, cps, seed, _TAGS_MIXING, initial, threads)
+        _evolve_positions(cfg, pot, method, n_chains, h, cps, seed, _TAGS_MIXING, threads)
         for method, h, cps in runs
     ]
 
-    gt_cmp = gt
-    if gt.n > metric_cap:
-        gt_cmp = subsample(gt, metric_cap, keyed_generator(seed, _TAG_SUBSAMPLE_REF, 0))
+    gt_cmp = gt if gt.n <= _METRIC_CAP else subsample(gt, _METRIC_CAP, keyed_generator(seed, _TAG_SUBSAMPLE_REF, 0))
     jobs = []
     for (_, _, cps), run_clouds in zip(runs, clouds):
         for ci, step in enumerate(cps):
             emp = EmpiricalDistribution(run_clouds[step])
-            m = min(emp.n, gt_cmp.n, metric_cap)
+            m = min(emp.n, gt_cmp.n)
             emp_w = emp if emp.n == m else subsample(emp, m, keyed_generator(seed, _TAG_SUBSAMPLE_EMP, ci))
             gt_w = gt_cmp if gt_cmp.n == m else subsample(gt_cmp, m, keyed_generator(seed, _TAG_SUBSAMPLE_REF, 1 + ci))
             jobs.append((emp, emp_w, gt_w))
@@ -620,9 +621,7 @@ def mixing_study(
     ground_truth,
     seed: int,
     *,
-    initial: Callable | None = None,
     threads: int = 1,
-    metric_cap: int = 2048,
 ) -> MixingReport:
     """Independent chains measured against a reference cloud as they run.
 
@@ -632,14 +631,12 @@ def mixing_study(
     ``ground_truth`` are recorded, together with the cumulative number of
     gradient evaluations spent (per-step cost of the method times steps
     times chains).  The transport metric solves an exact assignment, so
-    clouds larger than ``metric_cap`` are subsampled for it (deterministic
-    in the seed); the energy distance always uses the full clouds.
+    clouds larger than ``_METRIC_CAP`` points are subsampled for it
+    (deterministic in the seed); the energy distance uses the full clouds.
     """
     cps = tuple(int(c) for c in checkpoints)
     _require(mixing_problems(stepper, n_chains, h, cps))
-    (report,) = _mixing_reports(
-        cfg, pot, [(stepper, h, cps)], n_chains, ground_truth, seed, initial, threads, metric_cap
-    )
+    (report,) = _mixing_reports(cfg, pot, [(stepper, h, cps)], n_chains, ground_truth, seed, threads)
     return report
 
 
@@ -653,9 +650,7 @@ def compare_study(
     seed: int,
     *,
     methods: Sequence[str] = ("quicsort", "ubu", "euler"),
-    initial: Callable | None = None,
     threads: int = 1,
-    metric_cap: int = 2048,
 ) -> dict[str, MixingReport]:
     """Mixing studies across methods at matched gradient budgets.
 
@@ -669,12 +664,11 @@ def compare_study(
     methods = tuple(dict.fromkeys(methods))
     cps = tuple(int(c) for c in checkpoints)
     _require(mixing_problems(methods, n_chains, h, cps))
-    runs = []
-    for m in methods:
-        evals = STEPPER_SPECS[m].gradient_evals
-        scale = 2 // evals
-        runs.append((m, h * evals / 2.0, tuple(c * scale for c in cps)))
-    reports = _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, initial, threads, metric_cap)
+    runs = [
+        (m, _matched_step(m, h), tuple(c * (2 // STEPPER_SPECS[m].gradient_evals) for c in cps))
+        for m in methods
+    ]
+    reports = _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads)
     return {rep.method: rep for rep in reports}
 
 
@@ -708,6 +702,7 @@ def stationary_problems(h: float, n_chains: int, burn_in: int, kept: int) -> lis
     """Why :func:`stationary_study` cannot run on these arguments; empty if it can."""
     return _unmet(
         (0.0 < h < math.inf, "h: step size must be positive and finite"),
+        (not 0.0 < h or _shortest_step("ubu", h) > 0.0, "h: the halves of a step, which ubu steps on, underflow to 0"),
         (n_chains >= 1, "chains: need at least 1"),
         (burn_in >= 0, "burn_in: must be nonnegative"),
         (kept >= 1, "kept: need at least one kept step"),
@@ -724,7 +719,6 @@ def stationary_study(
     seed: int,
     *,
     stepper="quicsort",
-    initial: Callable | None = None,
     threads: int = 1,
 ) -> StationaryReport:
     """Empirical stationary moments from long chains after burn-in.
@@ -755,15 +749,11 @@ def stationary_study(
         # when a square overflows) is the state checked entry by entry
         return math.isfinite(x2_step + v2_step)
 
-    totals = np.zeros(4)
     parts = _run_chains(
-        cfg, pot, stepper, n_chains, h, burn_in + kept, seed, _TAGS_STATIONARY, initial, threads, observe,
+        cfg, pot, stepper, n_chains, h, burn_in + kept, seed, _TAGS_STATIONARY, threads, observe,
         lambda: [0.0, 0.0, 0.0, 0.0],
     )
-    for part in parts:
-        totals += part
-
-    pooled = totals / (float(kept) * n_chains * d)
+    pooled = sum(parts, np.zeros(4)) / (float(kept) * n_chains * d)
     return StationaryReport(
         mean_x_sq=float(d * pooled[0]),
         mean_v_sq=float(d * pooled[1]),
@@ -807,7 +797,6 @@ def long_run_ground_truth(
     n_steps: int,
     seed: int,
     *,
-    initial: Callable | None = None,
     threads: int = 1,
 ) -> EmpiricalDistribution:
     """Reference cloud for targets without exact samplers.
@@ -818,9 +807,7 @@ def long_run_ground_truth(
     ``n_steps * h`` comfortably longer than the mixing time.
     """
     _require(ground_truth_problems(n_samples, h, n_steps))
-    clouds = _evolve_positions(
-        cfg, pot, "quicsort", n_samples, h, (int(n_steps),), seed, _TAGS_TRUTH, initial, threads
-    )
+    clouds = _evolve_positions(cfg, pot, "quicsort", n_samples, h, (int(n_steps),), seed, _TAGS_TRUTH, threads)
     return EmpiricalDistribution(clouds[int(n_steps)])
 
 

@@ -74,6 +74,8 @@ class SolverConfig:
         for key in ("u", "gamma"):  # auto gamma derives from u: name u first
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key}: must be positive and finite, got {getattr(self, key)}")
+        if not 2.0 * self.gamma * self.u < math.inf:
+            raise ValueError(f"gamma: 2*gamma*u must be finite for sigma, got gamma {self.gamma} and u {self.u}")
 
     @property
     def sigma(self) -> float:
@@ -159,10 +161,10 @@ def phi2(gamma: float, h: float, x) -> np.ndarray | float:
     """(exp(-x*gamma*h) + x*gamma*h - 1) / gamma**2, evaluated stably."""
     x = np.asarray(x, dtype=float)
     a = x * gamma * h
-    if gamma**2 >= _TINY:
+    if _TINY <= gamma * gamma < math.inf:
         return _exprel2(a) / gamma**2
-    # gamma**2 is subnormal or zero: take the series' a**2 / gamma**2 as
-    # (x*h)**2 and divide the direct form by gamma twice
+    # gamma**2 overflows, or is subnormal or zero: take the series' a**2 / gamma**2
+    # as (x*h)**2 and divide the direct form by gamma twice
     return np.where(a < _SERIES_BELOW, (x * h) ** 2 * _exprel2_over_sq(a), _exprel2(a) / gamma / gamma)
 
 

@@ -160,8 +160,10 @@ def wasserstein2(mu, nu) -> float:
     """2-Wasserstein distance between equally sized point clouds.
 
     Solved as an exact assignment problem on squared Euclidean costs; in one
-    dimension this reduces to matching sorted coordinates.  Clouds larger
-    than 4096 points are refused; reduce them with :func:`subsample` first.
+    dimension this reduces to matching sorted coordinates.  Squared
+    distances that overflow are infinite, so the distance is inf when every
+    assignment needs one.  Clouds larger than 4096 points are refused;
+    reduce them with :func:`subsample` first.
     """
     mu = _as_dist(mu)
     nu = _as_dist(nu)
@@ -181,7 +183,12 @@ def wasserstein2(mu, nu) -> float:
         return float(np.sqrt(np.mean(diff**2)))
     _, cdist_sqeuclidean, linear_sum_assignment = distance_kernels()
     cost = cdist_sqeuclidean(mu.samples, nu.samples)
-    rows, cols = linear_sum_assignment(cost)
+    try:
+        rows, cols = linear_sum_assignment(cost)
+    except ValueError:  # SciPy raises when every assignment needs an inf cost
+        if np.isfinite(cost).all():
+            raise
+        return np.inf
     return float(np.sqrt(cost[rows, cols].mean()))
 
 

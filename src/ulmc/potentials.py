@@ -253,14 +253,13 @@ def load_dataset(
     path,
     *,
     label_col: int = 0,
-    delimiter: str | None = None,
     standardize: bool = False,
     skip_header: int = 0,
 ) -> LogisticDataset:
     """Read a delimited numeric file into a :class:`LogisticDataset`.
 
-    ``delimiter`` None sniffs between comma and whitespace from the first
-    data line.  The column ``label_col`` holds labels in {0, 1} (mapped to
+    The delimiter, comma or whitespace, is sniffed from the first data
+    line.  The column ``label_col`` holds labels in {0, 1} (mapped to
     {-1, +1}) or already in {-1, +1}.  ``standardize`` rescales each feature
     column to zero mean and unit population variance before the pooled
     feature variance is computed; a constant column is an error then.
@@ -268,12 +267,10 @@ def load_dataset(
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    if delimiter is None:
-        with open(path) as fh:
-            for _ in range(skip_header):
-                fh.readline()
-            first = fh.readline()
-        delimiter = "," if "," in first else None
+    with open(path) as fh:
+        for _ in range(skip_header):
+            fh.readline()
+        delimiter = "," if "," in fh.readline() else None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty input warns before we raise
@@ -323,15 +320,13 @@ def synthetic_dataset(
     *,
     seed: int = 2024,
     margin: float = 1.0,
-    flip_fraction: float = 0.0,
 ) -> LogisticDataset:
     """Deterministic synthetic binary-classification data.
 
     Rows are standard-normal feature vectors kept only when the score along
     a fixed teacher direction clears ``margin`` (in score standard
-    deviations), labelled by the score's sign; ``flip_fraction`` then flips
-    that fraction of labels.  Larger margins give a flatter, better
-    conditioned posterior.
+    deviations), labelled by the score's sign.  Larger margins give a
+    flatter, better conditioned posterior.
     """
     if rows < 1 or d_feat < 1:
         raise ValueError("need at least one row and one feature")
@@ -345,9 +340,4 @@ def synthetic_dataset(
         keep = np.abs(score) >= margin
         feats = np.vstack([feats, cand[keep]])
     feats = feats[:rows]
-    labels = np.sign(feats @ teacher)
-    if flip_fraction > 0:
-        n_flip = int(round(flip_fraction * rows))
-        if n_flip:
-            labels[rng.choice(rows, size=n_flip, replace=False)] *= -1.0
-    return LogisticDataset(feats, labels)
+    return LogisticDataset(feats, np.sign(feats @ teacher))

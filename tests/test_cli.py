@@ -426,6 +426,13 @@ _BAD_SETTINGS = [
     ("sample", "truth_h", {"truth_h": 0.0, "dataset": _DATA}),
     ("sample", "truth_steps", {"truth_steps": 0, "dataset": _DATA}),
     ("converge", "fine_level", {"fine_level": 65}),  # node indices past the 64-bit counter word
+    # derived steps that underflow to 0
+    ("converge", "horizon", {"horizon": 5e-324}),
+    ("converge", "horizon", {"horizon": 7 * 5e-324}),  # below 2**fine_level steps of 5e-324
+    ("sample", "h", {"method": "ubu", "h": 5e-324}),
+    ("compare", "h", {"h": 5e-324}),  # one-gradient methods run at h/2
+    ("compare", "h", {"methods": ("ubu",), "h": 1e-323}),  # and ubu on halves of that
+    ("stationary", "h", {"h": 5e-324}),
 ]
 
 
@@ -492,6 +499,41 @@ def test_auto_policy_overflow_exits_2(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+_SMALL = ["--chains", "2", "--truth-samples", "2", "--checkpoints", "0,1"]
+_STATIONARY = ["stationary", "--chains", "2", "--burn-in", "1", "--kept", "2"]
+_CONVERGE = ["converge", "--paths", "2", "--levels", "1:3", "--fine-level", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, codes",
+    [
+        # gamma**2 overflows in phi2, directly or through the auto gamma of a huge u
+        (_STATIONARY + ["--gamma", "1e160"], (0, 3)),
+        (_CONVERGE + ["--gamma", "1e160"], (0, 3)),
+        (["sample", *_SMALL, "--gamma", "1e160"], (0, 3)),
+        (["compare", *_SMALL, "--gamma", "1e160"], (0, 3)),
+        # sigma = sqrt(2*gamma*u) overflows: a diagnostic, not a divergence at step 1
+        (_STATIONARY + ["--u", "1.7e308"], (2,)),
+        (_STATIONARY + ["--gamma", "1.7e308"], (2,)),
+        # steps that underflow to 0
+        (_CONVERGE + ["--horizon", "5e-324"], (2,)),
+        (["compare", *_SMALL, "--h", "5e-324"], (2,)),
+        (["compare", *_SMALL, "--h", "1e-323"], (2,)),
+        (["sample", "--method", "ubu", *_SMALL, "--h", "5e-324"], (2,)),
+        # finite positions whose squared distances overflow
+        (["sample", *_SMALL, "--u", "1e160"], (0, 3)),
+        (["compare", *_SMALL, "--u", "1e160"], (0, 3)),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_extreme_finite_settings_exit_cleanly(argv, codes, tmp_path, capsys):
+    assert main(argv + ["--dimension", "2", "--out", str(tmp_path / "x")]) in codes
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if codes == (2,):
+        assert re.match(r"ulmc: (gamma|horizon|h): ", err)
+
+
 def test_tiny_gamma_runs_without_a_false_divergence(tmp_path, capsys):
     argv = ["sample", "--gamma", "1e-300", "--chains", "4", "--truth-samples", "8",
             "--dimension", "2", "--checkpoints", "0,2", "--out", str(tmp_path / "g")]
@@ -521,7 +563,7 @@ def test_empty_method_list_exits_2(experiment, tmp_path, capsys):
 @given(
     experiment=st.sampled_from(list(cli.EXPERIMENTS)),
     key=st.sampled_from(sorted(DEFAULTS)),
-    value=st.sampled_from(["-1", "0", "1", "nan", "inf", "-inf", "1e-300", ""]),
+    value=st.sampled_from(["-1", "0", "1", "nan", "inf", "-inf", "1e-300", "", "1e160", "1.7e308", "5e-324"]),
 )
 def test_any_one_bad_setting_exits_cleanly(experiment, key, value):
     """A tiny run with one setting replaced ends in 0, 2 or 3, never an exception."""

@@ -9,6 +9,7 @@ import json
 import math
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -93,6 +94,30 @@ def pooled(monkeypatch):
     monkeypatch.setattr(harness, "_initial_state", recording)
     _record_metric_threads(monkeypatch, ran)
     return ran
+
+
+def _start_chain_70_at_infinity(monkeypatch):
+    """Chain 70 is row 6 of chunk 1: make its initial position infinite."""
+    initial_state = harness._initial_state
+
+    def patched(cfg, pot, seed, tags, chunk, size):
+        state = initial_state(cfg, pot, seed, tags, chunk, size)
+        if chunk == 1:
+            state.x[6, 1] = np.inf
+        return state
+
+    monkeypatch.setattr(harness, "_initial_state", patched)
+
+
+def _contract_pairs(monkeypatch, a, b):
+    """Make contractivity_study start its pairs at ``a`` and ``b`` (with u = 1)."""
+    draws = iter([a.x, a.v, b.x, b.v])
+    fake = types.SimpleNamespace(standard_normal=lambda shape: next(draws))
+
+    def patched(seed, tag, chunk):
+        return fake if tag == harness._TAG_CONTRACT_INIT else keyed_generator(seed, tag, chunk)
+
+    monkeypatch.setattr(harness, "keyed_generator", patched)
 
 
 def _floor_energy(gt, n, seeds):
@@ -282,7 +307,7 @@ def test_counted_posterior_runs_like_the_posterior():
 def test_sample_clouds_thread_invariant_at_uneven_chain_count(pooled):
     # 130 chains: two full chunks and a chunk of 2
     pot = QuadraticPotential([1.0, 4.0])
-    args = (CFG, pot, "ubu", 130, 0.1, (0, 3, 7), 5, (12, 13, 14), harness._default_initial(pot))
+    args = (CFG, pot, "ubu", 130, 0.1, (0, 3, 7), 5, (12, 13, 14))
     one = harness._evolve_positions(*args, 1)
     pooled.clear()
     two = harness._evolve_positions(*args, 2)
@@ -293,19 +318,10 @@ def test_sample_clouds_thread_invariant_at_uneven_chain_count(pooled):
         np.testing.assert_array_equal(one[step], two[step])
 
 
-def test_divergence_names_chunk_chain_and_magnitudes():
-    # chain 70 is row 6 of chunk 1 and starts at infinity
-    calls = []
-
-    def initial(rng, shape):
-        x = rng.standard_normal((*shape, 2))
-        if len(calls) == 1:
-            x[6, 1] = np.inf
-        calls.append(shape)
-        return x
-
+def test_divergence_names_chunk_chain_and_magnitudes(monkeypatch):
+    _start_chain_70_at_infinity(monkeypatch)
     with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore", over="ignore"):
-        stationary_study(CFG, POT2, 0.1, 130, 0, 5, seed=3, initial=initial)
+        stationary_study(CFG, POT2, 0.1, 130, 0, 5, seed=3)
     exc = err.value
     assert (exc.chunk, exc.chain, exc.step) == (1, 70, 1)
     assert 0.0 < exc.max_abs_x < 100.0 and 0.0 < exc.max_abs_v < 100.0
@@ -336,18 +352,12 @@ def test_strong_study_rejects_bad_arguments():
         strong_error_study(CFG, POT2, ["quicsort"], 0.0, 4, [2], 5, seed=0)
 
 
-def test_strong_study_checks_initial_shape():
-    bad = lambda rng_, shape: rng_.standard_normal((*shape, 3))
-    with pytest.raises(ValueError):
-        strong_error_study(CFG, POT2, ["quicsort"], 2.0, 4, [2], 5, seed=0, initial=bad)
-
-
-def test_contractivity_identical_pairs_stay_identical():
+def test_contractivity_identical_pairs_stay_identical(monkeypatch):
     g = keyed_generator(99, 8, 0)
     x = g.standard_normal((50, 1))
     v = g.standard_normal((50, 1))
-    pair = (PhaseState(x, v), PhaseState(x.copy(), v.copy()))
-    dist = contractivity_study(CFG, POT1, 0.05, 20, 50, seed=11, initial_pairs=pair)
+    _contract_pairs(monkeypatch, PhaseState(x, v), PhaseState(x.copy(), v.copy()))
+    dist = contractivity_study(CFG, POT1, 0.05, 20, 50, seed=11)
     assert dist.shape == (21,)
     assert np.all(dist == 0.0)
 
@@ -413,11 +423,11 @@ def test_mixing_gradient_accounting(aniso_truth):
     assert slow.grad_evals == tuple(1 * c * 128 for c in cps)
 
 
-def test_mixing_deterministic_with_cap(aniso_truth):
+def test_mixing_deterministic_with_cap(aniso_truth, monkeypatch):
     pot, gt = aniso_truth
-    kwargs = dict(metric_cap=64)
-    a = mixing_study(CFG, pot, "quicsort", 96, 0.2, [3], gt, seed=21, **kwargs)
-    b = mixing_study(CFG, pot, "quicsort", 96, 0.2, [3], gt, seed=21, **kwargs)
+    monkeypatch.setattr(harness, "_METRIC_CAP", 64)
+    a = mixing_study(CFG, pot, "quicsort", 96, 0.2, [3], gt, seed=21)
+    b = mixing_study(CFG, pot, "quicsort", 96, 0.2, [3], gt, seed=21)
     assert a == b
     assert a.w2[0] > 0.0
 
@@ -617,9 +627,9 @@ def _ref_divergence(name, step, h, state, chunk):
     )
 
 
-def _ref_chunk_loop(cfg, pot, method, chunk, size, h, n_steps, seed, tags, initial, observe):
+def _ref_chunk_loop(cfg, pot, method, chunk, size, h, n_steps, seed, tags, observe):
     """One chunk: fetch each increment, step, check, then hand the state over."""
-    state = harness._initial_state(cfg, pot, initial, seed, tags, chunk, size)
+    state = harness._initial_state(cfg, pot, seed, tags, chunk, size)
     path = BrownianPath(chunk_key(seed, tags[2], chunk), pot.meta.d, shape=(size,))
     observe(0, state)
     for step in range(1, n_steps + 1):
@@ -630,7 +640,7 @@ def _ref_chunk_loop(cfg, pot, method, chunk, size, h, n_steps, seed, tags, initi
         observe(step, state)
 
 
-def _ref_clouds(cfg, pot, method, n_chains, h, record, seed, tags, initial, threads):
+def _ref_clouds(cfg, pot, method, n_chains, h, record, seed, tags, threads):
     """Position clouds at the recorded steps; same signature as _evolve_positions."""
     parts = {step: [] for step in sorted(record)}
     for chunk, size in enumerate(harness._chunk_sizes(n_chains)):
@@ -639,11 +649,11 @@ def _ref_clouds(cfg, pot, method, n_chains, h, record, seed, tags, initial, thre
             if step in parts:
                 parts[step].append(state.x.copy())
 
-        _ref_chunk_loop(cfg, pot, method, chunk, size, h, max(record), seed, tags, initial, observe)
+        _ref_chunk_loop(cfg, pot, method, chunk, size, h, max(record), seed, tags, observe)
     return {step: np.concatenate(p, axis=0) for step, p in parts.items()}
 
 
-def _ref_stationary(cfg, pot, method, h, n_chains, burn_in, kept, seed, initial):
+def _ref_stationary(cfg, pot, method, h, n_chains, burn_in, kept, seed):
     d = pot.meta.d
     tags = harness._TAGS_STATIONARY
     totals = np.zeros(4)
@@ -657,7 +667,7 @@ def _ref_stationary(cfg, pot, method, h, n_chains, burn_in, kept, seed, initial)
                 for i, moment in enumerate((state.x * state.x, v2, v4, v4 * v2)):
                     sums[i] += float(np.sum(moment))
 
-        _ref_chunk_loop(cfg, pot, method, chunk, size, h, burn_in + kept, seed, tags, initial, observe)
+        _ref_chunk_loop(cfg, pot, method, chunk, size, h, burn_in + kept, seed, tags, observe)
         totals += sums
     pooled = totals / (float(kept) * n_chains * d)
     return StationaryReport(
@@ -674,9 +684,8 @@ def _ref_strong_errors(cfg, pot, methods, horizon, paths, levels, fine_level, se
     """Errors by the recursive tree walk, each level's states stepped by hand."""
     keys = [(m, lvl) for m in methods for lvl in levels]
     totals = dict.fromkeys(keys, 0.0)
-    initial = harness._default_initial(pot)
     for chunk, size in enumerate(harness._chunk_sizes(paths)):
-        state0 = harness._initial_state(cfg, pot, initial, seed, harness._TAGS_CONVERGE, chunk, size)
+        state0 = harness._initial_state(cfg, pot, seed, harness._TAGS_CONVERGE, chunk, size)
         tree = DyadicBrownianTree(
             chunk_key(seed, harness._TAGS_CONVERGE[2], chunk), pot.meta.d, horizon, shape=(size,)
         )
@@ -734,7 +743,7 @@ def _same_divergence(got, want):
 def test_clouds_equal_the_per_chunk_loop(method):
     # 130 chains: two full chunks and a chunk of 2
     pot = QuadraticPotential([1.0, 4.0])
-    args = (CFG, pot, method, 130, 0.1, (0, 3, 7), 5, (12, 13, 14), harness._default_initial(pot), 1)
+    args = (CFG, pot, method, 130, 0.1, (0, 3, 7), 5, (12, 13, 14), 1)
     got, want = harness._evolve_positions(*args), _ref_clouds(*args)
     assert sorted(got) == sorted(want) == [0, 3, 7]
     for step in want:
@@ -744,7 +753,7 @@ def test_clouds_equal_the_per_chunk_loop(method):
 def test_long_run_ground_truth_equals_the_per_chunk_loop(aniso_truth):
     pot, _ = aniso_truth
     tags = harness._TAGS_TRUTH
-    want = _ref_clouds(CFG, pot, "quicsort", 130, 0.05, (20,), 81, tags, harness._default_initial(pot), 1)
+    want = _ref_clouds(CFG, pot, "quicsort", 130, 0.05, (20,), 81, tags, 1)
     cloud = long_run_ground_truth(CFG, pot, 130, 0.05, 20, seed=81)
     np.testing.assert_array_equal(cloud.samples, want[20])
 
@@ -761,7 +770,7 @@ def test_mixing_study_equals_the_per_chunk_loop(method, aniso_truth, monkeypatch
 @pytest.mark.parametrize("method", _METHODS)
 def test_stationary_study_equals_the_per_chunk_loop(method):
     got = stationary_study(CFG, POT2, 0.1, 130, 7, 9, seed=6, stepper=method)
-    assert got == _ref_stationary(CFG, POT2, method, 0.1, 130, 7, 9, 6, harness._default_initial(POT2))
+    assert got == _ref_stationary(CFG, POT2, method, 0.1, 130, 7, 9, 6)
 
 
 def test_strong_error_study_equals_the_tree_walk():
@@ -778,31 +787,21 @@ def test_contractivity_study_equals_the_pair_loop():
 @pytest.mark.parametrize("burn_in", [0, 400])
 def test_stationary_divergence_equals_the_per_chunk_loop(method, burn_in):
     # burn_in 0 diverges in kept steps, where the moment sums vouch for finite states
-    initial = harness._default_initial(_STIFF)
     with pytest.raises(DivergenceError) as got, np.errstate(over="ignore", invalid="ignore"):
         stationary_study(CFG, _STIFF, 0.3, 130, burn_in, 400 - burn_in + 1, seed=6, stepper=method)
     with pytest.raises(DivergenceError) as want, np.errstate(over="ignore", invalid="ignore"):
-        _ref_stationary(CFG, _STIFF, method, 0.3, 130, burn_in, 400 - burn_in + 1, 6, initial)
+        _ref_stationary(CFG, _STIFF, method, 0.3, 130, burn_in, 400 - burn_in + 1, 6)
     _same_divergence(got.value, want.value)
 
 
 def test_divergence_in_a_later_chunk_equals_the_per_chunk_loop(aniso_truth, monkeypatch):
-    # chain 70 is row 6 of chunk 1 and starts at infinity
     pot, gt = aniso_truth
-
-    def initial(rng, shape):
-        x = rng.standard_normal((*shape, 2))
-        if initial.calls == 1:
-            x[6, 1] = np.inf
-        initial.calls += 1
-        return x
-
+    _start_chain_70_at_infinity(monkeypatch)
     errors = []
     for clouds in (harness._evolve_positions, _ref_clouds):
-        initial.calls = 0
         monkeypatch.setattr(harness, "_evolve_positions", clouds)
         with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
-            mixing_study(CFG, pot, "ubu", 130, 0.2, [0, 3], gt, seed=5, initial=initial)
+            mixing_study(CFG, pot, "ubu", 130, 0.2, [0, 3], gt, seed=5)
         errors.append(err.value)
     assert (errors[0].chunk, errors[0].chain, errors[0].step) == (1, 70, 1)
     _same_divergence(*errors)
@@ -817,14 +816,15 @@ def test_strong_study_divergence_equals_the_tree_walk():
     _same_divergence(got.value, want.value)
 
 
-def test_contract_divergence_names_the_pair():
+def test_contract_divergence_names_the_pair(monkeypatch):
     # pair 5 of the second chains starts at infinity
     g = keyed_generator(3, 8, 0)
     a = PhaseState(g.standard_normal((130, 2)), g.standard_normal((130, 2)))
     b = PhaseState(a.x + 1.0, a.v.copy())
     b.x[5, 0] = np.inf
+    _contract_pairs(monkeypatch, a, b)
     with pytest.raises(DivergenceError) as got, np.errstate(over="ignore", invalid="ignore"):
-        contractivity_study(CFG, POT2, 0.05, 4, 130, seed=4, initial_pairs=(a, b))
+        contractivity_study(CFG, POT2, 0.05, 4, 130, seed=4)
     with pytest.raises(DivergenceError) as want, np.errstate(over="ignore", invalid="ignore"):
         _ref_contract(CFG, POT2, 0.05, 4, 130, 4, pairs=(a, b))
     exc = got.value
@@ -858,11 +858,13 @@ def test_mixing_thread_invariant_at_any_chain_count(pooled, aniso_truth, n_chain
     cps = [0, 3]
 
     def run(threads):
-        kwargs = dict(seed=n_chains, threads=threads, metric_cap=cap)
-        return (
-            mixing_study(CFG, pot, method, n_chains, 0.2, cps, gt, **kwargs),
-            compare_study(CFG, pot, n_chains, 0.2, cps, gt, **kwargs),
-        )
+        kwargs = dict(seed=n_chains, threads=threads)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_METRIC_CAP", cap)
+            return (
+                mixing_study(CFG, pot, method, n_chains, 0.2, cps, gt, **kwargs),
+                compare_study(CFG, pot, n_chains, 0.2, cps, gt, **kwargs),
+            )
 
     pooled.clear()
     one = run(1)

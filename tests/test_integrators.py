@@ -146,6 +146,17 @@ def test_phi2_finite_for_tiny_gamma(gamma, h, x):
     assert got == pytest.approx(want, rel=1e-13 + a**3 / 30)
 
 
+@pytest.mark.parametrize("gamma", [1.4e154, 1e160, 1.7e308])
+def test_phi2_finite_for_huge_gamma(gamma):
+    # gamma**2 overflows from gamma ~ 1.34e154; phi2 tends to x*h/gamma (the
+    # unused series branch overflows on the way, hence the errstate)
+    for h in (1e-3, 0.7):
+        for x in (LAMBDA_MINUS, 1.0):
+            with np.errstate(over="ignore"):
+                got = float(phi2(gamma, h, x))
+            assert got == pytest.approx(x * h / gamma, rel=1e-12)
+
+
 def test_phi2_bits_unchanged_while_gamma_squared_is_normal():
     # the plain quotient wherever gamma**2 does not underflow
     xs = np.array([LAMBDA_MINUS, 1.0 / 3.0, LAMBDA_PLUS, 1.0])
@@ -230,6 +241,11 @@ def test_solver_config_validation():
                 SolverConfig(**{"gamma": 1.0, "u": 1.0, key: value})
     cfg = SolverConfig(gamma=2.0, u=1.0)
     assert cfg.sigma == pytest.approx(2.0)
+    # sigma = sqrt(2*gamma*u) must be finite too
+    for gamma, u in ((1.7e308, 1.0), (1e160, 1e160), (1.0, 1.7e308)):
+        with pytest.raises(ValueError, match=r"^gamma: 2\*gamma\*u must be finite"):
+            SolverConfig(gamma=gamma, u=u)
+    assert SolverConfig(gamma=1e160, u=1.0).sigma == pytest.approx(np.sqrt(2e160))
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,13 @@ def test_wasserstein_triangle_inequality():
         assert wasserstein2(a, b) <= wasserstein2(a, c) + wasserstein2(c, b) + 1e-9
 
 
+def test_wasserstein_is_inf_when_every_assignment_overflows():
+    # 1e200**2 overflows, and each matching pairs 1e200 with a point near 0
+    assert wasserstein2([[0.0, 0.0], [1e200, 0.0]], [[0.0, 0.0], [1.0, 0.0]]) == np.inf
+    # an assignment that avoids the overflowing costs keeps its value
+    assert wasserstein2([[0.0, 0.0], [1e200, 0.0]], [[1e200, 0.0], [0.0, 1.0]]) == np.sqrt(0.5)
+
+
 def test_wasserstein_argument_errors():
     with pytest.raises(ValueError, match="equal sample counts"):
         wasserstein2(np.zeros((3, 2)), np.zeros((4, 2)))
