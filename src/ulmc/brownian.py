@@ -210,19 +210,17 @@ _UNIT_COV = np.array(
 )
 
 
-@functools.lru_cache(maxsize=None)
-def bridge_matrices(ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional map for the left part of an interval split, scale-free.
+@functools.cache
+def bridge_matrices() -> tuple[np.ndarray, np.ndarray]:
+    """Conditional map for the left half of an interval split, scale-free.
 
-    For a split of ``[0, s]`` at ``a = ratio*s``, write the normalized
-    vector of an interval of length ``t`` as x̂ = (w/t^0.5, i1/t^1.5,
-    i2/t^2.5).  Then x̂_left | x̂_parent ~ N(A x̂_parent, L Lᵀ) with (A, L)
-    independent of ``s``; this returns that pair.  Cross-covariances come
-    from integrating the Brownian kernel min(r, t) over the two intervals.
+    For a split of ``[0, s]`` at ``a = s/2``, write the normalized vector
+    of an interval of length ``t`` as x̂ = (w/t^0.5, i1/t^1.5, i2/t^2.5).
+    Then x̂_left | x̂_parent ~ N(A x̂_parent, L Lᵀ) with (A, L) independent
+    of ``s``; this returns that pair.  Cross-covariances come from
+    integrating the Brownian kernel min(r, t) over the two intervals.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"split ratio must lie strictly inside (0, 1), got {ratio}")
-    a = float(ratio)
+    a = 0.5
     # Cov((w_L, i1_L, i2_L), (w, i1, i2)) for a parent of unit length.
     cov_lp = np.array(
         [
@@ -235,14 +233,7 @@ def bridge_matrices(ratio: float) -> tuple[np.ndarray, np.ndarray]:
     cross = cov_lp / d_left[:, None]
     a_mat = np.linalg.solve(_UNIT_COV, cross.T).T
     cond = _UNIT_COV - a_mat @ cross.T
-    cond = 0.5 * (cond + cond.T)
-    try:
-        l_mat = np.linalg.cholesky(cond)
-    except np.linalg.LinAlgError:
-        # Extreme ratios leave the conditional covariance barely positive;
-        # fall back to a symmetric square root with clipped spectrum.
-        vals, vecs = np.linalg.eigh(cond)
-        l_mat = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    l_mat = np.linalg.cholesky(0.5 * (cond + cond.T))
     a_mat.setflags(write=False)
     l_mat.setflags(write=False)
     return a_mat, l_mat
@@ -258,8 +249,8 @@ _TO_INTEGRALS = np.array(
 )
 
 
-@functools.lru_cache(maxsize=None)
-def _refine_map(ratio: float) -> np.ndarray:
+@functools.cache
+def _refine_map() -> np.ndarray:
     """The 6x6 map from (parent w, h, k, sqrt(dt)*z) to (left w, h, k, right w, h, k).
 
     Coefficients scale as sqrt(dt), so the map is independent of the
@@ -267,9 +258,9 @@ def _refine_map(ratio: float) -> np.ndarray:
     conjugated into coefficient form; the right rows solve the composition
     rule of :func:`combine` for the right part.
     """
-    a_mat, l_mat = bridge_matrices(ratio)
+    a_mat, l_mat = bridge_matrices()
     t_inv = np.linalg.inv(_TO_INTEGRALS)
-    r, q = float(ratio), 1.0 - float(ratio)
+    r = q = 0.5
     # left coefficients from the normalized bridge x̂_L = A x̂_P + L z
     left = np.sqrt(r) * t_inv @ np.hstack([a_mat @ _TO_INTEGRALS, l_mat])
     # time integrals of both children in units of the parent's length
@@ -282,30 +273,25 @@ def _refine_map(ratio: float) -> np.ndarray:
     return full
 
 
-def refine(
-    inc: BrownianIncrement,
-    rng: np.random.Generator,
-    *,
-    ratio: float = 0.5,
-) -> tuple[BrownianIncrement, BrownianIncrement]:
-    """Split one interval into two that compose back to it exactly.
+def refine(inc: BrownianIncrement, rng: np.random.Generator) -> tuple[BrownianIncrement, BrownianIncrement]:
+    """Split one interval at its midpoint into two that compose back to it exactly.
 
-    The left part is drawn from the exact conditional Gaussian law of its
-    (w, i1, i2) given the parent's, and the right part is then fixed by the
+    The left half is drawn from the exact conditional Gaussian law of its
+    (w, i1, i2) given the parent's, and the right half is then fixed by the
     composition rule, so ``combine(left, right)`` reproduces ``inc`` up to
-    rounding.  ``ratio`` is the fraction of ``inc.dt`` given to the left
-    part.  Both steps are linear, so the children come from one
-    precomputed map per ratio applied to the parent's coefficients and
-    ``rng``'s standard normals of shape ``(3, *batch, d)``.
+    rounding.  Tree nodes, stepper halves and the fine reference all split
+    so.  Both steps are linear: the children come from one precomputed map
+    applied to the parent's coefficients and ``rng``'s standard normals of
+    shape ``(3, *batch, d)``.
     """
-    full = _refine_map(ratio)
+    full = _refine_map()
     s = inc.dt
     stacked = np.empty((6, *inc.w.shape))
     stacked[0], stacked[1], stacked[2] = inc.w, inc.h, inc.k
     rng.standard_normal(out=stacked[3:])
     stacked[3:] *= np.sqrt(s)
     out = (full @ stacked.reshape(6, -1)).reshape(stacked.shape)
-    dt_l = ratio * s
+    dt_l = 0.5 * s
     left = BrownianIncrement._trusted(dt_l, out[0], out[1], out[2])
     right = BrownianIncrement._trusted(s - dt_l, out[3], out[4], out[5])
     return left, right

@@ -2,8 +2,9 @@
 
 Settings resolve in three layers: built-in defaults, then a flat
 ``key = value`` config file given with --config, then command-line flags.
-Every run writes a CSV table and a JSON report embedding the fully
-resolved configuration, so a run can be replayed from its own output.
+Every run writes a CSV table and a JSON report that records every resolved
+setting, plus the ``gamma_resolved`` and ``u_resolved`` the solver used.
+``--config`` reads only ``key = value`` lines, not that JSON.
 Exit codes: 0 success, 2 invalid configuration or reports that cannot be
 written, 3 numerical divergence.
 """

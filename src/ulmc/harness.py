@@ -589,7 +589,7 @@ def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> li
 
     def measure(job) -> tuple[float, float]:
         emp, emp_w, gt_w = job
-        return math.sqrt(max(energy_distance_sq(emp, gt), 0.0)), wasserstein2(emp_w, gt_w)
+        return math.sqrt(energy_distance_sq(emp, gt)), wasserstein2(emp_w, gt_w)
 
     workers = _metric_workers(threads, len(jobs), min(int(n_chains), gt.n))
     measured = iter(_pool_map(measure, jobs, workers))

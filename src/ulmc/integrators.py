@@ -149,23 +149,26 @@ def _exprel2(a):
 
 def phi0(gamma: float, h: float, x) -> np.ndarray | float:
     """exp(-x*gamma*h)."""
-    return np.exp(-np.asarray(x, dtype=float) * gamma * h)
+    with np.errstate(over="ignore"):  # x*gamma*h = inf gives the limit 0
+        return np.exp(-np.asarray(x, dtype=float) * gamma * h)
 
 
 def phi1(gamma: float, h: float, x) -> np.ndarray | float:
     """(1 - exp(-x*gamma*h)) / gamma, evaluated stably."""
-    return -np.expm1(-np.asarray(x, dtype=float) * gamma * h) / gamma
+    with np.errstate(over="ignore"):  # x*gamma*h = inf gives the limit 1/gamma
+        return -np.expm1(-np.asarray(x, dtype=float) * gamma * h) / gamma
 
 
 def phi2(gamma: float, h: float, x) -> np.ndarray | float:
     """(exp(-x*gamma*h) + x*gamma*h - 1) / gamma**2, evaluated stably."""
     x = np.asarray(x, dtype=float)
-    a = x * gamma * h
-    if _TINY <= gamma * gamma < math.inf:
-        return _exprel2(a) / gamma**2
-    # gamma**2 overflows, or is subnormal or zero: take the series' a**2 / gamma**2
-    # as (x*h)**2 and divide the direct form by gamma twice
-    return np.where(a < _SERIES_BELOW, (x * h) ** 2 * _exprel2_over_sq(a), _exprel2(a) / gamma / gamma)
+    with np.errstate(over="ignore"):  # an overflowing product is inf, often in a discarded branch
+        a = x * gamma * h
+        if _TINY <= gamma * gamma < math.inf:
+            return _exprel2(a) / gamma**2
+        # gamma**2 overflows, or is subnormal or zero: take the series' a**2 / gamma**2
+        # as (x*h)**2 and divide the direct form by gamma twice
+        return np.where(a < _SERIES_BELOW, (x * h) ** 2 * _exprel2_over_sq(a), _exprel2(a) / gamma / gamma)
 
 
 def _scalar(value: float) -> np.ndarray:

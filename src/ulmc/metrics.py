@@ -19,7 +19,7 @@ import importlib.util
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
@@ -39,10 +39,9 @@ _LOADING = threading.Lock()  # two threads' first distances load each module onc
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Uniform point cloud of ``samples``, each of weight 1/n; ``==`` is identity."""
+    """Uniform point cloud of finite ``samples``, each of weight 1/n; ``==`` is identity."""
 
     samples: np.ndarray
-    weights: np.ndarray = field(init=False, repr=False)  # 1/n each; energy sums are wx @ block @ wy
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.samples, dtype=float)
@@ -50,8 +49,9 @@ class EmpiricalDistribution:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("samples must be a nonempty (n, d) matrix")
+        if not np.isfinite(pts).all():
+            raise ValueError("samples must be finite, found NaN or inf")
         object.__setattr__(self, "samples", pts)
-        object.__setattr__(self, "weights", np.full(pts.shape[0], 1.0 / pts.shape[0]))
 
     @property
     def n(self) -> int:
@@ -68,7 +68,7 @@ class EmpiricalDistribution:
         Computed on first use and kept, so a reference cloud measured
         against many others pays for its own pairs once.
         """
-        return _weighted_mean_distance(self.samples, self.weights, self.samples, self.weights)
+        return _mean_distance(self.samples, self.samples)
 
 
 def _as_dist(obj) -> EmpiricalDistribution:
@@ -130,9 +130,11 @@ def distance_kernels():
         )
 
 
-def _weighted_mean_distance(xs, wx, ys, wy) -> float:
-    """sum_ij wx_i wy_j ||x_i - y_j||, accumulated over fixed row blocks."""
+def _mean_distance(xs, ys) -> float:
+    """sum_ij wx_i wy_j ||x_i - y_j|| with wx_i = 1/n_x, wy_j = 1/n_y, over fixed row blocks."""
     cdist_euclidean, _, _ = distance_kernels()
+    wx = np.full(xs.shape[0], 1.0 / xs.shape[0])
+    wy = np.full(ys.shape[0], 1.0 / ys.shape[0])
     total = 0.0
     for start in range(0, xs.shape[0], _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
@@ -146,14 +148,16 @@ def energy_distance_sq(mu, nu) -> float:
 
     A, B, C are the mean distances between, within mu, and within nu.  This
     V-statistic keeps all pairs; its value is nonnegative by construction
-    and is clamped at zero against rounding.
+    and is clamped at zero against rounding.  Distances that overflow are
+    infinite, and the result is inf when any of A, B and C is.
     """
     mu = _as_dist(mu)
     nu = _as_dist(nu)
     if mu.d != nu.d:
         raise ValueError(f"dimension mismatch: {mu.d} vs {nu.d}")
-    a = _weighted_mean_distance(mu.samples, mu.weights, nu.samples, nu.weights)
-    return max(2.0 * a - mu.mean_pairwise_distance - nu.mean_pairwise_distance, 0.0)
+    a = _mean_distance(mu.samples, nu.samples)
+    b, c = mu.mean_pairwise_distance, nu.mean_pairwise_distance
+    return np.inf if np.inf in (a, b, c) else max(2.0 * a - b - c, 0.0)
 
 
 def wasserstein2(mu, nu) -> float:

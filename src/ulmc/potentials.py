@@ -40,16 +40,12 @@ __all__ = [
 class PotentialMeta:
     """Dimension plus convexity/smoothness constants of a potential.
 
-    ``m`` is the strong-convexity constant and ``M1`` the gradient Lipschitz
-    constant; ``M2`` and ``M3`` bound the second and third derivative
-    tensors when known.
+    ``m`` is the strong-convexity and ``M1`` the gradient Lipschitz constant.
     """
 
     d: int
     m: float
     M1: float
-    M2: float | None = None
-    M3: float | None = None
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -78,9 +74,7 @@ class QuadraticPotential:
             raise ValueError("curvature: must be positive")
         self.curvatures = lam
         self.center = np.broadcast_to(np.asarray(center, dtype=float), lam.shape).copy()
-        self.meta = PotentialMeta(
-            d=lam.size, m=float(lam.min()), M1=float(lam.max()), M2=0.0, M3=0.0
-        )
+        self.meta = PotentialMeta(d=lam.size, m=float(lam.min()), M1=float(lam.max()))
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -99,17 +93,16 @@ class LogisticDataset:
     ``m_rows * d_feat`` feature entries; pass None to have it computed.
 
     Construction also fixes the arrays the potential evaluates with: the
-    label-signed design ``signed_design = y[:, None] * [X, 1]`` of shape
-    ``(m_rows, d_feat + 1)``, its exact half ``half_signed_design`` that the
-    gradient works with, and the prior precisions ``prior_precision``
-    (``1/(2V)`` per weight, 1 for the intercept).  All are read-only, so
-    threads may share one dataset.
+    halved label-signed design ``half_signed_design = y[:, None] * [X, 1] / 2``
+    of shape ``(m_rows, d_feat + 1)``, exact since halving only lowers the
+    exponent, and the prior precisions ``prior_precision`` (``1/(2V)`` per
+    weight, 1 for the intercept).  Both are read-only, so threads may share
+    one dataset.
     """
 
     features: np.ndarray
     labels: np.ndarray
     feature_variance: float | None = None
-    signed_design: np.ndarray = field(init=False, repr=False, compare=False)
     half_signed_design: np.ndarray = field(init=False, repr=False, compare=False)
     prior_precision: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -140,9 +133,8 @@ class LogisticDataset:
         prec = np.full(feats.shape[1] + 1, 1.0 / (2.0 * self.feature_variance))
         prec[-1] = 1.0
         half = 0.5 * signed
-        for arr in (signed, half, prec):
+        for arr in (half, prec):
             arr.setflags(write=False)
-        object.__setattr__(self, "signed_design", signed)
         object.__setattr__(self, "half_signed_design", half)
         object.__setattr__(self, "prior_precision", prec)
 
@@ -168,7 +160,7 @@ def _check_params(dataset: LogisticDataset, params) -> np.ndarray:
 def logistic_potential_value(dataset: LogisticDataset, params) -> np.ndarray:
     """Negative log-posterior of the logistic model, up to a constant."""
     params = _check_params(dataset, params)
-    z = params @ dataset.signed_design.T  # y_i * (<theta, x_i> + b)
+    z = 2.0 * (params @ dataset.half_signed_design.T)  # y_i * (<theta, x_i> + b), exactly
     nll = np.sum(np.logaddexp(0.0, -z), axis=-1)
     prior = 0.5 * np.sum(dataset.prior_precision * params**2, axis=-1)
     return nll + prior
@@ -177,8 +169,8 @@ def logistic_potential_value(dataset: LogisticDataset, params) -> np.ndarray:
 def logistic_potential_gradient(dataset: LogisticDataset, params) -> np.ndarray:
     """Gradient of :func:`logistic_potential_value` in (theta, b).
 
-    With z = params @ signed_design.T the gradient is
-    ``params * prior_precision - sigma(-z) @ signed_design``.  The sigmoid
+    With signed = 2 * half_signed_design and z = params @ signed.T the
+    gradient is ``params * prior_precision - sigma(-z) @ signed``.  The sigmoid
     factor is evaluated as sigma(-z) = (1 - tanh(z/2)) / 2, which stays
     finite for logits of either sign and any magnitude; both halvings ride
     on the halved design, which is exact, so no pass over the logits scales
@@ -204,9 +196,9 @@ class LogisticPosterior:
     def __init__(self, dataset: LogisticDataset):
         self.dataset = dataset
         v = dataset.feature_variance
-        # labels are +-1, so the signed design has the same Gram matrix as [X, 1]
-        signed = dataset.signed_design
-        gram_top = float(np.linalg.eigvalsh(signed.T @ signed)[-1])
+        # labels are +-1, so 4 * half.T @ half is exactly the Gram matrix of [X, 1]
+        half = dataset.half_signed_design
+        gram_top = float(np.linalg.eigvalsh(4.0 * (half.T @ half))[-1])
         prior_max = max(1.0 / (2.0 * v), 1.0)
         self.meta = PotentialMeta(
             d=dataset.d_feat + 1,
@@ -249,13 +241,7 @@ class GradientCounter:
         return self.potential.gradient(x)
 
 
-def load_dataset(
-    path,
-    *,
-    label_col: int = 0,
-    standardize: bool = False,
-    skip_header: int = 0,
-) -> LogisticDataset:
+def load_dataset(path, *, label_col: int = 0, standardize: bool = False) -> LogisticDataset:
     """Read a delimited numeric file into a :class:`LogisticDataset`.
 
     The delimiter, comma or whitespace, is sniffed from the first data
@@ -268,13 +254,11 @@ def load_dataset(
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path) as fh:
-        for _ in range(skip_header):
-            fh.readline()
         delimiter = "," if "," in fh.readline() else None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty input warns before we raise
-            raw = np.loadtxt(path, delimiter=delimiter, skiprows=skip_header, ndmin=2)
+            raw = np.loadtxt(path, delimiter=delimiter, ndmin=2)
     except Exception as exc:
         raise ValueError(f"could not parse dataset file {path}: {exc}") from exc
     if raw.size == 0:
@@ -314,19 +298,12 @@ def sample_prior(
     return out
 
 
-def synthetic_dataset(
-    rows: int = 200,
-    d_feat: int = 4,
-    *,
-    seed: int = 2024,
-    margin: float = 1.0,
-) -> LogisticDataset:
+def synthetic_dataset(rows: int = 200, d_feat: int = 4, *, seed: int = 2024) -> LogisticDataset:
     """Deterministic synthetic binary-classification data.
 
     Rows are standard-normal feature vectors kept only when the score along
-    a fixed teacher direction clears ``margin`` (in score standard
-    deviations), labelled by the score's sign.  Larger margins give a
-    flatter, better conditioned posterior.
+    a fixed teacher direction is at least 1 in magnitude (one score standard
+    deviation), labelled by the score's sign.
     """
     if rows < 1 or d_feat < 1:
         raise ValueError("need at least one row and one feature")
@@ -337,7 +314,7 @@ def synthetic_dataset(
     while feats.shape[0] < rows:
         cand = rng.standard_normal((4 * rows, d_feat))
         score = cand @ teacher
-        keep = np.abs(score) >= margin
+        keep = np.abs(score) >= 1.0
         feats = np.vstack([feats, cand[keep]])
     feats = feats[:rows]
     return LogisticDataset(feats, np.sign(feats @ teacher))

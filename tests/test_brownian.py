@@ -104,17 +104,17 @@ def _reconstruction_integrals(leaves, pts_per_leaf=64):
     return w.sum(axis=0), i1_leaf.sum(axis=0), i2_leaf.sum(axis=0)
 
 
-def _two_stage_refine(inc, rng, ratio):
-    """Reference refinement in time-integral form.
+def _two_stage_refine(inc, rng):
+    """Reference midpoint refinement in time-integral form.
 
-    Draws the left part's normalized (w, i1, i2) from the bridge, then fixes
-    the right part by the composition rule, converting through
+    Draws the left half's normalized (w, i1, i2) from the bridge, then fixes
+    the right half by the composition rule, converting through
     :class:`TimeIntegrals` at each end.  Consumes ``rng`` exactly as
     :func:`refine` does.
     """
-    a_mat, l_mat = bm.bridge_matrices(ratio)
+    a_mat, l_mat = bm.bridge_matrices()
     s = inc.dt
-    dt_l = ratio * s
+    dt_l = 0.5 * s
     dt_r = s - dt_l
     ti = bm.to_time_integrals(inc)
     xp = np.stack([ti.w / s**0.5, ti.i1 / s**1.5, ti.i2 / s**2.5])
@@ -211,6 +211,15 @@ def test_from_time_integrals_hand_example():
     np.testing.assert_allclose(inc.k, [0.0], atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "w, h, k, problem",
+    [(1.0, 0.0, 0.0, "trailing coordinate axis"), ([1.0, 2.0], [0.0], [0.0], "shapes disagree")],
+)
+def test_increment_rejects_malformed_coefficients(w, h, k, problem):
+    with pytest.raises(ValueError, match=problem):
+        bm.BrownianIncrement(1.0, w, h, k)
+
+
 def test_time_integrals_require_positive_dt():
     with pytest.raises(ValueError):
         bm.TimeIntegrals(0.0, [1.0], [0.0], [0.0])
@@ -264,41 +273,39 @@ def test_combine_matches_reconstruction_quadrature():
 
 def test_refine_combine_roundtrip():
     rng = np.random.default_rng(107)
-    for ratio in (0.5, 0.25, 0.73):
-        inc = bm.sample_increment(rng, 0.8, 3, shape=(20,))
-        l, r = bm.refine(inc, rng, ratio=ratio)
-        assert np.isclose(l.dt + r.dt, inc.dt)
-        back = bm.combine(l, r)
-        np.testing.assert_allclose(back.w, inc.w, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(back.h, inc.h, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(back.k, inc.k, rtol=1e-13, atol=1e-15)
+    inc = bm.sample_increment(rng, 0.8, 3, shape=(20,))
+    l, r = bm.refine(inc, rng)
+    assert l.dt == r.dt == 0.4
+    back = bm.combine(l, r)
+    np.testing.assert_allclose(back.w, inc.w, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(back.h, inc.h, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(back.k, inc.k, rtol=1e-13, atol=1e-15)
 
 
-_RATIOS = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
 _DTS = st.floats(min_value=1e-6, max_value=1e3)
 _BATCHES = st.sampled_from([(), (3,), (2, 5)])
 _SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-@given(ratio=_RATIOS, dt=_DTS, batch=_BATCHES, seed=_SEEDS)
-def test_refine_recombines_for_any_ratio_and_dt(ratio, dt, batch, seed):
+@given(dt=_DTS, batch=_BATCHES, seed=_SEEDS)
+def test_refine_recombines_for_any_dt(dt, batch, seed):
     rng = np.random.default_rng(seed)
     inc = bm.sample_increment(rng, dt, 2, shape=batch)
-    left, right = bm.refine(inc, rng, ratio=ratio)
-    assert left.dt + right.dt == pytest.approx(dt, rel=4 * _EPS)
+    left, right = bm.refine(inc, rng)
+    assert left.dt == right.dt and left.dt + right.dt == dt
     back = bm.combine(left, right)
     tol = 64 * _EPS * np.sqrt(dt)
     for got, want in ((back.w, inc.w), (back.h, inc.h), (back.k, inc.k)):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
 
 
-@given(ratio=_RATIOS, dt=_DTS, batch=_BATCHES, seed=_SEEDS)
-def test_refine_matches_two_stage_oracle(ratio, dt, batch, seed):
+@given(dt=_DTS, batch=_BATCHES, seed=_SEEDS)
+def test_refine_matches_two_stage_oracle(dt, batch, seed):
     inc = bm.sample_increment(np.random.default_rng(seed), dt, 2, shape=batch)
-    fused = bm.refine(inc, np.random.default_rng(seed + 1), ratio=ratio)
-    oracle = _two_stage_refine(inc, np.random.default_rng(seed + 1), ratio)
-    # the right part divides by its length squared, which amplifies rounding
-    tol = 64 * _EPS * np.sqrt(dt) / min(ratio, 1.0 - ratio) ** 2
+    fused = bm.refine(inc, np.random.default_rng(seed + 1))
+    oracle = _two_stage_refine(inc, np.random.default_rng(seed + 1))
+    # the right half divides by its length squared, which amplifies rounding
+    tol = 64 * _EPS * np.sqrt(dt) / 0.5**2
     for got, want in zip(fused, oracle):
         assert got.dt == want.dt
         for name in ("w", "h", "k"):
@@ -306,14 +313,13 @@ def test_refine_matches_two_stage_oracle(ratio, dt, batch, seed):
 
 
 def test_bridge_matrices_match_conditioning_oracle():
-    for ratio in (0.5, 0.25, 0.75):
-        gain_o, cond_o = _conditional_from_kernel(ratio)
-        a_hat, l_hat = bm.bridge_matrices(ratio)
-        d_left = np.diag([ratio**0.5, ratio**1.5, ratio**2.5])
-        gain = d_left @ a_hat  # parent scales are 1 on the unit interval
-        cond = d_left @ (l_hat @ l_hat.T) @ d_left
-        np.testing.assert_allclose(gain, gain_o, atol=1e-5 * np.max(np.abs(gain)))
-        np.testing.assert_allclose(cond, cond_o, atol=1e-5 * np.max(np.abs(cond)))
+    gain_o, cond_o = _conditional_from_kernel(0.5)
+    a_hat, l_hat = bm.bridge_matrices()
+    d_left = np.diag([0.5**0.5, 0.5**1.5, 0.5**2.5])
+    gain = d_left @ a_hat  # parent scales are 1 on the unit interval
+    cond = d_left @ (l_hat @ l_hat.T) @ d_left
+    np.testing.assert_allclose(gain, gain_o, atol=1e-5 * np.max(np.abs(gain)))
+    np.testing.assert_allclose(cond, cond_o, atol=1e-5 * np.max(np.abs(cond)))
 
 
 def test_refine_left_marginal_zero_parent():
@@ -353,7 +359,7 @@ def test_refine_left_mean_nonzero_parent():
 def test_refine_halfsplit_leftw_variance_frozen():
     # For an even split of a unit parent the conditional variance of the
     # left increment is exactly 1/16 (cross-checked by the oracle above).
-    _, l_hat = bm.bridge_matrices(0.5)
+    _, l_hat = bm.bridge_matrices()
     cond = l_hat @ l_hat.T
     assert abs(0.5 * cond[0, 0] - 1.0 / 16.0) < 1e-12
 

@@ -262,6 +262,26 @@ def test_subcommand_required():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, config, err",
+    [
+        (["converge", "--levels", "5:3"], None,
+         "ulmc: flag --levels: bad value for 'levels': empty level range '5:3'\n"),
+        (["stationary"], "standardize = maybe\n",
+         "ulmc: {cfg}:1: bad value for 'standardize': expected true/false, got 'maybe'\n"),
+        (["stationary", "--seed", "-1"], None, "ulmc: seed: must be nonnegative\n"),
+        (["stationary", "--threads", "0"], None, "ulmc: threads: must be at least 1\n"),
+    ],
+    ids=["levels", "standardize", "seed", "threads"],
+)
+def test_bad_setting_exits_2_naming_it(argv, config, err, tmp_path, capsys):
+    cfg = _write(tmp_path / "run.cfg", config) if config else None
+    argv = argv + ["--config", cfg] if cfg else argv
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == err.format(cfg=cfg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if cfg else [])
+
+
 def test_unknown_flag_value_exits_2(capsys):
     code = main(["converge", "--gamma", "brisk"])
     assert code == 2
@@ -532,6 +552,17 @@ def test_extreme_finite_settings_exit_cleanly(argv, codes, tmp_path, capsys):
     assert "Traceback" not in err
     if codes == (2,):
         assert re.match(r"ulmc: (gamma|horizon|h): ", err)
+
+
+@pytest.mark.parametrize("experiment", ["sample", "compare"])
+def test_overflowing_distances_write_inf_not_nan(experiment, tmp_path):
+    # finite positions near 6e195 whose pair distances overflow in cdist
+    argv = [experiment, *_SMALL, "--u", "1e160", "--dimension", "2", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    text = (tmp_path / "o.csv").read_text()
+    assert "nan" not in text
+    rows = [line.split(",") for line in text.splitlines()[2:]]  # method,grad_evals,energy_dist,w2
+    assert all(row[2:] == ["inf", "inf"] for row in rows if row[1] != "0")
 
 
 def test_tiny_gamma_runs_without_a_false_divergence(tmp_path, capsys):

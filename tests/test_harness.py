@@ -535,10 +535,20 @@ def test_report_invariants_enforced():
             methods=("quicsort",), step_counts=(8, 16), errors={"quicsort": (0.1, -0.2)},
             fits={}, paths=4, horizon=1.0, fine_level=5, seed=0,
         )
+    with pytest.raises(ValueError, match="one error per step count"):
+        ConvergenceReport(
+            methods=("quicsort",), step_counts=(8, 16), errors={"quicsort": (0.1,)},
+            fits={}, paths=4, horizon=1.0, fine_level=5, seed=0,
+        )
     with pytest.raises(ValueError):
         MixingReport(
             method="quicsort", step_size=0.1, n_chains=4, checkpoints=(1, 2),
             grad_evals=(16, 8), energy=(0.5, 0.4), w2=(0.5, 0.4), seed=0,
+        )
+    with pytest.raises(ValueError, match="share one length"):
+        MixingReport(
+            method="quicsort", step_size=0.1, n_chains=4, checkpoints=(1, 2),
+            grad_evals=(8, 16), energy=(0.5,), w2=(0.5, 0.4), seed=0,
         )
 
 

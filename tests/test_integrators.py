@@ -2,6 +2,7 @@
 Richardson ratios against exact linear flows, coupling/contraction, and the
 stationary moments of the quadratic case."""
 
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -149,12 +150,38 @@ def test_phi2_finite_for_tiny_gamma(gamma, h, x):
 @pytest.mark.parametrize("gamma", [1.4e154, 1e160, 1.7e308])
 def test_phi2_finite_for_huge_gamma(gamma):
     # gamma**2 overflows from gamma ~ 1.34e154; phi2 tends to x*h/gamma (the
-    # unused series branch overflows on the way, hence the errstate)
+    # unused series branch overflows on the way, silently)
     for h in (1e-3, 0.7):
         for x in (LAMBDA_MINUS, 1.0):
-            with np.errstate(over="ignore"):
-                got = float(phi2(gamma, h, x))
+            got = float(phi2(gamma, h, x))
             assert got == pytest.approx(x * h / gamma, rel=1e-12)
+
+
+_EXTREME_GAMMAS = [1e-300, 1e-160, 1e-10, 1.0, 1e10, 1e150, 1e154, 1.4e154, 1e200, 1e300, 1.7e308]
+_EXTREME_HS = [5e-324, 1e-300, 1e-8, 0.05, 10.0, 1e300]
+# (function, gamma, h) -> float.hex at x = LAMBDA_PLUS, for calls where an
+# intermediate product overflows
+_PHI_PINS = {
+    (phi0, 1e10, 1e300): "0x0.0p+0",
+    (phi1, 1e150, 0.05): "0x1.a2fe76a3f9475p-499",
+    (phi1, 1e300, 1e300): "0x1.56e1fc2f8f359p-997",
+    (phi2, 1e150, 0.05): "0x1.085c30b30d619p-503",
+    (phi2, 1.4e154, 0.05): "0x1.35607a873aaafp-517",
+    (phi2, 1e300, 0.05): "0x1.b0ad4d8080116p-1002",
+}
+
+
+def test_phi_functions_are_silent_at_extreme_arguments():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {
+            (phi, gamma, h): float(phi(gamma, h, LAMBDA_PLUS))
+            for phi in (phi0, phi1, phi2)
+            for gamma in _EXTREME_GAMMAS
+            for h in _EXTREME_HS
+        }
+    for key, want in _PHI_PINS.items():
+        assert got[key].hex() == want
 
 
 def test_phi2_bits_unchanged_while_gamma_squared_is_normal():
@@ -357,6 +384,18 @@ def test_simulate_rejects_bad_partition():
     init = PhaseState(np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError, match="increasing"):
         simulate(cfg, QuadraticPotential(1.0, d=1), init, BrownianPath(0, 1), [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "times, stepper, problem",
+    [([], "quicsort", "nonempty 1-d"), ([[0.0, 1.0]], "quicsort", "nonempty 1-d"),
+     ([0.0, 1.0], "bogus", "unknown method 'bogus'")],
+)
+def test_simulate_rejects_bad_arguments(times, stepper, problem):
+    cfg = SolverConfig(gamma=1.0)
+    init = PhaseState(np.zeros(1), np.zeros(1))
+    with pytest.raises(ValueError, match=problem):
+        simulate(cfg, QuadraticPotential(1.0, d=1), init, BrownianPath(0, 1), times, stepper=stepper)
 
 
 @pytest.mark.parametrize("times", [[0.0, np.inf], [0.0, np.nan, 1.0], [-np.inf, 0.0]])

@@ -107,16 +107,14 @@ def test_energy_distance_reuses_a_clouds_own_pair_distances(monkeypatch):
     clouds = [EmpiricalDistribution(rng.standard_normal((30, 3)) + shift) for shift in (0.0, 0.5)]
     want = []
     for cloud in clouds:
-        a = metrics._weighted_mean_distance(cloud.samples, cloud.weights, ref.samples, ref.weights)
-        b = metrics._weighted_mean_distance(cloud.samples, cloud.weights, cloud.samples, cloud.weights)
-        c = metrics._weighted_mean_distance(ref.samples, ref.weights, ref.samples, ref.weights)
+        a = metrics._mean_distance(cloud.samples, ref.samples)
+        b = metrics._mean_distance(cloud.samples, cloud.samples)
+        c = metrics._mean_distance(ref.samples, ref.samples)
         want.append(max(2.0 * a - b - c, 0.0))
 
     calls = []
-    inner = metrics._weighted_mean_distance
-    monkeypatch.setattr(
-        metrics, "_weighted_mean_distance", lambda *args: calls.append(1) or inner(*args)
-    )
+    inner = metrics._mean_distance
+    monkeypatch.setattr(metrics, "_mean_distance", lambda *args: calls.append(1) or inner(*args))
     got = [energy_distance_sq(cloud, ref) for cloud in clouds]
     assert got == want  # the same floats
     assert len(calls) == 3 + 2  # the reference's own pairs only once
@@ -176,7 +174,27 @@ def test_wasserstein_is_inf_when_every_assignment_overflows():
     assert wasserstein2([[0.0, 0.0], [1e200, 0.0]], [[1e200, 0.0], [0.0, 1.0]]) == np.sqrt(0.5)
 
 
+def test_energy_distance_is_inf_when_a_mean_distance_overflows():
+    # the clouds above: finite points whose distance 1e200 - 0 overflows in cdist
+    big, small = [[0.0, 0.0], [1e200, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+    assert energy_distance_sq(big, small) == np.inf  # inf - inf (NaN) before
+    assert energy_distance_sq(small, big) == np.inf
+    assert energy_distance_sq(big, big) == np.inf  # only the own-pair means overflow
+
+
+@pytest.mark.parametrize("metric", [energy_distance_sq, wasserstein2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metrics_reject_non_finite_clouds(metric, bad):
+    cloud = [[0.0, 0.0], [bad, 0.0]]
+    with pytest.raises(ValueError, match="samples must be finite"):
+        metric(cloud, [[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="samples must be finite"):
+        metric([[0.0, 0.0], [1.0, 0.0]], cloud)
+
+
 def test_wasserstein_argument_errors():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        wasserstein2(np.zeros((3, 2)), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="equal sample counts"):
         wasserstein2(np.zeros((3, 2)), np.zeros((4, 2)))
     with pytest.raises(ValueError, match="subsample"):
@@ -187,7 +205,7 @@ def test_subsample():
     rng = np.random.default_rng(411)
     dist = EmpiricalDistribution(rng.standard_normal((100, 2)))
     sub = subsample(dist, 10, np.random.default_rng(1))
-    assert sub.n == 10 and np.array_equal(sub.weights, np.full(10, 0.1))
+    assert sub.n == 10 and sub.d == 2
     again = subsample(dist, 10, np.random.default_rng(1))
     np.testing.assert_array_equal(sub.samples, again.samples)
     with pytest.raises(ValueError):
@@ -197,8 +215,8 @@ def test_subsample():
 def test_empirical_distribution_validation():
     with pytest.raises(ValueError):
         EmpiricalDistribution(np.zeros((0, 2)))
-    dist = EmpiricalDistribution(np.zeros((4, 1)))
-    np.testing.assert_allclose(dist.weights, 0.25)
+    dist = EmpiricalDistribution(np.zeros(4))
+    assert dist.n == 4 and dist.d == 1
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_quadratic_gradient_matches_finite_differences():
 
 def test_quadratic_meta():
     p = QuadraticPotential([0.5, 2.0], center=0.0)
-    assert p.meta.m == 0.5 and p.meta.M1 == 2.0 and p.meta.M2 == 0.0
+    assert p.meta.m == 0.5 and p.meta.M1 == 2.0
 
 
 def test_quadratic_scalar_curvature_needs_dimension():
@@ -170,12 +170,13 @@ def test_logistic_gradient_matches_softplus_oracle(seed, rows, d_feat, batch, lo
 
 def _full_design_gradient(dataset, params):
     """The gradient as written on the full signed design: logits halved in place."""
-    z = params @ dataset.signed_design.T
+    signed = dataset.labels[:, None] * np.hstack([dataset.features, np.ones((dataset.n_rows, 1))])
+    z = params @ signed.T
     z *= 0.5
     np.tanh(z, out=z)
     z *= -0.5
     z += 0.5
-    return params * dataset.prior_precision - z @ dataset.signed_design
+    return params * dataset.prior_precision - z @ signed
 
 
 @given(
@@ -206,11 +207,27 @@ def test_logistic_posterior_delegates_to_gradient_function():
 def test_logistic_precomputed_design_is_read_only():
     ds = _random_dataset(np.random.default_rng(211))
     tilde = np.hstack([ds.features, np.ones((ds.n_rows, 1))])
-    np.testing.assert_array_equal(ds.signed_design, ds.labels[:, None] * tilde)
-    np.testing.assert_array_equal(ds.half_signed_design, 0.5 * ds.signed_design)
-    for arr in (ds.signed_design, ds.half_signed_design, ds.prior_precision):
+    np.testing.assert_array_equal(ds.half_signed_design, 0.5 * (ds.labels[:, None] * tilde))
+    np.testing.assert_array_equal(ds.prior_precision[:-1], 1.0 / (2.0 * ds.feature_variance))
+    assert ds.prior_precision[-1] == 1.0
+    for arr in (ds.half_signed_design, ds.prior_precision):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "features, labels, problem",
+    [
+        ([1.0, 2.0], [1.0, -1.0], "features must be a nonempty"),
+        ([[1.0], [2.0]], [1.0], "one value per feature row"),
+        ([[1.0], [2.0]], [1.0, 2.0], "labels must lie in"),
+        ([[1.0], [1.0]], [1.0, -1.0], "feature variance must be positive"),
+    ],
+    ids=["1-d features", "label count", "labels 1 and 2", "constant features"],
+)
+def test_dataset_rejects_malformed_inputs(features, labels, problem):
+    with pytest.raises(ValueError, match=problem):
+        LogisticDataset(np.array(features), np.array(labels))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -312,13 +329,6 @@ def test_load_dataset_label_column_choice(tmp_path):
     np.testing.assert_array_equal(ds.features.ravel(), [2.0, 3.0])
 
 
-def test_load_dataset_skip_header(tmp_path):
-    f = tmp_path / "toy.csv"
-    f.write_text("label,x\n0,1.0\n1,3.0\n")
-    ds = load_dataset(f, skip_header=1)
-    assert ds.n_rows == 2
-
-
 def test_load_dataset_standardize(tmp_path):
     f = tmp_path / "toy.csv"
     f.write_text("0,1.0,5.0\n1,3.0,9.0\n0,2.0,7.0\n")
@@ -347,6 +357,15 @@ def test_load_dataset_errors(tmp_path):
     garbled.write_text("0,one\n1,two\n")
     with pytest.raises(ValueError, match="parse"):
         load_dataset(garbled)
+    labels_only = tmp_path / "labels.csv"
+    labels_only.write_text("0\n1\n")
+    with pytest.raises(ValueError, match="feature column"):
+        load_dataset(labels_only)
+    toy = tmp_path / "toy.csv"
+    toy.write_text("0,1.0\n1,3.0\n")
+    for label_col in (2, -3):
+        with pytest.raises(ValueError, match="out of range"):
+            load_dataset(toy, label_col=label_col)
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +425,13 @@ def test_gradient_counter_exact_under_threads():
 
 
 def test_synthetic_dataset_deterministic_and_valid():
-    a = synthetic_dataset(50, 3, seed=7, margin=0.8)
-    b = synthetic_dataset(50, 3, seed=7, margin=0.8)
+    a = synthetic_dataset(50, 3, seed=7)
+    b = synthetic_dataset(50, 3, seed=7)
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.labels, b.labels)
     assert a.n_rows == 50 and a.d_feat == 3
     assert set(np.unique(a.labels)) <= {-1.0, 1.0}
-    c = synthetic_dataset(50, 3, seed=8, margin=0.8)
+    c = synthetic_dataset(50, 3, seed=8)
     assert not np.array_equal(a.features, c.features)
+    with pytest.raises(ValueError, match="at least one row"):
+        synthetic_dataset(0, 3)
