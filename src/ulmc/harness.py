@@ -4,11 +4,13 @@ Every study here is deterministic given its seed and arguments.  Work is cut
 into fixed-size chunks of paths or chains, each chunk draws its initial state
 (positions from the dataset prior or N(0, I), velocities from N(0, u I)) and
 its noise from generators keyed by (seed, tag, chunk), and per-chunk results
-are folded in chunk order.  Mixing studies evolve their clouds first and then
-measure every checkpoint, gathering the distances in checkpoint order.  The
+are folded in chunk order.  Mixing studies evolve one run's clouds at a time
+in the calling thread and measure its checkpoints on helper threads while
+later runs evolve, gathering the distances in submission order.  The
 ``threads`` argument therefore changes wall time, never output; it caps the
-chunk workers and the distance workers, and work too small to gain from
-threads runs serially in the calling thread.
+chunk workers and the distance workers, the calling thread counting as one
+of them, and work too small to gain from threads runs serially in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -140,13 +143,84 @@ def _metric_workers(threads: int, n_jobs: int, points: int) -> int:
     return min(threads, n_jobs)
 
 
-def _pool_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """``[fn(item) for item in items]`` on up to ``workers`` threads, in item order."""
-    if workers > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only pooled runs pay for it
+class _WorkQueue:
+    """Jobs run by ``threads - 1`` helper threads and, once it gathers, the
+    calling thread, so ``threads`` threads work in all; results come back in
+    submission order.
 
-        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            return list(pool.map(fn, items))
+    Helpers take jobs from one queue as soon as they are submitted, so the
+    caller can do other work (evolve the next clouds) while they run.  A job
+    is skipped when an earlier-submitted job has raised; jobs leave the queue
+    in submission order, so every job before the earliest failure still runs
+    and :meth:`gather` raises what a serial loop would.  Leaving the ``with``
+    block by an exception drops the jobs not yet started and joins the
+    helpers, so none outlives it.
+    """
+
+    _STOP = None  # one per consumer ends its loop
+
+    def __init__(self, threads: int):
+        import queue  # only studies that measure or pool pay for it
+
+        self._jobs = queue.SimpleQueue()
+        self._results: list = []
+        self._failed: list[int] = []  # indices of raising jobs; -1 drops every pending job
+        self._helpers = [threading.Thread(target=self._serve, daemon=True) for _ in range(threads - 1)]
+        for helper in self._helpers:
+            helper.start()
+
+    def __enter__(self) -> "_WorkQueue":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self._failed.append(-1)
+        self._close(serve=False)
+
+    def submit(self, fn: Callable, item) -> None:
+        self._results.append(None)
+        self._jobs.put((len(self._results) - 1, fn, item))
+
+    def _serve(self) -> None:
+        while (job := self._jobs.get()) is not self._STOP:
+            index, fn, item = job
+            if self._failed and min(self._failed) < index:
+                continue
+            try:
+                self._results[index] = fn(item)
+            except BaseException as exc:  # re-raised by gather in the calling thread
+                self._results[index] = exc
+                self._failed.append(index)
+
+    def _close(self, *, serve: bool) -> None:
+        """Queue one stop marker per consumer, the calling thread too if it is to
+        ``serve`` the jobs left, and join the helpers."""
+        for _ in range(len(self._helpers) + serve):
+            self._jobs.put(self._STOP)
+        if serve:
+            self._serve()
+        for helper in self._helpers:
+            helper.join()
+        self._helpers = []
+
+    def gather(self) -> list:
+        """Every job's result in submission order, after the calling thread has
+        worked through the queue beside the helpers; raises the earliest
+        failure in submission order."""
+        self._close(serve=True)
+        if self._failed:
+            raise self._results[min(self._failed)]
+        return self._results
+
+
+def _pool_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]`` on up to ``workers`` threads, the calling
+    thread among them, in item order."""
+    if workers > 1 and len(items) > 1:
+        with _WorkQueue(min(workers, len(items))) as pool:
+            for item in items:
+                pool.submit(fn, item)
+            return pool.gather()
     return [fn(item) for item in items]
 
 
@@ -561,28 +635,17 @@ def mixing_problems(
 def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> list[MixingReport]:
     """One report per ``(method, h, checkpoints)`` run, in run order.
 
-    Every run's clouds are evolved first, with the chunk rule.  Then every
-    (run, checkpoint) measurement is one job on the distance workers, each
-    with the inputs a serial loop would give it, including the keyed
-    subsamples, and the results are gathered in submission order.
+    The calling thread evolves each run's clouds in turn, with the chunk rule.
+    As soon as a run's clouds exist, each of its checkpoints is one
+    measurement job, with the inputs a serial loop would give it, including
+    the keyed subsamples; helper threads start on them while the calling
+    thread evolves the next run, and after the last run the calling thread,
+    one of the ``threads`` distance workers, takes the unstarted ones itself.
+    Results are gathered in submission order.  A divergence drops the pending
+    measurements and raises.
     """
     gt = _as_dist(ground_truth)
-
-    clouds = [
-        _evolve_positions(cfg, pot, method, n_chains, h, cps, seed, _TAGS_MIXING, threads)
-        for method, h, cps in runs
-    ]
-
     gt_cmp = gt if gt.n <= _METRIC_CAP else subsample(gt, _METRIC_CAP, keyed_generator(seed, _TAG_SUBSAMPLE_REF, 0))
-    jobs = []
-    for (_, _, cps), run_clouds in zip(runs, clouds):
-        for ci, step in enumerate(cps):
-            emp = EmpiricalDistribution(run_clouds[step])
-            m = min(emp.n, gt_cmp.n)
-            emp_w = emp if emp.n == m else subsample(emp, m, keyed_generator(seed, _TAG_SUBSAMPLE_EMP, ci))
-            gt_w = gt_cmp if gt_cmp.n == m else subsample(gt_cmp, m, keyed_generator(seed, _TAG_SUBSAMPLE_REF, 1 + ci))
-            jobs.append((emp, emp_w, gt_w))
-
     # every energy distance reads the reference's own mean distance; fill its
     # cache here, before workers could race to compute it
     gt.mean_pairwise_distance
@@ -591,8 +654,17 @@ def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> li
         emp, emp_w, gt_w = job
         return math.sqrt(energy_distance_sq(emp, gt)), wasserstein2(emp_w, gt_w)
 
-    workers = _metric_workers(threads, len(jobs), min(int(n_chains), gt.n))
-    measured = iter(_pool_map(measure, jobs, workers))
+    n_jobs = sum(len(cps) for _, _, cps in runs)
+    with _WorkQueue(_metric_workers(threads, n_jobs, min(int(n_chains), gt.n))) as measuring:
+        for method, h, cps in runs:
+            clouds = _evolve_positions(cfg, pot, method, n_chains, h, cps, seed, _TAGS_MIXING, threads)
+            for ci, step in enumerate(cps):
+                emp = EmpiricalDistribution(clouds[step])
+                m = min(emp.n, gt_cmp.n)
+                emp_w = emp if emp.n == m else subsample(emp, m, keyed_generator(seed, _TAG_SUBSAMPLE_EMP, ci))
+                gt_w = gt_cmp if gt_cmp.n == m else subsample(gt_cmp, m, keyed_generator(seed, _TAG_SUBSAMPLE_REF, 1 + ci))
+                measuring.submit(measure, (emp, emp_w, gt_w))
+        measured = iter(measuring.gather())
     reports = []
     for method, h, cps in runs:
         energy, w2s = zip(*(next(measured) for _ in cps))

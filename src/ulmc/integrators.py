@@ -165,10 +165,15 @@ def phi2(gamma: float, h: float, x) -> np.ndarray | float:
     with np.errstate(over="ignore"):  # an overflowing product is inf, often in a discarded branch
         a = x * gamma * h
         if _TINY <= gamma * gamma < math.inf:
-            return _exprel2(a) / gamma**2
-        # gamma**2 overflows, or is subnormal or zero: take the series' a**2 / gamma**2
-        # as (x*h)**2 and divide the direct form by gamma twice
-        return np.where(a < _SERIES_BELOW, (x * h) ** 2 * _exprel2_over_sq(a), _exprel2(a) / gamma / gamma)
+            phi = _exprel2(a) / gamma**2
+        else:
+            # gamma**2 overflows, or is subnormal or zero: take the series' a**2 / gamma**2
+            # as (x*h)**2 and divide the direct form by gamma twice
+            phi = np.where(a < _SERIES_BELOW, (x * h) ** 2 * _exprel2_over_sq(a), _exprel2(a) / gamma / gamma)
+        overflowed = a == math.inf
+        if overflowed.any():  # there exp(-a) is 0, so phi2 is a/gamma**2 - 1/gamma**2
+            phi = np.where(overflowed, x * h / gamma - 1.0 / gamma / gamma, phi)
+    return phi
 
 
 def _scalar(value: float) -> np.ndarray:

@@ -184,7 +184,8 @@ def wasserstein2(mu, nu) -> float:
         )
     if mu.d == 1:
         diff = np.sort(mu.samples[:, 0]) - np.sort(nu.samples[:, 0])
-        return float(np.sqrt(np.mean(diff**2)))
+        with np.errstate(over="ignore"):  # squares that overflow are inf, as in the 2-D branch
+            return float(np.sqrt(np.mean(diff**2)))
     _, cdist_sqeuclidean, linear_sum_assignment = distance_kernels()
     cost = cdist_sqeuclidean(mu.samples, nu.samples)
     try:

@@ -270,7 +270,7 @@ def load_dataset(path, *, label_col: int = 0, standardize: bool = False) -> Logi
 
     labels = raw[:, label_col]
     features = np.delete(raw, label_col % raw.shape[1], axis=1)
-    values = set(np.unique(labels))
+    values = set(labels.tolist())  # np.unique would import numpy.ma
     if values <= {0.0, 1.0}:
         labels = 2.0 * labels - 1.0
     elif not values <= {-1.0, 1.0}:

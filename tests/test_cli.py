@@ -357,6 +357,31 @@ def test_compare_loads_only_the_two_compiled_distance_kernels(tmp_path):
     assert (tmp_path / "cmp.csv").is_file()
 
 
+def _loaded_after(argv, modules, cwd):
+    """Which of ``modules`` a fresh interpreter has loaded after ``main(argv)``."""
+    code = (
+        f"import json, sys; from ulmc.cli import main; code = main({argv!r}); "
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules])); sys.exit(code)"
+    )
+    proc = _run_python(code, cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_converge_on_a_dataset_does_not_load_numpy_ma(tmp_path):
+    # np.unique reaches np.ma.is_masked, which imports numpy.ma
+    data = synthetic_dataset(rows=20, d_feat=2, seed=3)
+    np.savetxt(tmp_path / "d.csv", np.column_stack([data.labels, data.features]), delimiter=",")
+    argv = ["converge", "--dataset", "d.csv", "--levels", "2:3", "--fine-level", "5", "--paths", "4", "--out", "cv"]
+    assert _loaded_after(argv, ["numpy.ma"], tmp_path) == []
+
+
+def test_pooled_compare_loads_neither_concurrent_futures_nor_logging(tmp_path):
+    # 128 chains reach the distance pool at two threads
+    argv = ["compare", "--chains", "128", "--threads", "2", "--out", "cmp"]
+    assert _loaded_after(argv, ["concurrent.futures", "logging"], tmp_path) == []
+
+
 def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("the study ran before the out directory was checked")

@@ -9,6 +9,7 @@ import json
 import math
 import sys
 import threading
+import time
 import types
 
 import numpy as np
@@ -54,16 +55,48 @@ POT2 = QuadraticPotential(1.0, d=2)
 POT1 = QuadraticPotential(1.0, d=1)
 
 
+_MEET_TIMEOUT = 30.0  # seconds a recorder waits for a second thread
+
+
 class _Ran(set):
-    """Threads that started chunks; ``metrics`` holds the threads that measured."""
+    """Threads that started chunks; ``metrics`` holds the threads that measured.
+
+    The calling thread works in every pool, so it could take every job before
+    a helper wakes.  After :meth:`meet`, the first record of each of the first
+    two threads in a set waits at a two-party barrier (up to
+    ``_MEET_TIMEOUT``), so a pool whose helpers work records two threads every
+    time, and one that runs all in one thread records one.
+    """
 
     def __init__(self):
         super().__init__()
         self.metrics = set()
+        self._barriers: dict[str, threading.Barrier] = {}
+        self._lock = threading.Lock()
 
     def clear(self):
         super().clear()
         self.metrics.clear()
+        self._barriers.clear()
+
+    def meet(self, *kinds: str) -> None:
+        """Forget the threads seen so far, and make the first two threads of each
+        of ``kinds`` ("chunks", "metrics") meet."""
+        self.clear()
+        self._barriers = {kind: threading.Barrier(2) for kind in kinds}
+
+    def record(self, kind: str) -> None:
+        ran = self if kind == "chunks" else self.metrics
+        ident = threading.get_ident()
+        with self._lock:
+            first_two = ident not in ran and len(ran) < 2
+            ran.add(ident)
+        barrier = self._barriers.get(kind)
+        if first_two and barrier is not None:
+            try:
+                barrier.wait(_MEET_TIMEOUT)
+            except threading.BrokenBarrierError:  # no second thread came; the test's assert says so
+                pass
 
 
 def _record_metric_threads(monkeypatch, ran: _Ran) -> None:
@@ -71,7 +104,7 @@ def _record_metric_threads(monkeypatch, ran: _Ran) -> None:
     for name in ("wasserstein2", "energy_distance_sq"):
 
         def recording(*args, _fn=getattr(harness, name), **kwargs):
-            ran.metrics.add(threading.get_ident())
+            ran.record("metrics")
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, recording)
@@ -88,7 +121,7 @@ def pooled(monkeypatch):
     initial_state = harness._initial_state
 
     def recording(*args, **kwargs):
-        ran.add(threading.get_ident())
+        ran.record("chunks")
         return initial_state(*args, **kwargs)
 
     monkeypatch.setattr(harness, "_initial_state", recording)
@@ -231,9 +264,9 @@ def test_strong_study_deterministic(mini_report):
 def test_strong_study_thread_invariant(pooled):
     kwargs = dict(seed=42)
     one = strong_error_study(CFG, POT2, ["quicsort"], 2.0, 160, [3, 4], 8, threads=1, **kwargs)
-    pooled.clear()
+    pooled.meet("chunks")
     four = strong_error_study(CFG, POT2, ["quicsort"], 2.0, 160, [3, 4], 8, threads=4, **kwargs)
-    assert pooled and threading.get_ident() not in pooled
+    assert len(pooled) >= 2
     assert one.errors == four.errors
 
 
@@ -244,14 +277,14 @@ def test_strong_study_thread_invariant_on_logistic_posterior(pooled):
     cfg = SolverConfig(gamma=2.0, u=1.0 / pot.meta.M1)
     args = (cfg, pot, ["quicsort", "ubu"], 1.0, 192, [2, 3], 5)
     one = strong_error_study(*args, seed=8, threads=1)
-    pooled.clear()
+    pooled.meet("chunks")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         two = strong_error_study(*args, seed=8, threads=2)
     finally:
         sys.setswitchinterval(interval)
-    assert pooled and threading.get_ident() not in pooled
+    assert len(pooled) >= 2
     assert one.errors == two.errors
 
 
@@ -282,10 +315,13 @@ def test_metric_workers_pool_only_large_clouds():
 def test_metric_pool_follows_the_smaller_cloud(monkeypatch, aniso_truth, n_chains, pools):
     pot, gt = aniso_truth
     ran = _Ran()
+    ran.meet(*("metrics",) * pools)
     _record_metric_threads(monkeypatch, ran)
     mixing_study(CFG, pot, "quicsort", n_chains, 0.2, [0, 1], gt, seed=3, threads=2)
-    assert ran.metrics
-    assert (threading.get_ident() not in ran.metrics) == pools
+    if pools:
+        assert len(ran.metrics) >= 2
+    else:
+        assert ran.metrics == {threading.get_ident()}
 
 
 def test_counted_posterior_runs_like_the_posterior():
@@ -309,9 +345,9 @@ def test_sample_clouds_thread_invariant_at_uneven_chain_count(pooled):
     pot = QuadraticPotential([1.0, 4.0])
     args = (CFG, pot, "ubu", 130, 0.1, (0, 3, 7), 5, (12, 13, 14))
     one = harness._evolve_positions(*args, 1)
-    pooled.clear()
+    pooled.meet("chunks")
     two = harness._evolve_positions(*args, 2)
-    assert pooled and threading.get_ident() not in pooled
+    assert len(pooled) >= 2
     assert sorted(one) == sorted(two) == [0, 3, 7]
     for step in one:
         assert one[step].shape == (130, 2)
@@ -491,9 +527,9 @@ def test_stationary_moments_gaussian():
 
 def test_stationary_thread_invariant(pooled):
     rep1 = stationary_study(CFG, POT2, 0.1, 96, 50, 200, seed=6, threads=1)
-    pooled.clear()
+    pooled.meet("chunks")
     rep3 = stationary_study(CFG, POT2, 0.1, 96, 50, 200, seed=6, threads=3)
-    assert pooled and threading.get_ident() not in pooled
+    assert len(pooled) >= 2
     assert rep1 == rep3
 
 
@@ -853,10 +889,11 @@ _POOLED = settings(max_examples=25, suppress_health_check=[HealthCheck.function_
 @given(n_chains=st.integers(1, 200), method=st.sampled_from(_METHODS))
 def test_stationary_thread_invariant_at_any_chain_count(pooled, n_chains, method):
     one = stationary_study(CFG, POT2, 0.1, n_chains, 3, 4, seed=n_chains, stepper=method, threads=1)
-    pooled.clear()
+    several = n_chains > harness.CHUNK
+    pooled.meet(*("chunks",) * several)
     three = stationary_study(CFG, POT2, 0.1, n_chains, 3, 4, seed=n_chains, stepper=method, threads=3)
-    # one chunk runs inline; more go to pool threads, however many of them start
-    assert (threading.get_ident() in pooled) == (n_chains <= harness.CHUNK)
+    # one chunk runs inline; more run on the caller and the pool's helpers
+    assert len(pooled) >= 2 if several else pooled == {threading.get_ident()}
     assert one == three
 
 
@@ -879,10 +916,142 @@ def test_mixing_thread_invariant_at_any_chain_count(pooled, aniso_truth, n_chain
     pooled.clear()
     one = run(1)
     assert pooled.metrics == {threading.get_ident()}
-    pooled.clear()
+    several = n_chains > harness.CHUNK
+    pooled.meet("metrics", *("chunks",) * several)
     three = run(3)
-    # one chunk runs inline; more go to pool threads, however many of them start
-    assert (threading.get_ident() in pooled) == (n_chains <= harness.CHUNK)
-    # every study measures two checkpoints, so its distances go to pool threads
-    assert pooled.metrics and threading.get_ident() not in pooled.metrics
+    # one chunk runs inline; more run on the caller and the pool's helpers
+    assert len(pooled) >= 2 if several else pooled == {threading.get_ident()}
+    # every study measures two checkpoints, so its distances run on two threads
+    assert len(pooled.metrics) >= 2
     assert one == three
+
+
+# ---------------------------------------------------------------------------
+# the measurement pipeline: checkpoints measured while later methods evolve
+
+
+def test_work_queue_returns_in_submission_order_and_raises_the_earliest_failure():
+    def job(item):
+        delay, fails = item
+        time.sleep(delay)
+        if fails:
+            raise ValueError(f"after {delay}")
+        return delay
+
+    with harness._WorkQueue(3) as pool:
+        for delay in (0.05, 0.0, 0.02):
+            pool.submit(job, (delay, False))
+        assert pool.gather() == [0.05, 0.0, 0.02]
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="after 0.05"):
+        with harness._WorkQueue(3) as pool:
+            for item in ((0.0, False), (0.05, True), (0.0, True), (0.0, False)):
+                pool.submit(job, item)
+            pool.gather()
+    assert threading.active_count() == before
+
+
+def test_work_queue_under_contention_keeps_every_result_and_the_earliest_failure():
+    # more threads than cores, switching often: a lost result or a failure
+    # raised out of order would show
+    def job(i):
+        if i % 97 == 41:
+            raise ValueError(f"job {i}")
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert harness._pool_map(lambda i: i * i, range(400), 8) == [i * i for i in range(400)]
+            with pytest.raises(ValueError, match=r"^job 41$"):
+                harness._pool_map(job, range(400), 8)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_compare_measures_while_the_next_method_evolves(monkeypatch, aniso_truth):
+    pot, gt = aniso_truth
+    monkeypatch.setattr(harness, "_POOL_MIN_POINTS", 0)
+    measuring = threading.Event()
+    waited = []
+    for name in ("wasserstein2", "energy_distance_sq"):
+
+        def flagging(*args, _fn=getattr(harness, name), **kwargs):
+            measuring.set()
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, flagging)
+    evolve = harness._evolve_positions
+
+    def evolve_after_a_measurement(*args, **kwargs):
+        if args[2] != "quicsort":  # the second method
+            waited.append(measuring.wait(_MEET_TIMEOUT))
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_evolve_positions", evolve_after_a_measurement)
+    got = compare_study(CFG, pot, 64, 0.2, [0, 2], gt, seed=4, methods=("quicsort", "ubu"), threads=2)
+    assert waited == [True]
+    monkeypatch.setattr(harness, "_evolve_positions", evolve)
+    assert got == compare_study(CFG, pot, 64, 0.2, [0, 2], gt, seed=4, methods=("quicsort", "ubu"))
+
+
+def _start_second_method_chain_70_at_infinity(monkeypatch):
+    """Chain 70 is row 6 of chunk 1: make it infinite in the second run's chunk 1 only."""
+    initial_state = harness._initial_state
+    seen = []
+
+    def patched(cfg, pot, seed, tags, chunk, size):
+        state = initial_state(cfg, pot, seed, tags, chunk, size)
+        if chunk == 1:
+            seen.append(chunk)
+            if len(seen) == 2:
+                state.x[6, 1] = np.inf
+        return state
+
+    monkeypatch.setattr(harness, "_initial_state", patched)
+    return seen
+
+
+def test_compare_divergence_while_measuring_equals_the_serial_one(monkeypatch, aniso_truth):
+    pot, gt = aniso_truth
+    monkeypatch.setattr(harness, "_POOL_MIN_POINTS", 0)
+    errors = []
+    for threads in (1, 2):
+        seen = _start_second_method_chain_70_at_infinity(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
+            compare_study(CFG, pot, 130, 0.2, [0, 3], gt, seed=5, threads=threads)
+        assert threading.active_count() == before
+        assert len(seen) == 2
+        errors.append(err.value)
+    assert (errors[0].method, errors[0].chunk, errors[0].chain, errors[0].step) == ("ubu", 1, 70, 1)
+    _same_divergence(*errors)
+
+
+def test_compare_failing_measurement_raises_the_serial_exception(monkeypatch, aniso_truth):
+    pot, gt = aniso_truth
+    monkeypatch.setattr(harness, "_POOL_MIN_POINTS", 0)
+    order = []  # the measured clouds, in the order a serial run measures them
+    w2 = harness.wasserstein2
+
+    def recording(mu, nu):
+        order.append(mu.samples.tobytes())
+        return w2(mu, nu)
+
+    args = (CFG, pot, 130, 0.2, [0, 2, 5], gt)
+    monkeypatch.setattr(harness, "wasserstein2", recording)
+    compare_study(*args, seed=9)
+
+    def failing(mu, nu):  # every job from the second on raises, naming its first job index
+        job = order.index(mu.samples.tobytes())
+        if job >= 1:
+            raise RuntimeError(f"job {job}")
+        return w2(mu, nu)
+
+    monkeypatch.setattr(harness, "wasserstein2", failing)
+    for threads in (1, 2, 3):
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=r"^job 1$"):
+            compare_study(*args, seed=9, threads=threads)
+        assert threading.active_count() == before

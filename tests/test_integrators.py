@@ -157,6 +157,13 @@ def test_phi2_finite_for_huge_gamma(gamma):
             assert got == pytest.approx(x * h / gamma, rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma, h", [(1.7e308, 10.0), (1e10, 1e300)])
+def test_phi2_takes_its_limit_where_x_gamma_h_overflows(gamma, h):
+    # exp(-x*gamma*h) is 0 there, so phi2 is x*h/gamma - 1/gamma**2, not inf
+    got = float(phi2(gamma, h, LAMBDA_PLUS))
+    assert got == pytest.approx(LAMBDA_PLUS * h / gamma - 1.0 / gamma / gamma, rel=1e-12)
+
+
 _EXTREME_GAMMAS = [1e-300, 1e-160, 1e-10, 1.0, 1e10, 1e150, 1e154, 1.4e154, 1e200, 1e300, 1.7e308]
 _EXTREME_HS = [5e-324, 1e-300, 1e-8, 0.05, 10.0, 1e300]
 # (function, gamma, h) -> float.hex at x = LAMBDA_PLUS, for calls where an

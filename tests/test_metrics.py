@@ -174,6 +174,11 @@ def test_wasserstein_is_inf_when_every_assignment_overflows():
     assert wasserstein2([[0.0, 0.0], [1e200, 0.0]], [[1e200, 0.0], [0.0, 1.0]]) == np.sqrt(0.5)
 
 
+def test_wasserstein_1d_is_inf_without_a_warning_when_a_square_overflows():
+    # the sorted differences are 1e200, finite; their squares overflow
+    assert wasserstein2([[0.0], [1e200]], [[0.0], [-1e200]]) == np.inf
+
+
 def test_energy_distance_is_inf_when_a_mean_distance_overflows():
     # the clouds above: finite points whose distance 1e200 - 0 overflows in cdist
     big, small = [[0.0, 0.0], [1e200, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
