@@ -104,9 +104,9 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], object], str]] = {
     "seed": ("2024", int, "master seed"),
     "threads": (
         "auto", lambda raw: _available_cpus() if raw.lower() == "auto" else int(raw),
-        "upper bound on chunk and distance threads, the calling thread among them, or 'auto' "
-        "for one per usable core; measurements start while later methods evolve, small "
-        "targets and clouds run serially, and output never depends on it",
+        "upper bound on the threads alive at once, the calling thread among them, or 'auto' "
+        "for one per usable core; chunks and distances share it, small targets and clouds "
+        "run serially, and output never depends on it",
     ),
     "out": ("", str, "output prefix for .csv and .json reports (default ulmc-EXPERIMENT)"),
     "dataset": ("", str, "labelled CSV for a logistic posterior target"),

@@ -4,13 +4,13 @@ Every study here is deterministic given its seed and arguments.  Work is cut
 into fixed-size chunks of paths or chains, each chunk draws its initial state
 (positions from the dataset prior or N(0, I), velocities from N(0, u I)) and
 its noise from generators keyed by (seed, tag, chunk), and per-chunk results
-are folded in chunk order.  Mixing studies evolve one run's clouds at a time
-in the calling thread and measure its checkpoints on helper threads while
-later runs evolve, gathering the distances in submission order.  The
-``threads`` argument therefore changes wall time, never output; it caps the
-chunk workers and the distance workers, the calling thread counting as one
-of them, and work too small to gain from threads runs serially in the
-calling thread.
+are folded in chunk order; only the contraction study steps all its pairs as
+one chunk 0, with N(0, I) positions on any target.  Mixing studies measure a
+run's checkpoints on helper threads while later runs evolve, gathering the
+distances in submission order.  ``threads`` caps the threads alive at once,
+the calling thread among them, and changes wall time, never output: a run's
+chunks take the threads its pending measurements leave, and work too small to
+gain from threads runs serially in the calling thread.
 """
 
 from __future__ import annotations
@@ -148,13 +148,13 @@ class _WorkQueue:
     calling thread, so ``threads`` threads work in all; results come back in
     submission order.
 
-    Helpers take jobs from one queue as soon as they are submitted, so the
-    caller can do other work (evolve the next clouds) while they run.  A job
-    is skipped when an earlier-submitted job has raised; jobs leave the queue
-    in submission order, so every job before the earliest failure still runs
-    and :meth:`gather` raises what a serial loop would.  Leaving the ``with``
-    block by an exception drops the jobs not yet started and joins the
-    helpers, so none outlives it.
+    Helpers start with the first job and take jobs from one queue as soon
+    as they are submitted, so the caller can do other work (evolve the next
+    clouds) while they run.  A job is skipped when an earlier-submitted job
+    has raised; jobs leave the queue in submission order, so every job
+    before the earliest failure still runs and :meth:`gather` raises what a
+    serial loop would.  Leaving the ``with`` block by an exception drops
+    the jobs not yet started and joins the helpers, so none outlives it.
     """
 
     _STOP = None  # one per consumer ends its loop
@@ -165,9 +165,8 @@ class _WorkQueue:
         self._jobs = queue.SimpleQueue()
         self._results: list = []
         self._failed: list[int] = []  # indices of raising jobs; -1 drops every pending job
-        self._helpers = [threading.Thread(target=self._serve, daemon=True) for _ in range(threads - 1)]
-        for helper in self._helpers:
-            helper.start()
+        self._threads = threads
+        self.helpers: list[threading.Thread] = []
 
     def __enter__(self) -> "_WorkQueue":
         return self
@@ -180,6 +179,10 @@ class _WorkQueue:
     def submit(self, fn: Callable, item) -> None:
         self._results.append(None)
         self._jobs.put((len(self._results) - 1, fn, item))
+        if len(self._results) == 1:
+            self.helpers = [threading.Thread(target=self._serve, daemon=True) for _ in range(self._threads - 1)]
+            for helper in self.helpers:
+                helper.start()
 
     def _serve(self) -> None:
         while (job := self._jobs.get()) is not self._STOP:
@@ -195,13 +198,13 @@ class _WorkQueue:
     def _close(self, *, serve: bool) -> None:
         """Queue one stop marker per consumer, the calling thread too if it is to
         ``serve`` the jobs left, and join the helpers."""
-        for _ in range(len(self._helpers) + serve):
+        for _ in range(len(self.helpers) + serve):
             self._jobs.put(self._STOP)
         if serve:
             self._serve()
-        for helper in self._helpers:
+        for helper in self.helpers:
             helper.join()
-        self._helpers = []
+        self.helpers = []
 
     def gather(self) -> list:
         """Every job's result in submission order, after the calling thread has
@@ -213,15 +216,15 @@ class _WorkQueue:
         return self._results
 
 
-def _pool_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """``[fn(item) for item in items]`` on up to ``workers`` threads, the calling
-    thread among them, in item order."""
-    if workers > 1 and len(items) > 1:
-        with _WorkQueue(min(workers, len(items))) as pool:
-            for item in items:
-                pool.submit(fn, item)
+def _map_chunks(worker: Callable[[int], object], n_chunks: int, threads: int) -> list:
+    """``[worker(chunk) for chunk in range(n_chunks)]`` on up to ``threads``
+    threads, the calling thread among them, in chunk order."""
+    if threads > 1 and n_chunks > 1:
+        with _WorkQueue(min(threads, n_chunks)) as pool:
+            for chunk in range(n_chunks):
+                pool.submit(worker, chunk)
             return pool.gather()
-    return [fn(item) for item in items]
+    return [worker(chunk) for chunk in range(n_chunks)]
 
 
 def _matched_step(method: str, h: float) -> float:
@@ -232,11 +235,6 @@ def _matched_step(method: str, h: float) -> float:
 def _shortest_step(method: str, step: float) -> float:
     """The shortest interval ``method`` steps over at ``step``: its left half if it steps on halves."""
     return 0.5 * step if STEPPER_SPECS[method].needs_halves else step
-
-
-def _map_chunks(worker: Callable[[int], object], n_chunks: int, threads: int) -> list:
-    """Run chunk workers on up to ``threads`` threads, returning results in order."""
-    return _pool_map(worker, range(n_chunks), threads)
 
 
 def _initial_state(cfg, pot, seed, tags, chunk, size) -> PhaseState:
@@ -635,14 +633,15 @@ def mixing_problems(
 def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> list[MixingReport]:
     """One report per ``(method, h, checkpoints)`` run, in run order.
 
-    The calling thread evolves each run's clouds in turn, with the chunk rule.
-    As soon as a run's clouds exist, each of its checkpoints is one
-    measurement job, with the inputs a serial loop would give it, including
-    the keyed subsamples; helper threads start on them while the calling
-    thread evolves the next run, and after the last run the calling thread,
-    one of the ``threads`` distance workers, takes the unstarted ones itself.
-    Results are gathered in submission order.  A divergence drops the pending
-    measurements and raises.
+    The calling thread evolves each run's clouds in turn, with the chunk rule,
+    on the ``threads`` the measurement helpers leave: all of them until the
+    first measurement is submitted.  As soon as a run's clouds exist, each of
+    its checkpoints is one measurement job, with the inputs a serial loop
+    would give it, including the keyed subsamples; helper threads start on
+    them while the calling thread evolves the next run, and after the last run
+    the calling thread takes the unstarted ones itself, so no more than
+    ``threads`` threads are alive at once.  Results are gathered in submission
+    order.  A divergence drops the pending measurements and raises.
     """
     gt = _as_dist(ground_truth)
     gt_cmp = gt if gt.n <= _METRIC_CAP else subsample(gt, _METRIC_CAP, keyed_generator(seed, _TAG_SUBSAMPLE_REF, 0))
@@ -657,7 +656,8 @@ def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> li
     n_jobs = sum(len(cps) for _, _, cps in runs)
     with _WorkQueue(_metric_workers(threads, n_jobs, min(int(n_chains), gt.n))) as measuring:
         for method, h, cps in runs:
-            clouds = _evolve_positions(cfg, pot, method, n_chains, h, cps, seed, _TAGS_MIXING, threads)
+            free = threads - len(measuring.helpers)
+            clouds = _evolve_positions(cfg, pot, method, n_chains, h, cps, seed, _TAGS_MIXING, free)
             for ci, step in enumerate(cps):
                 emp = EmpiricalDistribution(clouds[step])
                 m = min(emp.n, gt_cmp.n)
@@ -774,7 +774,6 @@ def stationary_problems(h: float, n_chains: int, burn_in: int, kept: int) -> lis
     """Why :func:`stationary_study` cannot run on these arguments; empty if it can."""
     return _unmet(
         (0.0 < h < math.inf, "h: step size must be positive and finite"),
-        (not 0.0 < h or _shortest_step("ubu", h) > 0.0, "h: the halves of a step, which ubu steps on, underflow to 0"),
         (n_chains >= 1, "chains: need at least 1"),
         (burn_in >= 0, "burn_in: must be nonnegative"),
         (kept >= 1, "kept: need at least one kept step"),
@@ -790,10 +789,9 @@ def stationary_study(
     kept: int,
     seed: int,
     *,
-    stepper="quicsort",
     threads: int = 1,
 ) -> StationaryReport:
-    """Empirical stationary moments from long chains after burn-in.
+    """Empirical stationary moments from long ``quicsort`` chains after burn-in.
 
     After ``burn_in`` steps each chain contributes every one of its next
     ``kept`` states.  Velocity norms follow the pooled per-coordinate
@@ -822,7 +820,7 @@ def stationary_study(
         return math.isfinite(x2_step + v2_step)
 
     parts = _run_chains(
-        cfg, pot, stepper, n_chains, h, burn_in + kept, seed, _TAGS_STATIONARY, threads, observe,
+        cfg, pot, "quicsort", n_chains, h, burn_in + kept, seed, _TAGS_STATIONARY, threads, observe,
         lambda: [0.0, 0.0, 0.0, 0.0],
     )
     pooled = sum(parts, np.zeros(4)) / (float(kept) * n_chains * d)

@@ -477,7 +477,6 @@ _BAD_SETTINGS = [
     ("sample", "h", {"method": "ubu", "h": 5e-324}),
     ("compare", "h", {"h": 5e-324}),  # one-gradient methods run at h/2
     ("compare", "h", {"methods": ("ubu",), "h": 1e-323}),  # and ubu on halves of that
-    ("stationary", "h", {"h": 5e-324}),
 ]
 
 

@@ -813,9 +813,9 @@ def test_mixing_study_equals_the_per_chunk_loop(method, aniso_truth, monkeypatch
     assert mixing_study(*args, seed=31) == got
 
 
-@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("method", ["quicsort"])  # the stepper stationary runs
 def test_stationary_study_equals_the_per_chunk_loop(method):
-    got = stationary_study(CFG, POT2, 0.1, 130, 7, 9, seed=6, stepper=method)
+    got = stationary_study(CFG, POT2, 0.1, 130, 7, 9, seed=6)
     assert got == _ref_stationary(CFG, POT2, method, 0.1, 130, 7, 9, 6)
 
 
@@ -829,12 +829,12 @@ def test_contractivity_study_equals_the_pair_loop():
     np.testing.assert_array_equal(got, _ref_contract(CFG, POT2, 0.05, 30, 130, 4))
 
 
-@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("method", ["quicsort"])  # the stepper stationary runs
 @pytest.mark.parametrize("burn_in", [0, 400])
 def test_stationary_divergence_equals_the_per_chunk_loop(method, burn_in):
     # burn_in 0 diverges in kept steps, where the moment sums vouch for finite states
     with pytest.raises(DivergenceError) as got, np.errstate(over="ignore", invalid="ignore"):
-        stationary_study(CFG, _STIFF, 0.3, 130, burn_in, 400 - burn_in + 1, seed=6, stepper=method)
+        stationary_study(CFG, _STIFF, 0.3, 130, burn_in, 400 - burn_in + 1, seed=6)
     with pytest.raises(DivergenceError) as want, np.errstate(over="ignore", invalid="ignore"):
         _ref_stationary(CFG, _STIFF, method, 0.3, 130, burn_in, 400 - burn_in + 1, 6)
     _same_divergence(got.value, want.value)
@@ -886,12 +886,12 @@ _POOLED = settings(max_examples=25, suppress_health_check=[HealthCheck.function_
 
 
 @_POOLED
-@given(n_chains=st.integers(1, 200), method=st.sampled_from(_METHODS))
-def test_stationary_thread_invariant_at_any_chain_count(pooled, n_chains, method):
-    one = stationary_study(CFG, POT2, 0.1, n_chains, 3, 4, seed=n_chains, stepper=method, threads=1)
+@given(n_chains=st.integers(1, 200))
+def test_stationary_thread_invariant_at_any_chain_count(pooled, n_chains):
+    one = stationary_study(CFG, POT2, 0.1, n_chains, 3, 4, seed=n_chains, threads=1)
     several = n_chains > harness.CHUNK
     pooled.meet(*("chunks",) * several)
-    three = stationary_study(CFG, POT2, 0.1, n_chains, 3, 4, seed=n_chains, stepper=method, threads=3)
+    three = stationary_study(CFG, POT2, 0.1, n_chains, 3, 4, seed=n_chains, threads=3)
     # one chunk runs inline; more run on the caller and the pool's helpers
     assert len(pooled) >= 2 if several else pooled == {threading.get_ident()}
     assert one == three
@@ -963,9 +963,9 @@ def test_work_queue_under_contention_keeps_every_result_and_the_earliest_failure
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert harness._pool_map(lambda i: i * i, range(400), 8) == [i * i for i in range(400)]
+            assert harness._map_chunks(lambda i: i * i, 400, 8) == [i * i for i in range(400)]
             with pytest.raises(ValueError, match=r"^job 41$"):
-                harness._pool_map(job, range(400), 8)
+                harness._map_chunks(job, 400, 8)
     finally:
         sys.setswitchinterval(interval)
 
@@ -994,6 +994,25 @@ def test_compare_measures_while_the_next_method_evolves(monkeypatch, aniso_truth
     assert waited == [True]
     monkeypatch.setattr(harness, "_evolve_positions", evolve)
     assert got == compare_study(CFG, pot, 64, 0.2, [0, 2], gt, seed=4, methods=("quicsort", "ubu"))
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_mixing_studies_keep_no_more_than_threads_threads_alive(monkeypatch, threads):
+    # d = 70 and 640 chains: chunks and distances both pool at the default thresholds
+    pot = QuadraticPotential(4.0, d=70)
+    gt = gaussian_ground_truth(pot, 640, seed=7)
+    alive = []
+    for name in ("_initial_state", "wasserstein2"):
+
+        def counting(*args, _fn=getattr(harness, name), **kwargs):
+            alive.append(threading.active_count())
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+    before = threading.active_count()
+    compare_study(CFG, pot, 640, 0.1, [0, 2], gt, seed=3, threads=threads)
+    mixing_study(CFG, pot, "quicsort", 640, 0.1, [0, 2], gt, seed=3, threads=threads)
+    assert before < max(alive) <= before + threads - 1
 
 
 def _start_second_method_chain_70_at_infinity(monkeypatch):
