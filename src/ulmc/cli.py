@@ -7,11 +7,17 @@ setting, plus the ``gamma_resolved`` and ``u_resolved`` the solver used.
 ``--config`` reads only ``key = value`` lines, not that JSON.
 Exit codes: 0 success, 2 invalid configuration or reports that cannot be
 written, 3 numerical divergence.
+
+``main`` first freezes the garbage collector's heap (``gc.freeze``): the
+objects the imports left live until exit, and without the freeze
+interpreter shutdown walks them all, about 30 ms of every run on 2 cores.
+Importing this module leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -389,6 +395,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The ~22,000 objects the imports left tracked live until exit, and
+    # interpreter shutdown walks them in full collections: about 30 ms of
+    # every run after main returns (2 cores, numpy 2.4).  Moving them to the
+    # permanent generation leaves them out of every later collection.
+    gc.freeze()
     args = _parser().parse_args(argv)
     rc, diags = _resolve(args)
     if not diags and rc is not None:

@@ -97,6 +97,12 @@ _POOL_MIN_POINTS = 128
 # A checkpoint's exact W2 uses at most this many points of each cloud, subsampled by seed.
 _METRIC_CAP = 2048
 
+# The most reference steps a converge run may plan: chunks * 2**fine_level,
+# each one tree split and one two-gradient step on a chunk of paths.  That pair
+# took about 80 us on the cheapest target measured (d = 2 quadratic, one
+# thread, 2 cores), so this many take about a day.
+_MAX_REFERENCE_STEPS = 2**30
+
 _MIN_STEP = math.ulp(0.0)  # the smallest positive float; shorter steps are 0
 
 _CSV_VERSION = "ulmc-csv v2"
@@ -394,6 +400,7 @@ def converge_problems(
     Each entry reads ``"<setting>: <problem>"``, naming the CLI setting to
     change; the study raises the first.  Every study has such a function.
     """
+    chunks = -(-paths // CHUNK)
     problems = _method_problems("methods", methods) + _unmet(
         (paths >= 2, "paths: need at least 2 for a Monte Carlo error estimate"),
         (0.0 < horizon < math.inf, "horizon: must be positive and finite"),
@@ -405,6 +412,11 @@ def converge_problems(
         (  # halvings round, and below this horizon the shortest finest step is 0
             not 0.0 < horizon < math.inf or fine_level > _INDEX_BITS or horizon >= math.ldexp(_MIN_STEP, fine_level),
             f"horizon: must be at least 2**fine_level * {_MIN_STEP:g}, or the finest steps underflow to 0",
+        ),
+        (
+            fine_level > _INDEX_BITS or chunks << max(fine_level, 0) <= _MAX_REFERENCE_STEPS,
+            f"fine_level: the reference would take 2**{fine_level} steps on each of {chunks} chunks "
+            f"of paths, above the 2**{_MAX_REFERENCE_STEPS.bit_length() - 1} a run may plan (about a day)",
         ),
     )
     levels = sorted({int(lvl) for lvl in coarse_levels})
@@ -803,21 +815,21 @@ def stationary_study(
     d = pot.meta.d
     add_all = np.add.reduce
 
-    def observe(sums: list, step: int, state: PhaseState) -> bool:  # sums of x^2, v^2, v^4, v^6
+    def observe(sums: list, step: int, state: PhaseState) -> bool | None:  # sums of x^2, v^2, v^4, v^6
         if step <= burn_in:
-            return False
+            return None  # the runner checks the state
         # add.reduce over all axes is np.sum without its dispatch
         v2 = state.v * state.v
         v4 = v2 * v2
-        x2_step = float(add_all(state.x * state.x, axis=None))
-        v2_step = float(add_all(v2, axis=None))
-        sums[0] += x2_step
-        sums[1] += v2_step
+        sums[0] += float(add_all(state.x * state.x, axis=None))
+        sums[1] += float(add_all(v2, axis=None))
         sums[2] += float(add_all(v4, axis=None))
         sums[3] += float(add_all(v4 * v2, axis=None))
-        # a non-finite entry makes these sums non-finite, so only then (or
-        # when a square overflows) is the state checked entry by entry
-        return math.isfinite(x2_step + v2_step)
+        # a non-finite entry makes its sum non-finite, so finite sums vouch for
+        # a finite state; a non-finite sum is a divergence even when the state
+        # is finite and only its powers overflow
+        s0, s1, s2, s3 = sums
+        return math.isfinite(s0) and math.isfinite(s1) and math.isfinite(s2) and math.isfinite(s3)
 
     parts = _run_chains(
         cfg, pot, "quicsort", n_chains, h, burn_in + kept, seed, _TAGS_STATIONARY, threads, observe,

@@ -90,11 +90,13 @@ class PhaseState(NamedTuple):
 
 
 class DivergenceError(RuntimeError):
-    """A state became non-finite during simulation.
+    """A state became non-finite during simulation, or ``finite_state`` but
+    too large for the moments observed of it to be finite.
 
     A chunked run also names the ``chunk``, the global index of the first
-    non-finite ``chain``, and the largest finite ``|x|`` and ``|v|`` of the
-    chunk's state (None when no entry is finite).
+    non-finite ``chain`` (of a finite state, the first holding its largest
+    entry), and the largest finite ``|x|`` and ``|v|`` of the chunk's state
+    (None when no entry is finite).
     """
 
     def __init__(
@@ -107,6 +109,7 @@ class DivergenceError(RuntimeError):
         chain: int | None = None,
         max_abs_x: float | None = None,
         max_abs_v: float | None = None,
+        finite_state: bool = False,
     ):
         self.method = method
         self.step = step
@@ -115,7 +118,9 @@ class DivergenceError(RuntimeError):
         self.chain = chain
         self.max_abs_x = max_abs_x
         self.max_abs_v = max_abs_v
-        msg = f"non-finite state after step {step} (t = {time:g}) of {method}"
+        self.finite_state = finite_state
+        what = "overflowing moments of a finite state" if finite_state else "non-finite state"
+        msg = f"{what} after step {step} (t = {time:g}) of {method}"
         if chunk is not None:
             mags = ["none" if m is None else f"{m:.6g}" for m in (max_abs_x, max_abs_v)]
             msg += (
@@ -371,7 +376,8 @@ class ChainRunner:
 
     A divergence names time ``steps * h`` and chain ``chunk * CHUNK + row``.
     ``observe(step, state)`` sees each new state first and may return True
-    to vouch that it is finite, which skips the divergence check.
+    to vouch that it is finite, which skips the divergence check, or False
+    to reject it as diverged even if it is finite (its moments overflow).
     """
 
     __slots__ = ("method", "stepper", "needs_halves", "state", "steps", "h", "chunk", "observe")
@@ -387,24 +393,30 @@ class ChainRunner:
         self.observe = observe
 
     def advance(self, cfg: SolverConfig, pot, inc: BrownianIncrement) -> None:
-        """Step once on ``inc``; raise :class:`DivergenceError` on a non-finite state."""
+        """Step once on ``inc``; raise :class:`DivergenceError` on a non-finite
+        state or one that ``observe`` rejects."""
         state = self.stepper(cfg, pot, self.state, inc)
         self.steps += 1
-        vouched = self.observe is not None and self.observe(self.steps, state)
-        if not vouched and not _finite(state):
+        verdict = None if self.observe is None else self.observe(self.steps, state)
+        if verdict is False or verdict is None and not _finite(state):
             raise self._divergence(state)
         self.state = state
 
     def _divergence(self, state: PhaseState) -> DivergenceError:
         ok_x, ok_v = np.isfinite(state.x), np.isfinite(state.v)
         bad = ~(ok_x & ok_v).all(axis=-1)
+        finite = not bad.any()
+        # argmax names the first non-finite chain or, of a finite state that
+        # observe rejected, the first chain holding its largest entry
+        worst = np.maximum(np.abs(state.x), np.abs(state.v)).max(axis=-1) if finite else bad
         max_x, max_v = (
             float(np.abs(a[ok]).max()) if ok.any() else None
             for a, ok in ((state.x, ok_x), (state.v, ok_v))
         )
         return DivergenceError(
             self.method, self.steps, self.steps * self.h, chunk=self.chunk,
-            chain=self.chunk * CHUNK + int(np.argmax(bad)), max_abs_x=max_x, max_abs_v=max_v,
+            chain=self.chunk * CHUNK + int(np.argmax(worst)), max_abs_x=max_x, max_abs_v=max_v,
+            finite_state=finite,
         )
 
 

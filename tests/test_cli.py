@@ -1,11 +1,13 @@
 """Tests for the command-line entry point: config handling, outputs, exit codes."""
 
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -111,6 +113,22 @@ def test_converge_levels_reaching_fine_level_exits_2(capsys):
     assert main(["converge", "--levels", "3:14"]) == 2
     err = capsys.readouterr().err
     assert "ulmc: levels:" in err and "'ubu'" in err and "Traceback" not in err
+
+
+def test_converge_refuses_a_reference_too_long_to_run(tmp_path, monkeypatch, capsys):
+    # 2**40 reference steps would run for weeks; the plan is refused before any runs
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "strong_error_study", must_not_run)
+    argv = ["converge", "--fine-level", "40", "--levels", "3:5", "--paths", "2",
+            "--dimension", "2", "--out", str(tmp_path / "run")]
+    start = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("ulmc: fine_level: the reference would take 2**40 steps") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fine_level", ["1500", "65"])
@@ -576,6 +594,27 @@ def test_extreme_finite_settings_exit_cleanly(argv, codes, tmp_path, capsys):
     assert "Traceback" not in err
     if codes == (2,):
         assert re.match(r"ulmc: (gamma|horizon|h): ", err)
+
+
+def test_stationary_moments_overflowing_on_a_finite_state_exit_3(tmp_path, capsys):
+    # gamma*h overflows, so one step kicks |v| to about 9e159: finite, but v**2 overflows
+    argv = _STATIONARY + ["--gamma", "1e200", "--h", "1e120", "--dimension", "2", "--out", str(tmp_path / "st")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"ulmc: overflowing moments of a finite state after step 2 \(t = 2e\+120\) of quicsort "
+        r"in chunk 0, first at chain [01]; largest finite \|x\| [0-9.e+]+, \|v\| 9\.[0-9]+e\+159\n",
+        err,
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_freezes_the_heap_it_starts_with(tmp_path):
+    # objects alive when main starts (the imports') leave every later collection
+    gc.unfreeze()
+    assert gc.get_freeze_count() == 0
+    assert main(_STATIONARY + ["--dimension", "2", "--out", str(tmp_path / "st")]) == 0
+    assert gc.get_freeze_count() > 0
 
 
 @pytest.mark.parametrize("experiment", ["sample", "compare"])

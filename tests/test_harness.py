@@ -40,7 +40,7 @@ from ulmc.harness import (
     write_text_report,
 )
 from ulmc.integrators import STEPPERS, DivergenceError, PhaseState, SolverConfig
-from ulmc.metrics import EmpiricalDistribution, energy_distance_sq
+from ulmc.metrics import EmpiricalDistribution, energy_distance_sq, subsample, wasserstein2
 from ulmc.potentials import (
     GradientCounter,
     LogisticPosterior,
@@ -208,12 +208,31 @@ def test_fit_order_needs_two_distinct_step_counts():
 
 def test_fine_level_must_fit_the_noise_index():
     # tree node indices stay below 2**fine_level and must fit a 64-bit counter word
-    assert converge_problems(["quicsort"], 1.0, 2, [3, 4, 5], 64) == []
+    # (fine_level 64 fits it, but plans too many steps to run)
+    index_problem = "fit the 64-bit noise index"
+    assert not any(index_problem in p for p in converge_problems(["quicsort"], 1.0, 2, [3, 4, 5], 64))
     for fine_level in (65, 1500):
         problems = converge_problems(["quicsort"], 1.0, 2, [3, 4, 5], fine_level)
-        assert problems and problems[0].startswith("fine_level: ")
+        assert problems and problems[0].startswith("fine_level: ") and index_problem in problems[0]
         with pytest.raises(ValueError, match="^fine_level: "):
             strong_error_study(CFG, POT2, ["quicsort"], 1.0, 2, [3, 4, 5], fine_level, seed=1)
+
+
+def test_converge_plans_at_most_max_reference_steps():
+    # chunks of 64 paths times 2**fine_level reference steps each
+    def plan_problems(paths, fine_level):
+        return [p for p in converge_problems(["quicsort"], 1.0, paths, [3, 4, 5], fine_level)
+                if "a run may plan" in p]
+
+    assert harness._MAX_REFERENCE_STEPS == 2**30
+    assert plan_problems(256, 14) == []  # the defaults and the acceptance study
+    assert plan_problems(64, 11) == []  # demos/convergence_orders.py
+    assert plan_problems(64, 30) == plan_problems(64 * 64, 24) == []
+    assert plan_problems(2, 40) == [
+        "fine_level: the reference would take 2**40 steps on each of 1 chunks of paths, "
+        "above the 2**30 a run may plan (about a day)"
+    ]
+    assert len(plan_problems(65, 30)) == len(plan_problems(64 * 64 + 1, 24)) == 1
 
 
 @pytest.fixture(scope="module")
@@ -663,27 +682,31 @@ def _ref_finite(state):
 def _ref_divergence(name, step, h, state, chunk):
     ok_x, ok_v = np.isfinite(state.x), np.isfinite(state.v)
     bad = ~(ok_x & ok_v).all(axis=-1)
+    finite = not bad.any()
+    if finite:  # moments overflowed: the row-major first entry of largest magnitude names the chain
+        both = np.abs(np.concatenate([state.x, state.v], axis=-1))
+        bad = np.arange(len(both)) == np.argmax(both) // both.shape[-1]
     max_x, max_v = (
         float(np.abs(a[ok]).max()) if ok.any() else None
         for a, ok in ((state.x, ok_x), (state.v, ok_v))
     )
     return DivergenceError(
         name, step, step * h, chunk=chunk, chain=chunk * 64 + int(np.argmax(bad)),
-        max_abs_x=max_x, max_abs_v=max_v,
+        max_abs_x=max_x, max_abs_v=max_v, finite_state=finite,
     )
 
 
 def _ref_chunk_loop(cfg, pot, method, chunk, size, h, n_steps, seed, tags, observe):
-    """One chunk: fetch each increment, step, check, then hand the state over."""
+    """One chunk: fetch each increment, step, check, then hand the state over;
+    ``observe`` returning False rejects a finite state."""
     state = harness._initial_state(cfg, pot, seed, tags, chunk, size)
     path = BrownianPath(chunk_key(seed, tags[2], chunk), pot.meta.d, shape=(size,))
     observe(0, state)
     for step in range(1, n_steps + 1):
         inc = path.increment(step - 1, h, with_halves=method == "ubu")
         state = STEPPERS[method](cfg, pot, state, inc)
-        if not _ref_finite(state):
+        if not _ref_finite(state) or observe(step, state) is False:
             raise _ref_divergence(method, step, h, state, chunk)
-        observe(step, state)
 
 
 def _ref_clouds(cfg, pot, method, n_chains, h, record, seed, tags, threads):
@@ -712,6 +735,7 @@ def _ref_stationary(cfg, pot, method, h, n_chains, burn_in, kept, seed):
                 v4 = v2 * v2
                 for i, moment in enumerate((state.x * state.x, v2, v4, v4 * v2)):
                     sums[i] += float(np.sum(moment))
+                return bool(np.isfinite(sums).all())
 
         _ref_chunk_loop(cfg, pot, method, chunk, size, h, burn_in + kept, seed, tags, observe)
         totals += sums
@@ -813,6 +837,27 @@ def test_mixing_study_equals_the_per_chunk_loop(method, aniso_truth, monkeypatch
     assert mixing_study(*args, seed=31) == got
 
 
+@pytest.mark.parametrize("n_chains, n_truth", [(64, 128), (128, 64)])
+def test_compare_w2_reads_keyed_subsamples(n_chains, n_truth):
+    # the larger side is subsampled to the smaller: the reference keyed
+    # (_TAG_SUBSAMPLE_REF, 1 + ci), a cloud (_TAG_SUBSAMPLE_EMP, ci)
+    pot = QuadraticPotential([1.0, 4.0])
+    gt = gaussian_ground_truth(pot, n_truth, seed=7)
+    reps = compare_study(CFG, pot, n_chains, 0.2, [0, 3], gt, seed=13)
+    n = min(n_chains, n_truth)
+    for rep in reps.values():
+        clouds = _ref_clouds(CFG, pot, rep.method, n_chains, rep.step_size, rep.checkpoints, 13, harness._TAGS_MIXING, 1)
+        want = []
+        for ci, step in enumerate(rep.checkpoints):
+            emp, ref = EmpiricalDistribution(clouds[step]), gt
+            if n_chains > n:
+                emp = subsample(emp, n, keyed_generator(13, harness._TAG_SUBSAMPLE_EMP, ci))
+            if n_truth > n:
+                ref = subsample(gt, n, keyed_generator(13, harness._TAG_SUBSAMPLE_REF, 1 + ci))
+            want.append(wasserstein2(emp, ref))
+        assert rep.w2 == tuple(want), rep.method
+
+
 @pytest.mark.parametrize("method", ["quicsort"])  # the stepper stationary runs
 def test_stationary_study_equals_the_per_chunk_loop(method):
     got = stationary_study(CFG, POT2, 0.1, 130, 7, 9, seed=6)
@@ -832,12 +877,29 @@ def test_contractivity_study_equals_the_pair_loop():
 @pytest.mark.parametrize("method", ["quicsort"])  # the stepper stationary runs
 @pytest.mark.parametrize("burn_in", [0, 400])
 def test_stationary_divergence_equals_the_per_chunk_loop(method, burn_in):
-    # burn_in 0 diverges in kept steps, where the moment sums vouch for finite states
+    # burn_in 0 diverges in kept steps, where the moment sums vouch for finite
+    # states and reject the first finite one whose squares overflow
     with pytest.raises(DivergenceError) as got, np.errstate(over="ignore", invalid="ignore"):
         stationary_study(CFG, _STIFF, 0.3, 130, burn_in, 400 - burn_in + 1, seed=6)
     with pytest.raises(DivergenceError) as want, np.errstate(over="ignore", invalid="ignore"):
         _ref_stationary(CFG, _STIFF, method, 0.3, 130, burn_in, 400 - burn_in + 1, 6)
     _same_divergence(got.value, want.value)
+    assert got.value.finite_state == (burn_in == 0)
+
+
+@pytest.mark.parametrize("u, power", [(1.0, 2), (1e-150, 4), (1e-200, 6)])
+def test_stationary_rejects_a_finite_state_whose_moment_overflows(u, power):
+    # where gamma*h overflows, one quicsort step kicks |v| to about
+    # sqrt(2*gamma*u*h), finite, but so large that v**power overflows
+    cfg = SolverConfig(gamma=1e200, u=u)
+    with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
+        stationary_study(cfg, POT2, 1e120, 2, 1, 2, seed=2024)
+    exc = err.value
+    assert exc.finite_state and (exc.step, exc.chunk) == (2, 0) and exc.chain in (0, 1)
+    assert exc.max_abs_x < 10.0
+    top = math.log(sys.float_info.max)
+    assert (power - 2) * math.log(exc.max_abs_v) < top < power * math.log(exc.max_abs_v)
+    assert str(exc).startswith("overflowing moments of a finite state after step 2 (t = 2e+120)")
 
 
 def test_divergence_in_a_later_chunk_equals_the_per_chunk_loop(aniso_truth, monkeypatch):
