@@ -408,3 +408,18 @@ class DyadicBrownianTree(_KeyedNoise):
     ) -> tuple[BrownianIncrement, BrownianIncrement]:
         """Split node ``index`` (holding ``inc``) into its two children."""
         return refine(inc, self._keyed(_STREAM_TREE_SPLIT, index))
+
+    def walk(self, depth: int):
+        """Every node down to level ``depth``, depth first, as ``(level, increment, halves)``.
+
+        A node is split before it is yielded, so ``halves`` holds its two
+        children (None at level ``depth``), and the children come next, left
+        first: the nodes of each level arrive in time order.
+        """
+        stack = [(0, 1, self.root())]
+        while stack:
+            level, index, inc = stack.pop()
+            halves = self.split(inc, index) if level < depth else None
+            yield level, inc, halves
+            if halves is not None:
+                stack += [(level + 1, 2 * index + 1, halves[1]), (level + 1, 2 * index, halves[0])]

@@ -16,6 +16,7 @@ gain from threads runs serially in the calling thread.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import threading
@@ -166,7 +167,7 @@ class _WorkQueue:
     _STOP = None  # one per consumer ends its loop
 
     def __init__(self, threads: int):
-        import queue  # only studies that measure or pool pay for it
+        import queue  # loaded by the first study, so a run refused at validation never pays for it
 
         self._jobs = queue.SimpleQueue()
         self._results: list = []
@@ -225,12 +226,10 @@ class _WorkQueue:
 def _map_chunks(worker: Callable[[int], object], n_chunks: int, threads: int) -> list:
     """``[worker(chunk) for chunk in range(n_chunks)]`` on up to ``threads``
     threads, the calling thread among them, in chunk order."""
-    if threads > 1 and n_chunks > 1:
-        with _WorkQueue(min(threads, n_chunks)) as pool:
-            for chunk in range(n_chunks):
-                pool.submit(worker, chunk)
-            return pool.gather()
-    return [worker(chunk) for chunk in range(n_chunks)]
+    with _WorkQueue(min(threads, n_chunks)) as pool:
+        for chunk in range(n_chunks):
+            pool.submit(worker, chunk)
+        return pool.gather()
 
 
 def _matched_step(method: str, h: float) -> float:
@@ -272,13 +271,9 @@ def _run_chains(cfg, pot, method, n_chains, h, n_steps, seed, tags, threads, obs
     chunk order after ``observe(it, step, state)`` has seen states 0 to ``n_steps``."""
 
     def run_chunk(chunk: int, state: PhaseState, key: int):
-        path = BrownianPath(key, pot.meta.d, shape=(len(state.x),))
         result = start()
-        watch = functools.partial(observe, result)
-        watch(0, state)
-        run = ChainRunner(method, state, h, chunk, watch)
-        for step in range(n_steps):
-            run.advance(cfg, pot, path.increment(step, h, with_halves=run.needs_halves))
+        run = ChainRunner(method, state, h, chunk, functools.partial(observe, result))
+        run.run(cfg, pot, BrownianPath(key, pot.meta.d, shape=(len(state.x),)), itertools.repeat(h, n_steps))
         return result
 
     return _chunked(cfg, pot, n_chains, seed, tags, threads, run_chunk)
@@ -352,23 +347,6 @@ class ConvergenceReport:
     def to_dict(self) -> dict:
         fits = {m: {**asdict(f), "order": f.order} for m, f in self.fits.items()}
         return {"kind": "converge", **asdict(self), "fits": fits, "fit_range": self.fit_range}
-
-
-def _descend(tree, cfg, pot, index, inc, depth, fine_depth, by_depth) -> None:
-    """Depth-first walk of the dyadic tree, advancing each runner at its depth.
-
-    Children are generated before the runners at this depth advance so that
-    a stepper needing refined halves can take them from the same split the
-    walk uses; left-to-right recursion visits every depth in time order.
-    """
-    children = None
-    if depth < fine_depth:
-        children = tree.split(inc, index)
-    for run in by_depth.get(depth, ()):
-        run.advance(cfg, pot, inc.with_halves(children) if run.needs_halves else inc)
-    if children is not None:
-        _descend(tree, cfg, pot, 2 * index, children[0], depth + 1, fine_depth, by_depth)
-        _descend(tree, cfg, pot, 2 * index + 1, children[1], depth + 1, fine_depth, by_depth)
 
 
 def _unmet(*rules: tuple[bool, str]) -> list[str]:
@@ -481,10 +459,12 @@ def strong_error_study(
             (m, lvl): ChainRunner(m, state0, horizon / 2.0**lvl, chunk)
             for m, lvl in dict.fromkeys([*keys, ref_key])
         }
-        by_depth: dict[int, list[ChainRunner]] = {}
+        by_level: dict[int, list[ChainRunner]] = {}
         for (_, lvl), run in runs.items():
-            by_depth.setdefault(lvl, []).append(run)
-        _descend(tree, cfg, pot, 1, tree.root(), 0, fine_level, by_depth)
+            by_level.setdefault(lvl, []).append(run)
+        for level, inc, halves in tree.walk(fine_level):
+            for run in by_level.get(level, ()):
+                run.advance(cfg, pot, inc.with_halves(halves) if run.needs_halves else inc)
         ref = runs[ref_key].state.x
         return {k: float(np.sum((runs[k].state.x - ref) ** 2)) for k in keys}
 
@@ -560,19 +540,17 @@ def contractivity_study(
     _require(contract_problems(cfg, pot, h, n_steps, n_pairs))
     d = pot.meta.d
     g = keyed_generator(seed, _TAG_CONTRACT_INIT, 0)
-    scale = math.sqrt(cfg.u)
-    state_a = PhaseState(g.standard_normal((n_pairs, d)), scale * g.standard_normal((n_pairs, d)))
-    state_b = PhaseState(g.standard_normal((n_pairs, d)), scale * g.standard_normal((n_pairs, d)))
-    path = BrownianPath(chunk_key(seed, _TAG_CONTRACT_PATH, 0), d, shape=(n_pairs,))
-    # one pair per row, so a divergence names the pair as its chain
-    run_a, run_b = (ChainRunner("quicsort", s, h, 0) for s in (state_a, state_b))
+    x_a, v_a, x_b, v_b = (g.standard_normal((n_pairs, d)) for _ in range(4))
+    # both chains of every pair in one (2, pairs, d) state: the shared (pairs, d)
+    # increment broadcasts over them, and a divergence names the pair as its chain
+    state = PhaseState(np.stack([x_a, x_b]), math.sqrt(cfg.u) * np.stack([v_a, v_b]))
     out = np.empty(n_steps + 1)
-    out[0] = _transformed_distance(cfg, state_a, state_b)
-    for i in range(n_steps):
-        inc = path.increment(i, h)
-        run_a.advance(cfg, pot, inc)
-        run_b.advance(cfg, pot, inc)
-        out[i + 1] = _transformed_distance(cfg, run_a.state, run_b.state)
+
+    def record(step: int, pair: PhaseState) -> None:
+        out[step] = _transformed_distance(cfg, *(PhaseState(x, v) for x, v in zip(*pair)))
+
+    path = BrownianPath(chunk_key(seed, _TAG_CONTRACT_PATH, 0), d, shape=(n_pairs,))
+    ChainRunner("quicsort", state, h, 0, record).run(cfg, pot, path, itertools.repeat(h, n_steps))
     return out
 
 

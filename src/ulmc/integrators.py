@@ -50,7 +50,6 @@ __all__ = [
     "simulate",
     "STEPPERS",
     "STEPPER_SPECS",
-    "stepper_spec",
     "LAMBDA_PLUS",
     "LAMBDA_MINUS",
 ]
@@ -360,13 +359,6 @@ STEPPER_SPECS: dict[str, StepperSpec] = {
 CHUNK = 64
 
 
-def stepper_spec(method: str) -> StepperSpec:
-    """The spec of the stepper named ``method``; ValueError if there is none."""
-    if method not in STEPPER_SPECS:
-        raise ValueError(f"unknown method '{method}'; choose from {sorted(STEPPERS)}")
-    return STEPPER_SPECS[method]
-
-
 def _finite(state: PhaseState) -> bool:
     return bool(np.isfinite(state.x).all() and np.isfinite(state.v).all())
 
@@ -374,7 +366,8 @@ def _finite(state: PhaseState) -> bool:
 class ChainRunner:
     """The chains of one study chunk, stepped by the stepper named ``method``.
 
-    A divergence names time ``steps * h`` and chain ``chunk * CHUNK + row``.
+    A divergence names time ``steps * h`` and chain ``chunk * CHUNK + row``;
+    leading axes may stack states whose rows are the same chains.
     ``observe(step, state)`` sees each new state first and may return True
     to vouch that it is finite, which skips the divergence check, or False
     to reject it as diverged even if it is finite (its moments overflow).
@@ -383,14 +376,25 @@ class ChainRunner:
     __slots__ = ("method", "stepper", "needs_halves", "state", "steps", "h", "chunk", "observe")
 
     def __init__(self, method: str, state: PhaseState, h: float, chunk: int, observe=None):
+        if method not in STEPPER_SPECS:
+            raise ValueError(f"unknown method '{method}'; choose from {sorted(STEPPERS)}")
         self.method = method
-        self.needs_halves = stepper_spec(method).needs_halves
+        self.needs_halves = STEPPER_SPECS[method].needs_halves
         self.stepper = STEPPERS[method]
         self.state = state
         self.steps = 0
         self.h = h
         self.chunk = chunk
         self.observe = observe
+
+    def run(self, cfg: SolverConfig, pot, path: BrownianPath, dts) -> None:
+        """Show ``observe`` the starting state, then step on increment ``i`` of
+        ``path`` over ``dts[i]`` for each ``i``, refined into halves only if
+        the stepper needs them."""
+        if self.observe is not None:
+            self.observe(self.steps, self.state)
+        for i, dt in enumerate(dts):
+            self.advance(cfg, pot, path.increment(i, dt, with_halves=self.needs_halves))
 
     def advance(self, cfg: SolverConfig, pot, inc: BrownianIncrement) -> None:
         """Step once on ``inc``; raise :class:`DivergenceError` on a non-finite
@@ -407,16 +411,17 @@ class ChainRunner:
         bad = ~(ok_x & ok_v).all(axis=-1)
         finite = not bad.any()
         # argmax names the first non-finite chain or, of a finite state that
-        # observe rejected, the first chain holding its largest entry
-        worst = np.maximum(np.abs(state.x), np.abs(state.v)).max(axis=-1) if finite else bad
+        # observe rejected, the first chain holding its largest entry, its
+        # row taken modulo the row count of a stacked state
+        worst = np.atleast_1d(np.maximum(np.abs(state.x), np.abs(state.v)).max(axis=-1) if finite else bad)
         max_x, max_v = (
             float(np.abs(a[ok]).max()) if ok.any() else None
             for a, ok in ((state.x, ok_x), (state.v, ok_v))
         )
         return DivergenceError(
             self.method, self.steps, self.steps * self.h, chunk=self.chunk,
-            chain=self.chunk * CHUNK + int(np.argmax(worst)), max_abs_x=max_x, max_abs_v=max_v,
-            finite_state=finite,
+            chain=self.chunk * CHUNK + int(np.argmax(worst)) % worst.shape[-1],
+            max_abs_x=max_x, max_abs_v=max_v, finite_state=finite,
         )
 
 
@@ -446,11 +451,10 @@ def simulate(
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     state = PhaseState(np.asarray(initial.x, dtype=float), np.asarray(initial.v, dtype=float))
-    out = [state]
+    out = []
     runner = ChainRunner(stepper, state, math.nan, 0, lambda step, new: out.append(new))
     try:
-        for i, dt in enumerate(np.diff(times)):
-            runner.advance(cfg, pot, path.increment(i, dt, with_halves=runner.needs_halves))
+        runner.run(cfg, pot, path, np.diff(times))
     except DivergenceError as exc:  # steps may be uneven: name the partition's time
         raise DivergenceError(stepper, exc.step, float(times[exc.step])) from None
     return out

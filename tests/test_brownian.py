@@ -395,6 +395,25 @@ def test_tree_leaf_fold_reconstructs_root():
     np.testing.assert_allclose(fold.k, root.k, atol=1e-12, rtol=1e-12)
 
 
+def test_tree_walk_splits_each_node_before_yielding_it_left_child_first():
+    tree = bm.DyadicBrownianTree(seed=42, d=3, horizon=2.0, shape=(4,))
+
+    def recursive(inc, index, level):
+        halves = tree.split(inc, index) if level < 3 else None
+        yield level, inc, halves
+        if halves is not None:
+            yield from recursive(halves[0], 2 * index, level + 1)
+            yield from recursive(halves[1], 2 * index + 1, level + 1)
+
+    got, want = list(tree.walk(3)), list(recursive(tree.root(), 1, 0))
+    assert [lvl for lvl, _, _ in got] == [0, 1, 2, 3, 3, 2, 3, 3, 1, 2, 3, 3, 2, 3, 3]
+    for (lvl, inc, halves), (_, inc_ref, halves_ref) in zip(got, want, strict=True):
+        assert (halves is None) == (halves_ref is None) == (lvl == 3)
+        for a, b in zip((inc, *(halves or ())), (inc_ref, *(halves_ref or ()))):
+            for name in ("w", "h", "k"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_tree_split_is_order_independent():
     tree = bm.DyadicBrownianTree(seed=5, d=2, horizon=1.0)
     root = tree.root()

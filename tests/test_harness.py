@@ -941,6 +941,37 @@ def test_contract_divergence_names_the_pair(monkeypatch):
     assert 0.0 < exc.max_abs_x < 100.0 and 0.0 < exc.max_abs_v < 100.0
 
 
+def test_contract_divergence_names_the_first_chains_pair_first(monkeypatch):
+    # pair 7 of the first chains and pair 5 of the second start at infinity:
+    # the first chains are checked first, as when they stepped on their own
+    g = keyed_generator(3, 8, 0)
+    a = PhaseState(g.standard_normal((130, 2)), g.standard_normal((130, 2)))
+    b = PhaseState(a.x + 1.0, a.v.copy())
+    a.x[7, 0] = b.x[5, 0] = np.inf
+    _contract_pairs(monkeypatch, a, b)
+    with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
+        contractivity_study(CFG, POT2, 0.05, 4, 130, seed=4)
+    assert (err.value.step, err.value.chunk, err.value.chain) == (1, 0, 7)
+
+
+def test_only_steppers_that_step_on_halves_are_given_them(monkeypatch):
+    seen = set()
+    for name, step in list(STEPPERS.items()):
+
+        def recording(cfg, pot, state, inc, _name=name, _step=step):
+            seen.add((_name, inc.halves is not None))
+            return _step(cfg, pot, state, inc)
+
+        monkeypatch.setitem(STEPPERS, name, recording)
+    want = {("quicsort", False), ("ubu", True), ("euler", False)}
+    strong_error_study(CFG, POT2, _METHODS, 1.0, 4, (1, 2), 3, seed=1)  # tree nodes
+    assert seen == want
+    seen.clear()
+    for method in _METHODS:  # path increments
+        harness._evolve_positions(CFG, POT2, method, 4, 0.1, (2,), 1, harness._TAGS_MIXING, 1)
+    assert seen == want
+
+
 # ---------------------------------------------------------------------------
 # thread invariance at any chain count, with the pool forced on
 
