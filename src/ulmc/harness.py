@@ -37,6 +37,7 @@ from .integrators import (
     CHUNK,
     STEPPER_SPECS,
     ChainRunner,
+    DivergenceError,
     PhaseState,
     SolverConfig,
 )
@@ -98,11 +99,18 @@ _POOL_MIN_POINTS = 128
 # A checkpoint's exact W2 uses at most this many points of each cloud, subsampled by seed.
 _METRIC_CAP = 2048
 
-# The most reference steps a converge run may plan: chunks * 2**fine_level,
-# each one tree split and one two-gradient step on a chunk of paths.  That pair
-# took about 80 us on the cheapest target measured (d = 2 quadratic, one
-# thread, 2 cores), so this many take about a day.
-_MAX_REFERENCE_STEPS = 2**30
+# The most steps a run may plan over its chunks of paths or chains: chunks
+# times the longest run's steps (converge's reference, stationary's burn-in and
+# kept steps, a mixing study's steps to its last checkpoint summed over its
+# methods, the long-run reference's steps).  One tree split and one
+# two-gradient step on a chunk took about 80 us on the cheapest target measured
+# (d = 2 quadratic, one thread, 2 cores), so this many take about a day.
+_MAX_CHUNK_STEPS = 2**30
+
+# The most steps a contraction run may take.  It keeps one distance per step
+# in an array, in the JSON report's list and in the CSV, about 100 bytes each
+# in all, so this many make reports of about 100 MB (2**30 would make 100 GB).
+_MAX_CONTRACT_STEPS = 2**20
 
 _MIN_STEP = math.ulp(0.0)  # the smallest positive float; shorter steps are 0
 
@@ -360,6 +368,16 @@ def _require(problems: list[str]) -> None:
         raise ValueError(problems[0])
 
 
+def _plan_rule(key: str, run: str, n: int, unit: str, steps: int) -> tuple[bool, str]:
+    """The rule that ``run``, ``steps`` steps on each chunk of ``n`` ``unit``, stays within the plan."""
+    chunks = -(-n // CHUNK)
+    return (
+        chunks * steps <= _MAX_CHUNK_STEPS,
+        f"{key}: {run} would take {steps} steps on each of {chunks} chunks of {unit}, "
+        f"above the 2**{_MAX_CHUNK_STEPS.bit_length() - 1} a run may plan (about a day)",
+    )
+
+
 def _method_problems(key: str, methods: Sequence[str]) -> list[str]:
     if not methods:
         return [f"{key}: need at least one method"]
@@ -392,9 +410,9 @@ def converge_problems(
             f"horizon: must be at least 2**fine_level * {_MIN_STEP:g}, or the finest steps underflow to 0",
         ),
         (
-            fine_level > _INDEX_BITS or chunks << max(fine_level, 0) <= _MAX_REFERENCE_STEPS,
+            fine_level > _INDEX_BITS or chunks << max(fine_level, 0) <= _MAX_CHUNK_STEPS,
             f"fine_level: the reference would take 2**{fine_level} steps on each of {chunks} chunks "
-            f"of paths, above the 2**{_MAX_REFERENCE_STEPS.bit_length() - 1} a run may plan (about a day)",
+            f"of paths, above the 2**{_MAX_CHUNK_STEPS.bit_length() - 1} a run may plan (about a day)",
         ),
     )
     levels = sorted({int(lvl) for lvl in coarse_levels})
@@ -466,7 +484,11 @@ def strong_error_study(
             for run in by_level.get(level, ()):
                 run.advance(cfg, pot, inc.with_halves(halves) if run.needs_halves else inc)
         ref = runs[ref_key].state.x
-        return {k: float(np.sum((runs[k].state.x - ref) ** 2)) for k in keys}
+        sums = {k: float(np.sum((runs[k].state.x - ref) ** 2)) for k in keys}
+        for k, total in sums.items():
+            if not math.isfinite(total):  # the states are finite, their squared distance is not
+                raise runs[k]._divergence(runs[k].state)
+        return sums
 
     parts = _chunked(cfg, pot, paths, seed, _TAGS_CONVERGE, threads, run_chunk)
     step_counts = tuple(2**lvl for lvl in levels)
@@ -474,6 +496,10 @@ def strong_error_study(
         m: tuple(math.sqrt(sum(part[(m, lvl)] for part in parts) / paths) for lvl in levels)
         for m in method_list
     }
+    for m in method_list:  # finite chunk sums can still overflow when added up
+        for lvl, err in zip(levels, errors[m]):
+            if not math.isfinite(err):
+                raise DivergenceError(m, 2**lvl, float(horizon), finite_state=True)
     fits = {}
     if len(levels) >= 3:
         for m in method_list:
@@ -492,12 +518,17 @@ def strong_error_study(
 
 
 def _transformed_distance(cfg: SolverConfig, a: PhaseState, b: PhaseState) -> float:
-    """L2 coupling distance in the contraction coordinates (w, z) = (0, gamma)."""
-    dx = b.x - a.x
-    dv = b.v - a.v
-    z = cfg.gamma * dx + dv
-    w_part = math.sqrt(float(np.mean(np.sum(dv * dv, axis=-1))))
-    z_part = math.sqrt(float(np.mean(np.sum(z * z, axis=-1))))
+    """L2 coupling distance in the contraction coordinates (w, z) = (0, gamma).
+
+    Silent on states that are not finite or whose distance overflows: the
+    distance is then not finite, which the caller reports.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = b.x - a.x
+        dv = b.v - a.v
+        z = cfg.gamma * dx + dv
+        w_part = math.sqrt(float(np.mean(np.sum(dv * dv, axis=-1))))
+        z_part = math.sqrt(float(np.mean(np.sum(z * z, axis=-1))))
     return w_part + z_part
 
 
@@ -516,6 +547,11 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
             f"h: contraction is only guaranteed for 0 < h <= 0.1/gamma = {h_ceil:.6g}, got {h:.6g}",
         ),
         (n_steps >= 1, "steps: need at least one step"),
+        (
+            n_steps <= _MAX_CONTRACT_STEPS,
+            f"steps: the reports keep one distance per step, so a run may take at most "
+            f"2**{_MAX_CONTRACT_STEPS.bit_length() - 1}",
+        ),
         (n_pairs >= 1, "pairs: need at least one pair"),
     )
 
@@ -535,7 +571,8 @@ def contractivity_study(
     sqrt(mean |dv|^2) + sqrt(mean |gamma dx + dv|^2).  Requires the regime
     in which geometric decay is guaranteed: gamma >= 2 sqrt(u M1) and
     h <= 0.1 / gamma.  Returns an array of length ``n_steps + 1`` whose
-    first entry is the initial distance.
+    first entry is the initial distance; a distance that is not finite, the
+    initial one included, raises :class:`DivergenceError`.
     """
     _require(contract_problems(cfg, pot, h, n_steps, n_pairs))
     d = pot.meta.d
@@ -546,8 +583,11 @@ def contractivity_study(
     state = PhaseState(np.stack([x_a, x_b]), math.sqrt(cfg.u) * np.stack([v_a, v_b]))
     out = np.empty(n_steps + 1)
 
-    def record(step: int, pair: PhaseState) -> None:
+    def record(step: int, pair: PhaseState) -> bool:
         out[step] = _transformed_distance(cfg, *(PhaseState(x, v) for x, v in zip(*pair)))
+        # a non-finite entry makes the distance non-finite, so a finite one
+        # vouches for the state; one that overflows on a finite state diverges
+        return math.isfinite(out[step])
 
     path = BrownianPath(chunk_key(seed, _TAG_CONTRACT_PATH, 0), d, shape=(n_pairs,))
     ChainRunner("quicsort", state, h, 0, record).run(cfg, pot, path, itertools.repeat(h, n_steps))
@@ -604,6 +644,9 @@ def mixing_problems(
     """
     key, names = ("method", [methods]) if isinstance(methods, str) else ("methods", methods)
     cps = list(checkpoints)
+    known = [m for m in dict.fromkeys(names) if m in STEPPER_SPECS]
+    # compare runs a one-gradient method for twice the steps
+    steps = sum(max(cps, default=0) * (1 if key == "method" else 2 // STEPPER_SPECS[m].gradient_evals) for m in known)
     problems = _method_problems(key, names) + _unmet(
         (n_chains >= 1, "chains: need at least 1"),
         (0.0 < h < math.inf, "h: step size must be positive and finite"),
@@ -611,11 +654,12 @@ def mixing_problems(
             bool(cps) and cps[0] >= 0 and all(b > a for a, b in zip(cps, cps[1:])),
             "checkpoints: must be strictly increasing step indices >= 0",
         ),
+        _plan_rule("checkpoints", "the runs to the last checkpoint", n_chains, "chains", steps),
     )
     return problems + [
         f"h: {m} would step over intervals that underflow to 0"
-        for m in dict.fromkeys(names)
-        if 0.0 < h < math.inf and m in STEPPER_SPECS
+        for m in known
+        if 0.0 < h < math.inf
         and not _shortest_step(m, h if key == "method" else _matched_step(m, h)) > 0.0
     ]
 
@@ -767,6 +811,7 @@ def stationary_problems(h: float, n_chains: int, burn_in: int, kept: int) -> lis
         (n_chains >= 1, "chains: need at least 1"),
         (burn_in >= 0, "burn_in: must be nonnegative"),
         (kept >= 1, "kept: need at least one kept step"),
+        _plan_rule("kept" if kept >= burn_in else "burn_in", "burn_in + kept", n_chains, "chains", burn_in + kept),
     )
 
 
@@ -838,6 +883,7 @@ def ground_truth_problems(n_samples: int, h: float | None = None, n_steps: int |
         (n_samples >= 1, "truth_samples: need at least one sample"),
         (h is None or 0.0 < h < math.inf, "truth_h: step size must be positive and finite"),
         (n_steps is None or n_steps >= 1, "truth_steps: need at least one step"),
+        _plan_rule("truth_steps", "the reference run", n_samples, "chains", n_steps or 0),
     )
 
 

@@ -390,9 +390,13 @@ class ChainRunner:
     def run(self, cfg: SolverConfig, pot, path: BrownianPath, dts) -> None:
         """Show ``observe`` the starting state, then step on increment ``i`` of
         ``path`` over ``dts[i]`` for each ``i``, refined into halves only if
-        the stepper needs them."""
-        if self.observe is not None:
-            self.observe(self.steps, self.state)
+        the stepper needs them.
+
+        A finite starting state that ``observe`` rejects diverges at step 0;
+        one that is not finite is left to the first step, which names it.
+        """
+        if self.observe is not None and self.observe(self.steps, self.state) is False and _finite(self.state):
+            raise self._divergence(self.state)
         for i, dt in enumerate(dts):
             self.advance(cfg, pot, path.increment(i, dt, with_halves=self.needs_halves))
 

@@ -219,6 +219,33 @@ def test_compare_budgets_align_in_output(tmp_path, monkeypatch):
     assert budgets["quicsort"] == budgets["ubu"] == budgets["euler"]
 
 
+@pytest.mark.parametrize("argv, setting", [
+    (["contract", "--steps", "10000000000000", "--pairs", "2"], "steps"),
+    (["stationary", "--kept", "1000000000000", "--chains", "2"], "kept"),
+    (["sample", "--checkpoints", "0,1000000000000", "--chains", "2", "--truth-samples", "4"], "checkpoints"),
+])
+def test_plans_too_long_to_run_exit_2_naming_the_setting(argv, setting, tmp_path, capsys):
+    start = time.monotonic()
+    assert main([*argv, "--dimension", "2", "--out", str(tmp_path / "run")]) == 2
+    assert time.monotonic() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"ulmc: {setting}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, step", [
+    # u = 1/M1 = 1e307: |v| near 1e154, so squared errors and distances overflow
+    (["converge", "--levels", "0:2", "--fine-level", "5", "--paths", "4", "--dimension", "2"], 1),
+    (["contract", "--dimension", "50", "--steps", "3", "--pairs", "4"], 0),
+])
+def test_overflow_on_a_finite_state_exits_3(argv, step, tmp_path, capsys):
+    assert main([*argv, "--curvature", "1e-307", "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"ulmc: overflowing moments of a finite state after step {step} ")
+    assert "of quicsort in chunk 0, first at chain" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_on_dataset_posterior(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     loads = []

@@ -224,7 +224,7 @@ def test_converge_plans_at_most_max_reference_steps():
         return [p for p in converge_problems(["quicsort"], 1.0, paths, [3, 4, 5], fine_level)
                 if "a run may plan" in p]
 
-    assert harness._MAX_REFERENCE_STEPS == 2**30
+    assert harness._MAX_CHUNK_STEPS == 2**30
     assert plan_problems(256, 14) == []  # the defaults and the acceptance study
     assert plan_problems(64, 11) == []  # demos/convergence_orders.py
     assert plan_problems(64, 30) == plan_problems(64 * 64, 24) == []
@@ -233,6 +233,54 @@ def test_converge_plans_at_most_max_reference_steps():
         "above the 2**30 a run may plan (about a day)"
     ]
     assert len(plan_problems(65, 30)) == len(plan_problems(64 * 64 + 1, 24)) == 1
+
+
+def test_every_study_plans_at_most_max_chunk_steps():
+    def plan_problems(problems):
+        return [p for p in problems if "a run may plan" in p]
+
+    budget = harness._MAX_CHUNK_STEPS
+    # chunks of 64 chains times burn_in + kept steps, named by the larger setting
+    assert plan_problems(harness.stationary_problems(0.1, 64, 10, budget - 10)) == []
+    assert plan_problems(harness.stationary_problems(0.1, 65, 10, budget // 2 - 10)) == []
+    assert plan_problems(harness.stationary_problems(0.1, 65, 10, budget // 2)) == [
+        "kept: burn_in + kept would take 536870922 steps on each of 2 chunks of chains, "
+        "above the 2**30 a run may plan (about a day)"
+    ]
+    assert plan_problems(harness.stationary_problems(0.1, 64, budget, 1))[0].startswith("burn_in: ")
+    # steps to the last checkpoint; compare runs one-gradient methods for twice the steps
+    assert plan_problems(harness.mixing_problems("euler", 64, 0.1, [0, budget])) == []
+    assert plan_problems(harness.mixing_problems("euler", 64, 0.1, [0, budget + 1]))[0].startswith("checkpoints: ")
+    assert plan_problems(harness.mixing_problems(["quicsort", "euler"], 64, 0.1, [0, budget // 3])) == []
+    assert plan_problems(harness.mixing_problems(["quicsort", "euler"], 64, 0.1, [0, budget // 3 + 1]))
+    # the long-run reference's chunks of samples times its steps; exact draws take none
+    assert plan_problems(harness.ground_truth_problems(128, 0.1, budget // 2)) == []
+    assert plan_problems(harness.ground_truth_problems(129, 0.1, budget // 2))[0].startswith("truth_steps: ")
+    assert plan_problems(harness.ground_truth_problems(10**12)) == []
+    # contract keeps every step's distance, so it is bounded by its steps alone
+    steps = [p for p in harness.contract_problems(CFG, POT1, 0.05, 2**20 + 1, 1) if p.startswith("steps: ")]
+    assert steps == ["steps: the reports keep one distance per step, so a run may take at most 2**20"]
+    assert harness.contract_problems(CFG, POT1, 0.05, 2**20, 10**6) == []
+
+
+def test_converge_error_sums_that_overflow_only_when_folded_diverge(monkeypatch):
+    # each chunk's squared errors are finite, their sum over chunks is not
+    monkeypatch.setattr(harness, "_chunked", lambda *args: [{("euler", 2): 1e308}] * 2)
+    with pytest.raises(DivergenceError) as err:
+        strong_error_study(CFG, POT2, ["euler"], 1.0, 128, [2], 3, seed=1)
+    exc = err.value
+    assert exc.finite_state and (exc.method, exc.step, exc.time, exc.chunk) == ("euler", 4, 1.0, None)
+
+
+def test_contract_distance_overflowing_on_a_finite_start_diverges_at_step_0():
+    # u = 1/M1: velocities near 1e154, whose squares overflow; no RuntimeWarning escapes
+    pot = QuadraticPotential(1e-307, d=50)
+    cfg = SolverConfig(gamma=2.0, u=1e307)
+    with pytest.raises(DivergenceError) as err:
+        contractivity_study(cfg, pot, 0.05, 3, 4, seed=2024)
+    exc = err.value
+    assert exc.finite_state and (exc.step, exc.time, exc.chunk) == (0, 0.0, 0) and exc.chain in range(4)
+    assert exc.max_abs_v > 1e150
 
 
 @pytest.fixture(scope="module")
