@@ -5,12 +5,15 @@ into fixed-size chunks of paths or chains, each chunk draws its initial state
 (positions from the dataset prior or N(0, I), velocities from N(0, u I)) and
 its noise from generators keyed by (seed, tag, chunk), and per-chunk results
 are folded in chunk order; only the contraction study steps all its pairs as
-one chunk 0, with N(0, I) positions on any target.  Mixing studies measure a
+one chunk 0, with N(0, I) positions on any target, both chains of a pair
+stacked in one state.  Chains step on a keyed path through
+:meth:`ChainRunner.run`, or, in the convergence study, on the nodes of
+:meth:`DyadicBrownianTree.walk` at their level.  Mixing studies measure a
 run's checkpoints on helper threads while later runs evolve, gathering the
 distances in submission order.  ``threads`` caps the threads alive at once,
 the calling thread among them, and changes wall time, never output: a run's
 chunks take the threads its pending measurements leave, and work too small to
-gain from threads runs serially in the calling thread.
+gain from threads runs in the calling thread.
 """
 
 from __future__ import annotations
