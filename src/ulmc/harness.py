@@ -648,8 +648,9 @@ def mixing_problems(
     key, names = ("method", [methods]) if isinstance(methods, str) else ("methods", methods)
     cps = list(checkpoints)
     known = [m for m in dict.fromkeys(names) if m in STEPPER_SPECS]
-    # compare runs a one-gradient method for twice the steps
-    steps = sum(max(cps, default=0) * (1 if key == "method" else 2 // STEPPER_SPECS[m].gradient_evals) for m in known)
+    # sample steps its method at h; compare steps a one-gradient method at h/2, twice as often
+    per_step = [1 if key == "method" else 2 // STEPPER_SPECS[m].gradient_evals for m in known]
+    steps = max(cps, default=0) * sum(per_step)
     problems = _method_problems(key, names) + _unmet(
         (n_chains >= 1, "chains: need at least 1"),
         (0.0 < h < math.inf, "h: step size must be positive and finite"),
