@@ -862,7 +862,10 @@ def stationary_study(
         cfg, pot, "quicsort", n_chains, h, burn_in + kept, seed, _TAGS_STATIONARY, threads, observe,
         lambda: [0.0, 0.0, 0.0, 0.0],
     )
-    pooled = sum(parts, np.zeros(4)) / (float(kept) * n_chains * d)
+    totals = sum(parts, np.zeros(4))
+    if not np.isfinite(totals).all():  # finite chunk sums can still overflow when added up
+        raise DivergenceError("quicsort", burn_in + kept, (burn_in + kept) * h, finite_state=True)
+    pooled = totals / (float(kept) * n_chains * d)
     return StationaryReport(
         mean_x_sq=float(d * pooled[0]),
         mean_v_sq=float(d * pooled[1]),

@@ -950,6 +950,17 @@ def test_stationary_rejects_a_finite_state_whose_moment_overflows(u, power):
     assert str(exc).startswith("overflowing moments of a finite state after step 2 (t = 2e+120)")
 
 
+def test_stationary_moment_sums_that_overflow_only_when_pooled_diverge():
+    # one quicsort step kicks |v| near 1e51: each chunk's v**6 sum is finite,
+    # the sum over both chunks is not
+    cfg = SolverConfig(gamma=1e200, u=1.9952623149688e-218)
+    with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
+        stationary_study(cfg, POT1, 1e120, 128, 0, 1, seed=2024)
+    exc = err.value
+    assert exc.finite_state and (exc.method, exc.step, exc.chunk) == ("quicsort", 1, None)
+    assert str(exc) == "overflowing moments of a finite state after step 1 (t = 1e+120) of quicsort"
+
+
 def test_divergence_in_a_later_chunk_equals_the_per_chunk_loop(aniso_truth, monkeypatch):
     pot, gt = aniso_truth
     _start_chain_70_at_infinity(monkeypatch)
