@@ -243,9 +243,14 @@ def _map_chunks(worker: Callable[[int], object], n_chunks: int, threads: int) ->
         return pool.gather()
 
 
+def _steps_per_two_gradient_step(method: str) -> int:
+    """How many steps of ``method`` spend the gradients of one two-gradient step."""
+    return 2 // STEPPER_SPECS[method].gradient_evals
+
+
 def _matched_step(method: str, h: float) -> float:
     """The step at which ``method`` spends the gradients of a two-gradient step of ``h``."""
-    return h / (2 // STEPPER_SPECS[method].gradient_evals)
+    return h / _steps_per_two_gradient_step(method)
 
 
 def _shortest_step(method: str, step: float) -> float:
@@ -374,9 +379,11 @@ def _require(problems: list[str]) -> None:
 def _plan_rule(key: str, run: str, n: int, unit: str, steps: int) -> tuple[bool, str]:
     """The rule that ``run``, ``steps`` steps on each chunk of ``n`` ``unit``, stays within the plan."""
     chunks = -(-n // CHUNK)
+    power = isinstance(steps, int) and steps > 1 and steps & (steps - 1) == 0
+    shown = f"2**{steps.bit_length() - 1}" if power else steps
     return (
         chunks * steps <= _MAX_CHUNK_STEPS,
-        f"{key}: {run} would take {steps} steps on each of {chunks} chunks of {unit}, "
+        f"{key}: {run} would take {shown} steps on each of {chunks} chunks of {unit}, "
         f"above the 2**{_MAX_CHUNK_STEPS.bit_length() - 1} a run may plan (about a day)",
     )
 
@@ -399,7 +406,9 @@ def converge_problems(
     Each entry reads ``"<setting>: <problem>"``, naming the CLI setting to
     change; the study raises the first.  Every study has such a function.
     """
-    chunks = -(-paths // CHUNK)
+    # beyond the index bound 2**fine_level is refused above, and need not be formed
+    reference_steps = 1 << min(max(fine_level, 0), _INDEX_BITS)
+    reference = _plan_rule("fine_level", "the reference", paths, "paths", reference_steps)
     problems = _method_problems("methods", methods) + _unmet(
         (paths >= 2, "paths: need at least 2 for a Monte Carlo error estimate"),
         (0.0 < horizon < math.inf, "horizon: must be positive and finite"),
@@ -412,11 +421,7 @@ def converge_problems(
             not 0.0 < horizon < math.inf or fine_level > _INDEX_BITS or horizon >= math.ldexp(_MIN_STEP, fine_level),
             f"horizon: must be at least 2**fine_level * {_MIN_STEP:g}, or the finest steps underflow to 0",
         ),
-        (
-            fine_level > _INDEX_BITS or chunks << max(fine_level, 0) <= _MAX_CHUNK_STEPS,
-            f"fine_level: the reference would take 2**{fine_level} steps on each of {chunks} chunks "
-            f"of paths, above the 2**{_MAX_CHUNK_STEPS.bit_length() - 1} a run may plan (about a day)",
-        ),
+        (fine_level > _INDEX_BITS or reference[0], reference[1]),
     )
     levels = sorted({int(lvl) for lvl in coarse_levels})
     if not levels:
@@ -649,7 +654,7 @@ def mixing_problems(
     cps = list(checkpoints)
     known = [m for m in dict.fromkeys(names) if m in STEPPER_SPECS]
     # sample steps its method at h; compare steps a one-gradient method at h/2, twice as often
-    per_step = [1 if key == "method" else 2 // STEPPER_SPECS[m].gradient_evals for m in known]
+    per_step = [1 if key == "method" else _steps_per_two_gradient_step(m) for m in known]
     steps = max(cps, default=0) * sum(per_step)
     problems = _method_problems(key, names) + _unmet(
         (n_chains >= 1, "chains: need at least 1"),
@@ -775,7 +780,7 @@ def compare_study(
     cps = tuple(int(c) for c in checkpoints)
     _require(mixing_problems(methods, n_chains, h, cps))
     runs = [
-        (m, _matched_step(m, h), tuple(c * (2 // STEPPER_SPECS[m].gradient_evals) for c in cps))
+        (m, _matched_step(m, h), tuple(c * _steps_per_two_gradient_step(m) for c in cps))
         for m in methods
     ]
     reports = _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads)

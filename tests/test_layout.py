@@ -17,7 +17,8 @@ converge and compare at ``--threads 2`` with every pool threshold patched to
 Pinned with Python 3.11, NumPy 2.4.6, SciPy 1.17.1 and OpenBLAS 0.3.31
 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels).  Another BLAS or CPU may
 round the logistic gradient's matrix products differently, and then only the
-two dataset digests can move.
+four pins that read the dataset can move: ``converge-dataset``,
+``converge-dataset-pooled``, ``contract-dataset`` and ``sample-dataset-capped``.
 """
 
 import hashlib

@@ -1,10 +1,9 @@
 """Mutant catalogue: each named text mutant of ``src/`` must fail the fast tests.
 
-Usage: python3 tools/mutants.py [--workdir DIR] [--only NAME ...]
+Usage: python3 tools/mutants.py
 
 The script copies ``src/``, ``tests/``, ``demos/`` and ``pyproject.toml`` to a
-scratch directory (``--workdir``, or a fresh temporary one that is removed
-afterwards), runs the fast suite (``pytest -m "not slow" -x -q``) there once
+fresh temporary directory, removed afterwards, runs the fast suite (``pytest -m "not slow" -x -q``) there once
 unmutated, which must pass, and then once per mutant with that one edit
 applied.  A mutant is killed when the suite fails.  A mutant that survives
 is a gap in the tests unless it is listed as equivalent, with the reason no
@@ -17,7 +16,6 @@ that keeps a file's size within one second can never reuse stale bytecode.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -113,35 +111,25 @@ def _run_suite(copy: Path) -> tuple[bool, float]:
     return done.returncode == 0, time.monotonic() - start
 
 
-def _copy_tree(workdir: Path) -> Path:
-    copy = workdir / "repo"
-    if copy.exists():
-        shutil.rmtree(copy)
-    copy.mkdir(parents=True)
+def _copy_tree(copy: Path) -> None:
     for name in COPIED:
         src = ROOT / name
         if src.is_dir():
             shutil.copytree(src, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
         else:
             shutil.copy2(src, copy / name)
-    return copy
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workdir", help="scratch directory for the copy (default: a temporary one)")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only the mutants with these names")
-    args = parser.parse_args()
-    mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
-    workdir = Path(args.workdir) if args.workdir else Path(tempfile.mkdtemp(prefix="ulmc-mutants-"))
-    try:
-        copy = _copy_tree(workdir)
+    with tempfile.TemporaryDirectory(prefix="ulmc-mutants-") as scratch:
+        copy = Path(scratch)
+        _copy_tree(copy)
         passed, wall = _run_suite(copy)
         print(f"unmutated fast suite: {'passed' if passed else 'FAILED'} in {wall:.1f} s")
         if not passed:
             return 1
         gaps = killed = 0
-        for mutant in mutants:
+        for mutant in MUTANTS:
             target = copy / mutant.path
             text = target.read_text(encoding="utf-8")
             if text.count(mutant.old) != 1:
@@ -161,11 +149,8 @@ def main() -> int:
                 gaps += 1
                 verdict = "SURVIVED"
             print(f"{mutant.name}: {verdict} ({wall:.1f} s)")
-        print(f"{killed} of {len(mutants)} mutants killed, {gaps} unexplained survivors")
+        print(f"{killed} of {len(MUTANTS)} mutants killed, {gaps} unexplained survivors")
         return 1 if gaps else 0
-    finally:
-        if not args.workdir:
-            shutil.rmtree(workdir, ignore_errors=True)
 
 
 if __name__ == "__main__":
