@@ -310,11 +310,11 @@ def _truth_h(rc: RunConfig) -> float:
 
 
 def _ground_truth(rc: RunConfig, pot, solver: SolverConfig):
-    if isinstance(pot, QuadraticPotential):
-        return gaussian_ground_truth(pot, rc.truth_samples, rc.seed)
-    return long_run_ground_truth(
-        solver, pot, rc.truth_samples, _truth_h(rc), rc.truth_steps, rc.seed, threads=rc.threads
-    )
+    if rc.dataset:
+        return long_run_ground_truth(
+            solver, pot, rc.truth_samples, _truth_h(rc), rc.truth_steps, rc.seed, threads=rc.threads
+        )
+    return gaussian_ground_truth(pot, rc.truth_samples, rc.seed)
 
 
 def _dispatch(rc: RunConfig, pot, solver: SolverConfig) -> tuple[str, dict, list[str]]:
@@ -343,7 +343,7 @@ def _dispatch(rc: RunConfig, pot, solver: SolverConfig) -> tuple[str, dict, list
             f"{rep.method}: energy {rep.energy[-1]:.6g}, w2 {rep.w2[-1]:.6g} "
             f"after {rep.grad_evals[-1]} gradient evaluations"
         ]
-        return mixing_csv(rep, kind="sample"), rep.to_dict(), summary
+        return mixing_csv([rep], kind="sample"), rep.to_dict(), summary
 
     if rc.experiment == "compare":
         gt = _ground_truth(rc, pot, solver)
@@ -357,7 +357,7 @@ def _dispatch(rc: RunConfig, pot, solver: SolverConfig) -> tuple[str, dict, list
                 f"{name:<10} {rep.energy[-1]:9.6f} {rep.w2[-1]:9.6f} {rep.grad_evals[-1]:10d}"
             )
         payload = {name: rep.to_dict() for name, rep in reps.items()}
-        return mixing_csv(reps, kind="compare"), payload, summary
+        return mixing_csv(reps.values(), kind="compare"), payload, summary
 
     if rc.experiment == "contract":
         dist = contractivity_study(solver, pot, rc.h, rc.steps, rc.pairs, rc.seed)

@@ -25,7 +25,7 @@ import math
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -105,7 +105,7 @@ _METRIC_CAP = 2048
 # The most steps a run may plan over its chunks of paths or chains: chunks
 # times the longest run's steps (converge's reference, stationary's burn-in and
 # kept steps, a mixing study's steps to its last checkpoint summed over its
-# methods, the long-run reference's steps).  One tree split and one
+# runs, at least one each, the long-run reference's steps).  One tree split and one
 # two-gradient step on a chunk took about 80 us on the cheapest target measured
 # (d = 2 quadratic, one thread, 2 cores), so this many take about a day.
 _MAX_CHUNK_STEPS = 2**30
@@ -114,6 +114,11 @@ _MAX_CHUNK_STEPS = 2**30
 # in an array, in the JSON report's list and in the CSV, about 100 bytes each
 # in all, so this many make reports of about 100 MB (2**30 would make 100 GB).
 _MAX_CONTRACT_STEPS = 2**20
+
+# The most pairs times dimension a contraction run may take.  It steps every
+# pair in one unchunked (2, pairs, d) state, and the stepper holds a few float
+# arrays of that shape at once; at this bound each is 256 MB.
+_MAX_CONTRACT_ENTRIES = 2**24
 
 _MIN_STEP = math.ulp(0.0)  # the smallest positive float; shorter steps are 0
 
@@ -241,21 +246,6 @@ def _map_chunks(worker: Callable[[int], object], n_chunks: int, threads: int) ->
         for chunk in range(n_chunks):
             pool.submit(worker, chunk)
         return pool.gather()
-
-
-def _steps_per_two_gradient_step(method: str) -> int:
-    """How many steps of ``method`` spend the gradients of one two-gradient step."""
-    return 2 // STEPPER_SPECS[method].gradient_evals
-
-
-def _matched_step(method: str, h: float) -> float:
-    """The step at which ``method`` spends the gradients of a two-gradient step of ``h``."""
-    return h / _steps_per_two_gradient_step(method)
-
-
-def _shortest_step(method: str, step: float) -> float:
-    """The shortest interval ``method`` steps over at ``step``: its left half if it steps on halves."""
-    return 0.5 * step if STEPPER_SPECS[method].needs_halves else step
 
 
 def _initial_state(cfg, pot, seed, tags, chunk, size) -> PhaseState:
@@ -561,6 +551,11 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
             f"2**{_MAX_CONTRACT_STEPS.bit_length() - 1}",
         ),
         (n_pairs >= 1, "pairs: need at least one pair"),
+        (
+            n_pairs * pot.meta.d <= _MAX_CONTRACT_ENTRIES,
+            f"pairs: all pairs step as one state, so pairs times the dimension "
+            f"{pot.meta.d} may be at most 2**{_MAX_CONTRACT_ENTRIES.bit_length() - 1}",
+        ),
     )
 
 
@@ -642,20 +637,35 @@ def _evolve_positions(cfg, pot, method, n_chains, h, record, seed, tags, threads
     return {step: np.concatenate([p[step] for p in parts], axis=0) for step in sorted(wanted)}
 
 
+def _mixing_runs(methods: str | Sequence[str], h: float, checkpoints: Sequence[int]) -> list[tuple]:
+    """The ``(method, step, checkpoints)`` runs of a mixing study, known methods only.
+
+    One name (``sample``) runs at ``h``.  A sequence of names (``compare``)
+    runs each name once at the step that spends the gradients of one
+    two-gradient step of ``h``: a one-gradient method at h/2, to twice each
+    checkpoint, so at every checkpoint all methods have spent one budget.
+    """
+    cps = tuple(int(c) for c in checkpoints)
+    if isinstance(methods, str):
+        return [(methods, h, cps)] if methods in STEPPER_SPECS else []
+    ratios = {m: 2 // STEPPER_SPECS[m].gradient_evals for m in dict.fromkeys(methods) if m in STEPPER_SPECS}
+    return [(m, h / k, tuple(k * c for c in cps)) for m, k in ratios.items()]
+
+
 def mixing_problems(
     methods: str | Sequence[str], n_chains: int, h: float, checkpoints: Sequence[int]
 ) -> list[str]:
     """Why :func:`mixing_study` or :func:`compare_study` cannot run; empty if it can.
 
     ``methods`` is one stepper name, the ``method`` of a mixing study, or
-    the sequence of names a comparison runs.
+    the sequence of names a comparison runs.  The plan and the underflow
+    check read the runs of :func:`_mixing_runs`.  A run to checkpoint 0 still
+    draws each chunk's initial state, so the plan counts it as one step.
     """
     key, names = ("method", [methods]) if isinstance(methods, str) else ("methods", methods)
     cps = list(checkpoints)
-    known = [m for m in dict.fromkeys(names) if m in STEPPER_SPECS]
-    # sample steps its method at h; compare steps a one-gradient method at h/2, twice as often
-    per_step = [1 if key == "method" else _steps_per_two_gradient_step(m) for m in known]
-    steps = max(cps, default=0) * sum(per_step)
+    runs = _mixing_runs(methods, h, cps)
+    steps = sum(max([*run_cps, 1]) for _, _, run_cps in runs)
     problems = _method_problems(key, names) + _unmet(
         (n_chains >= 1, "chains: need at least 1"),
         (0.0 < h < math.inf, "h: step size must be positive and finite"),
@@ -663,13 +673,16 @@ def mixing_problems(
             bool(cps) and cps[0] >= 0 and all(b > a for a, b in zip(cps, cps[1:])),
             "checkpoints: must be strictly increasing step indices >= 0",
         ),
-        _plan_rule("checkpoints", "the runs to the last checkpoint", n_chains, "chains", steps),
+        _plan_rule(
+            "checkpoints" if max(cps, default=0) > 0 else "chains",
+            "the runs to the last checkpoint", n_chains, "chains", steps,
+        ),
     )
+    # a stepper on halves steps over half steps, the shortest intervals it sees
     return problems + [
         f"h: {m} would step over intervals that underflow to 0"
-        for m in known
-        if 0.0 < h < math.inf
-        and not _shortest_step(m, h if key == "method" else _matched_step(m, h)) > 0.0
+        for m, step, _ in runs
+        if 0.0 < h < math.inf and not (0.5 * step if STEPPER_SPECS[m].needs_halves else step) > 0.0
     ]
 
 
@@ -749,9 +762,9 @@ def mixing_study(
     clouds larger than ``_METRIC_CAP`` points are subsampled for it
     (deterministic in the seed); the energy distance uses the full clouds.
     """
-    cps = tuple(int(c) for c in checkpoints)
-    _require(mixing_problems(stepper, n_chains, h, cps))
-    (report,) = _mixing_reports(cfg, pot, [(stepper, h, cps)], n_chains, ground_truth, seed, threads)
+    _require(mixing_problems(stepper, n_chains, h, checkpoints))
+    runs = _mixing_runs(stepper, h, checkpoints)
+    (report,) = _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads)
     return report
 
 
@@ -776,13 +789,8 @@ def compare_study(
     :func:`mixing_study`; the checkpoints of all methods share one pool of
     distance workers.
     """
-    methods = tuple(dict.fromkeys(methods))
-    cps = tuple(int(c) for c in checkpoints)
-    _require(mixing_problems(methods, n_chains, h, cps))
-    runs = [
-        (m, _matched_step(m, h), tuple(c * _steps_per_two_gradient_step(m) for c in cps))
-        for m in methods
-    ]
+    _require(mixing_problems(methods, n_chains, h, checkpoints))
+    runs = _mixing_runs(methods, h, checkpoints)
     reports = _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads)
     return {rep.method: rep for rep in reports}
 
@@ -940,14 +948,10 @@ def convergence_csv(report: ConvergenceReport) -> str:
     return _csv("converge", "method,N,rms_error", report.rows())
 
 
-def mixing_csv(reports, kind: str = "sample") -> str:
-    """CSV for one or more mixing reports; kind is 'sample' or 'compare'."""
+def mixing_csv(reports: Iterable[MixingReport], kind: str = "sample") -> str:
+    """CSV of the rows of ``reports``, in order; ``kind`` is 'sample' or 'compare'."""
     if kind not in ("sample", "compare"):
         raise ValueError("kind must be 'sample' or 'compare'")
-    if isinstance(reports, MixingReport):
-        reports = [reports]
-    elif isinstance(reports, Mapping):
-        reports = list(reports.values())
     return _csv(kind, "method,grad_evals,energy_dist,w2", (row for rep in reports for row in rep.rows()))
 
 

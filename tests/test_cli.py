@@ -233,6 +233,25 @@ def test_plans_too_long_to_run_exit_2_naming_the_setting(argv, setting, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, setting", [
+    # a run to checkpoint 0 still draws every chunk's initial state
+    (["sample", "--chains", "1000000000000", "--checkpoints", "0", "--truth-samples", "4", "--threads", "1"], "chains"),
+    # contract holds all its pairs in one state
+    (["contract", "--pairs", "1000000000000", "--steps", "2"], "pairs"),
+])
+def test_runs_too_wide_to_hold_exit_2_at_once(argv, setting, tmp_path):
+    # in a child with its address space capped at 2 GiB, so a run that slips
+    # past validation fails or times out instead of filling the machine
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+        f"from ulmc.cli import main; sys.exit(main({[*argv, '--dimension', '2', '--out', 'run']!r}))"
+    )
+    proc = _run_python(code, tmp_path, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"ulmc: {setting}: ") and proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, step", [
     # u = 1/M1 = 1e307: |v| near 1e154, so squared errors and distances overflow
     (["converge", "--levels", "0:2", "--fine-level", "5", "--paths", "4", "--dimension", "2"], 1),
@@ -345,13 +364,13 @@ def test_run_config_round_trips_to_dict():
 # ---------------------------------------------------------------------------
 # SciPy stays off the start-up path: only sample and compare load it.
 
-def _run_python(code, cwd):
+def _run_python(code, cwd, timeout=120):
     """Run ``code`` in a fresh interpreter that imports this checkout's ulmc."""
     src = str(Path(ulmc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", code], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=timeout,
     )
 
 

@@ -263,6 +263,34 @@ def test_every_study_plans_at_most_max_chunk_steps():
     assert harness.contract_problems(CFG, POT1, 0.05, 2**20, 10**6) == []
 
 
+def test_mixing_plan_counts_a_run_to_checkpoint_0_as_one_step():
+    budget = harness._MAX_CHUNK_STEPS
+    # every chunk of every run draws its initial state; past the plan the
+    # culprit is the chain count, since no checkpoint is below 0
+    assert harness.mixing_problems("euler", 64 * budget, 0.1, [0]) == []
+    assert harness.mixing_problems("euler", 64 * budget + 1, 0.1, [0]) == [
+        f"chains: the runs to the last checkpoint would take 1 steps on each of {budget + 1} chunks of chains, "
+        "above the 2**30 a run may plan (about a day)"
+    ]
+    assert harness.mixing_problems(["quicsort", "ubu", "quicsort"], 64 * budget // 2, 0.1, [0]) == []
+    assert harness.mixing_problems(["quicsort", "ubu"], 64 * budget // 2 + 1, 0.1, [0])[0].startswith("chains: ")
+    # one checkpoint past 0 counts as before
+    assert harness.mixing_problems("euler", 64 * budget, 0.1, [0, 1]) == []
+
+
+def test_contract_pairs_times_dimension_is_bounded():
+    entries = harness._MAX_CONTRACT_ENTRIES
+    assert entries == 2**24
+    pot = QuadraticPotential(1.0, d=4)
+    assert harness.contract_problems(CFG, pot, 0.05, 2, entries // 4) == []
+    assert harness.contract_problems(CFG, pot, 0.05, 2, entries // 4 + 1) == [
+        "pairs: all pairs step as one state, so pairs times the dimension 4 may be at most 2**24"
+    ]
+    # refused before any state is drawn
+    with pytest.raises(ValueError, match="^pairs: all pairs step as one state"):
+        contractivity_study(CFG, POT1, 0.05, 2, 10**12, seed=0)
+
+
 def test_converge_error_sums_that_overflow_only_when_folded_diverge(monkeypatch):
     # each chunk's squared errors are finite, their sum over chunks is not
     monkeypatch.setattr(harness, "_chunked", lambda *args: [{("euler", 2): 1e308}] * 2)
@@ -670,13 +698,13 @@ def test_convergence_csv_schema(mini_report):
 def test_mixing_csv_schema(aniso_truth):
     pot, gt = aniso_truth
     rep = mixing_study(CFG, pot, "quicsort", 64, 0.2, [0, 3], gt, seed=1)
-    text = mixing_csv({"quicsort": rep}, kind="compare")
+    text = mixing_csv([rep], kind="compare")
     lines = text.splitlines()
     assert lines[0] == "# ulmc-csv v2 compare"
     assert lines[1] == "method,grad_evals,energy_dist,w2"
     assert lines[2].startswith("quicsort,0,")
     with pytest.raises(ValueError):
-        mixing_csv(rep, kind="mix")
+        mixing_csv([rep], kind="mix")
 
 
 def test_contract_and_stationary_csv():

@@ -94,6 +94,24 @@ MUTANTS = (
         "x_new = state.x + s.phi1_one * state.v - s.phi1_one_u * g + noise_x",
     ),
     Mutant(
+        "compare steps one-gradient methods at h",
+        "src/ulmc/harness.py",
+        "return [(m, h / k, tuple(k * c for c in cps)) for m, k in ratios.items()]",
+        "return [(m, h, tuple(k * c for c in cps)) for m, k in ratios.items()]",
+    ),
+    Mutant(
+        "mixing plan drops the initial draw of a run to checkpoint 0",
+        "src/ulmc/harness.py",
+        "steps = sum(max([*run_cps, 1]) for _, _, run_cps in runs)",
+        "steps = sum(max([*run_cps, 0]) for _, _, run_cps in runs)",
+    ),
+    Mutant(
+        "contract pairs bound dropped",
+        "src/ulmc/harness.py",
+        "n_pairs * pot.meta.d <= _MAX_CONTRACT_ENTRIES,",
+        "True,",
+    ),
+    Mutant(
         "refine map shift drops the half in its corner",
         "src/ulmc/brownian.py",
         "[0.5 * q * q, q, 1.0]",
