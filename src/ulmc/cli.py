@@ -18,50 +18,35 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import math
 import os
 import sys
 from dataclasses import asdict, make_dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .harness import (
     compare_study,
-    contract_csv,
     contract_problems,
     contractivity_study,
     converge_problems,
-    convergence_csv,
     gaussian_ground_truth,
     ground_truth_problems,
     long_run_ground_truth,
-    mixing_csv,
     mixing_problems,
     mixing_study,
-    stationary_csv,
     stationary_problems,
     stationary_study,
     strong_error_study,
-    write_json_report,
-    write_text_report,
 )
 from .integrators import DivergenceError, SolverConfig
 from .metrics import distance_kernels
 from .potentials import LogisticPosterior, QuadraticPotential, load_dataset
 
 __all__ = ["RunConfig", "main", "validate_config"]
-
-# Each experiment with its help line, in the order the parser lists them.
-EXPERIMENTS = {
-    "converge": "strong-error study against a shared-path fine reference",
-    "sample": "one method's mixing metrics against a reference cloud",
-    "contract": "coupled-pair contraction of the two-gradient method",
-    "stationary": "long-run moment statistics",
-    "compare": "methods at matched gradient budgets",
-}
-
 
 def _parse_levels(raw: str) -> list[int]:
     if ":" in raw:
@@ -239,12 +224,9 @@ def validate_config(rc: RunConfig) -> list[str]:
 def _validate(rc: RunConfig) -> tuple[list[str], object, SolverConfig | None]:
     """The problems of ``rc``, and the potential and solver built while checking it.
 
-    Each experiment checks only the settings it reads: the study's own
-    ``*_problems`` function names those, and this adds the settings no study
-    owns.  For experiments that compute distances this also loads SciPy's
-    two compiled distance kernels, a few milliseconds where importing
-    ``scipy.optimize`` would take a large share of a small run, so that a
-    missing SciPy is a diagnostic, not a traceback halfway through a run.
+    Each experiment checks only the settings it reads: its entry in
+    ``EXPERIMENTS`` returns what the study's own ``*_problems`` function
+    names, and this adds the settings no study owns.
     """
     diags: list[str] = []
     if rc.experiment not in EXPERIMENTS:
@@ -279,24 +261,8 @@ def _validate(rc: RunConfig) -> tuple[list[str], object, SolverConfig | None]:
             solver = _resolve_solver(rc, pot)
         except ValueError as exc:  # the auto policy can overflow on finite input
             diags.append(str(exc))
-    if rc.experiment == "converge":
-        diags += converge_problems(rc.methods, rc.horizon, rc.paths, rc.levels, rc.fine_level)
-    elif rc.experiment == "stationary":
-        diags += stationary_problems(rc.h, rc.chains, rc.burn_in, rc.kept)
-    elif rc.experiment == "contract" and solver is not None:
-        diags += contract_problems(solver, pot, rc.h, rc.steps, rc.pairs)
-    elif rc.experiment in ("sample", "compare"):  # the experiments that compute distances
-        methods = rc.method if rc.experiment == "sample" else rc.methods
-        diags += mixing_problems(methods, rc.chains, rc.h, rc.checkpoints)
-        long_run = (_truth_h(rc), rc.truth_steps) if rc.dataset else ()
-        diags += ground_truth_problems(rc.truth_samples, *long_run)
-        try:
-            distance_kernels()
-        except ImportError as exc:
-            diags.append(
-                f"scipy: {rc.experiment} computes distances with SciPy, "
-                f"which failed to import: {exc}"
-            )
+    if rc.experiment in EXPERIMENTS:
+        diags += EXPERIMENTS[rc.experiment][1](rc, pot, solver)
     return diags, pot, solver
 
 
@@ -317,63 +283,130 @@ def _ground_truth(rc: RunConfig, pot, solver: SolverConfig):
     return gaussian_ground_truth(pot, rc.truth_samples, rc.seed)
 
 
-def _dispatch(rc: RunConfig, pot, solver: SolverConfig) -> tuple[str, dict, list[str]]:
-    """Run the experiment; returns (csv text, report payload, summary lines)."""
-    if rc.experiment == "converge":
-        rep = strong_error_study(
-            solver, pot, rc.methods, rc.horizon, rc.paths, rc.levels, rc.fine_level,
-            rc.seed, threads=rc.threads,
+def _mixing_problems(rc: RunConfig, pot, methods) -> list[str]:
+    """The problems of ``sample`` or ``compare`` running ``methods``.
+
+    Besides the runs and their reference cloud, this loads SciPy's two
+    compiled distance kernels, a few milliseconds where importing
+    ``scipy.optimize`` would take a large share of a small run, so that a
+    missing SciPy is a diagnostic, not a traceback halfway through a run.
+    """
+    diags = mixing_problems(methods, rc.chains, rc.h, rc.checkpoints)
+    long_run = (_truth_h(rc), rc.truth_steps) if rc.dataset else ()
+    diags += ground_truth_problems(rc.truth_samples, *long_run)
+    try:
+        distance_kernels()
+    except ImportError as exc:
+        diags.append(
+            f"scipy: {rc.experiment} computes distances with SciPy, "
+            f"which failed to import: {exc}"
         )
-        summary = ["method      slope   order"]
-        for m in rep.methods:
-            fit = rep.fits.get(m)
-            if fit is None:
-                summary.append(f"{m:<10}    n/a     n/a")
-            else:
-                summary.append(f"{m:<10} {fit.slope:7.3f} {fit.order:7.3f}")
-        return convergence_csv(rep), rep.to_dict(), summary
+    return diags
 
-    if rc.experiment == "sample":
-        gt = _ground_truth(rc, pot, solver)
-        rep = mixing_study(
-            solver, pot, rc.method, rc.chains, rc.h, rc.checkpoints, gt, rc.seed,
-            threads=rc.threads,
-        )
-        summary = [
-            f"{rep.method}: energy {rep.energy[-1]:.6g}, w2 {rep.w2[-1]:.6g} "
-            f"after {rep.grad_evals[-1]} gradient evaluations"
-        ]
-        return mixing_csv([rep], kind="sample"), rep.to_dict(), summary
 
-    if rc.experiment == "compare":
-        gt = _ground_truth(rc, pot, solver)
-        reps = compare_study(
-            solver, pot, rc.chains, rc.h, rc.checkpoints, gt, rc.seed,
-            methods=rc.methods, threads=rc.threads,
-        )
-        summary = ["method      energy        w2   grad_evals"]
-        for name, rep in reps.items():
-            summary.append(
-                f"{name:<10} {rep.energy[-1]:9.6f} {rep.w2[-1]:9.6f} {rep.grad_evals[-1]:10d}"
-            )
-        payload = {name: rep.to_dict() for name, rep in reps.items()}
-        return mixing_csv(reps.values(), kind="compare"), payload, summary
+# Each run returns (CSV header, CSV rows, report payload, summary lines).
+_MIXING_HEADER = "method,grad_evals,energy_dist,w2"
 
-    if rc.experiment == "contract":
-        dist = contractivity_study(solver, pot, rc.h, rc.steps, rc.pairs, rc.seed)
-        factor = (dist[-1] / dist[0]) ** (1.0 / rc.steps) if dist[0] > 0 else float("nan")
-        summary = [
-            f"initial distance {dist[0]:.6g}, final {dist[-1]:.6g}, "
-            f"per-step factor {factor:.6f}"
-        ]
-        payload = {"kind": "contract", "distances": [float(v) for v in dist]}
-        return contract_csv(dist), payload, summary
 
+def _converge(rc: RunConfig, pot, solver: SolverConfig):
+    """strong-error study against a shared-path fine reference"""
+    rep = strong_error_study(
+        solver, pot, rc.methods, rc.horizon, rc.paths, rc.levels, rc.fine_level,
+        rc.seed, threads=rc.threads,
+    )
+    summary = ["method      slope   order"]
+    for m in rep.methods:
+        fit = rep.fits.get(m)
+        if fit is None:
+            summary.append(f"{m:<10}    n/a     n/a")
+        else:
+            summary.append(f"{m:<10} {fit.slope:7.3f} {fit.order:7.3f}")
+    return "method,N,rms_error", rep.rows(), rep.to_dict(), summary
+
+
+def _sample(rc: RunConfig, pot, solver: SolverConfig):
+    """one method's mixing metrics against a reference cloud"""
+    gt = _ground_truth(rc, pot, solver)
+    rep = mixing_study(
+        solver, pot, rc.method, rc.chains, rc.h, rc.checkpoints, gt, rc.seed,
+        threads=rc.threads,
+    )
+    summary = [
+        f"{rep.method}: energy {rep.energy[-1]:.6g}, w2 {rep.w2[-1]:.6g} "
+        f"after {rep.grad_evals[-1]} gradient evaluations"
+    ]
+    return _MIXING_HEADER, rep.rows(), rep.to_dict(), summary
+
+
+def _contract(rc: RunConfig, pot, solver: SolverConfig):
+    """coupled-pair contraction of the two-gradient method"""
+    dist = contractivity_study(solver, pot, rc.h, rc.steps, rc.pairs, rc.seed)
+    factor = (dist[-1] / dist[0]) ** (1.0 / rc.steps) if dist[0] > 0 else float("nan")
+    summary = [
+        f"initial distance {dist[0]:.6g}, final {dist[-1]:.6g}, "
+        f"per-step factor {factor:.6f}"
+    ]
+    payload = {"kind": "contract", "distances": dist.tolist()}
+    return "step,distance", enumerate(payload["distances"]), payload, summary
+
+
+def _stationary(rc: RunConfig, pot, solver: SolverConfig):
+    """long-run moment statistics"""
     rep = stationary_study(
         solver, pot, rc.h, rc.chains, rc.burn_in, rc.kept, rc.seed, threads=rc.threads
     )
     summary = [f"{name} = {value:.6g}" for name, value in rep.rows()]
-    return stationary_csv(rep), rep.to_dict(), summary
+    return "statistic,value", rep.rows(), rep.to_dict(), summary
+
+
+def _compare(rc: RunConfig, pot, solver: SolverConfig):
+    """methods at matched gradient budgets"""
+    gt = _ground_truth(rc, pot, solver)
+    reps = compare_study(
+        solver, pot, rc.chains, rc.h, rc.checkpoints, gt, rc.seed,
+        methods=rc.methods, threads=rc.threads,
+    )
+    summary = ["method      energy        w2   grad_evals"]
+    for name, rep in reps.items():
+        summary.append(
+            f"{name:<10} {rep.energy[-1]:9.6f} {rep.w2[-1]:9.6f} {rep.grad_evals[-1]:10d}"
+        )
+    payload = {name: rep.to_dict() for name, rep in reps.items()}
+    return _MIXING_HEADER, (row for rep in reps.values() for row in rep.rows()), payload, summary
+
+
+# Each experiment, in the order the parser lists them, with its run (whose
+# docstring is its help line) and its problems, of (rc, pot, solver) both.
+# The runs call the studies, the ground truths and the report writers by
+# their module names at call time, so a wrapper set on this module sees them.
+EXPERIMENTS = {
+    "converge": (_converge, lambda rc, pot, solver: converge_problems(
+        rc.methods, rc.horizon, rc.paths, rc.levels, rc.fine_level)),
+    "sample": (_sample, lambda rc, pot, solver: _mixing_problems(rc, pot, rc.method)),
+    "contract": (_contract, lambda rc, pot, solver: contract_problems(
+        solver, pot, rc.h, rc.steps, rc.pairs) if solver is not None else []),
+    "stationary": (_stationary, lambda rc, pot, solver: stationary_problems(rc.h, rc.chains, rc.burn_in, rc.kept)),
+    "compare": (_compare, lambda rc, pot, solver: _mixing_problems(rc, pot, rc.methods)),
+}
+
+_CSV_VERSION = "ulmc-csv v2"
+
+
+def _csv(kind: str, header: str, rows: Iterable[tuple]) -> str:
+    """The tagged CSV of ``rows``; numbers other than ints get 17 significant digits."""
+    lines = [f"# {_CSV_VERSION} {kind}", header]
+    lines += [",".join(str(v) if isinstance(v, (str, int)) else format(float(v), ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_text_report(path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def write_json_report(path, payload: dict) -> None:
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
+    )
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -383,8 +416,8 @@ def _parser() -> argparse.ArgumentParser:
         "contraction, and stationarity studies.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="|".join(EXPERIMENTS))
-    for name, summary in EXPERIMENTS.items():
-        sp = sub.add_parser(name, help=summary)
+    for name, (run, _) in EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=run.__doc__)
         sp.add_argument("--config", help="flat key = value settings file")
         for key, (default, _, help_text) in _SETTINGS.items():
             action = argparse.BooleanOptionalAction if key == "standardize" else "store"
@@ -413,7 +446,8 @@ def main(argv=None) -> int:
         # a divergence is aborted with context below, so the overflow
         # warnings numpy emits on the way there are just noise
         with np.errstate(over="ignore", invalid="ignore"):
-            csv_text, payload, summary = _dispatch(rc, pot, solver)
+            header, rows, payload, summary = EXPERIMENTS[rc.experiment][0](rc, pot, solver)
+            csv_text = _csv(rc.experiment, header, rows)
     except DivergenceError as exc:
         print(f"ulmc: {exc}", file=sys.stderr)
         return 3

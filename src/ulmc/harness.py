@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import threading
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -60,24 +58,18 @@ __all__ = [
     "OrderFit",
     "StationaryReport",
     "compare_study",
-    "contract_csv",
     "contract_problems",
     "contractivity_study",
     "converge_problems",
-    "convergence_csv",
     "fit_order",
     "gaussian_ground_truth",
     "ground_truth_problems",
     "long_run_ground_truth",
-    "mixing_csv",
     "mixing_problems",
     "mixing_study",
-    "stationary_csv",
     "stationary_problems",
     "stationary_study",
     "strong_error_study",
-    "write_json_report",
-    "write_text_report",
 ]
 
 # Chunks go to a thread pool only when a chunk's arrays are wide enough for
@@ -121,8 +113,6 @@ _MAX_CONTRACT_STEPS = 2**20
 _MAX_CONTRACT_ENTRIES = 2**24
 
 _MIN_STEP = math.ulp(0.0)  # the smallest positive float; shorter steps are 0
-
-_CSV_VERSION = "ulmc-csv v2"
 
 # Tags of the work units this module keys with chunk_key.  A chain study's
 # triple keys its initial positions, its initial velocities and its noise
@@ -935,39 +925,3 @@ def long_run_ground_truth(
     _require(ground_truth_problems(n_samples, h, n_steps))
     clouds = _evolve_positions(cfg, pot, "quicsort", n_samples, h, (int(n_steps),), seed, _TAGS_TRUTH, threads)
     return EmpiricalDistribution(clouds[int(n_steps)])
-
-
-def _csv(kind: str, header: str, rows: Iterable[tuple]) -> str:
-    """The tagged CSV of ``rows``; numbers other than ints get 17 significant digits."""
-    lines = [f"# {_CSV_VERSION} {kind}", header]
-    lines += [",".join(str(v) if isinstance(v, (str, int)) else format(float(v), ".17g") for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def convergence_csv(report: ConvergenceReport) -> str:
-    return _csv("converge", "method,N,rms_error", report.rows())
-
-
-def mixing_csv(reports: Iterable[MixingReport], kind: str = "sample") -> str:
-    """CSV of the rows of ``reports``, in order; ``kind`` is 'sample' or 'compare'."""
-    if kind not in ("sample", "compare"):
-        raise ValueError("kind must be 'sample' or 'compare'")
-    return _csv(kind, "method,grad_evals,energy_dist,w2", (row for rep in reports for row in rep.rows()))
-
-
-def contract_csv(distances) -> str:
-    return _csv("contract", "step,distance", enumerate(np.asarray(distances, dtype=float).tolist()))
-
-
-def stationary_csv(report: StationaryReport) -> str:
-    return _csv("stationary", "statistic,value", report.rows())
-
-
-def write_text_report(path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
-
-
-def write_json_report(path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )

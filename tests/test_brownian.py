@@ -522,7 +522,7 @@ def test_path_and_tree_take_their_key_modulo_2_128():
 
 def test_v2_layout_is_pinned():
     # float.hex of a few draws, so any change of key or counter layout shows
-    from ulmc import harness
+    from ulmc import cli
 
     inc = bm.BrownianPath(seed=1, d=2).increment(0, 1.0)
     assert [x.hex() for x in inc.w] == [
@@ -539,7 +539,7 @@ def test_v2_layout_is_pinned():
         "0x1.73af52cea5a43p+0",
         "-0x1.4d0b4b051959ep+0",
     ]
-    assert harness._CSV_VERSION == "ulmc-csv v2"
+    assert cli._CSV_VERSION == "ulmc-csv v2"
 
 
 def test_keyed_draws_reject_negative_index_like_keyed_generator():

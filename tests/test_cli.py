@@ -219,6 +219,64 @@ def test_compare_budgets_align_in_output(tmp_path, monkeypatch):
     assert budgets["quicsort"] == budgets["ubu"] == budgets["euler"]
 
 
+def _table_run(experiment, **overrides):
+    """The CSV text and payload of ``experiment``'s table entry on a tiny config."""
+    rc = _default_config(experiment, **{**_TINY, **overrides})
+    diags, pot, solver = cli._validate(rc)
+    assert diags == []
+    header, rows, payload, _ = cli.EXPERIMENTS[experiment][0](rc, pot, solver)
+    return cli._csv(experiment, header, rows), payload
+
+
+def test_convergence_csv_schema():
+    text, payload = _table_run("converge", levels=(2, 3, 4, 5), fine_level=6)
+    lines = text.splitlines()
+    assert lines[0] == "# ulmc-csv v2 converge"
+    assert lines[1] == "method,N,rms_error"
+    assert len(lines) == 2 + 12
+    method, n, err = lines[2].split(",")
+    assert method == "quicsort" and int(n) == 4
+    assert float(err) == payload["errors"]["quicsort"][0]
+    assert text.endswith("\n")
+
+
+def test_mixing_csv_schema():
+    text, _ = _table_run("compare", methods=("quicsort",), chains=64, checkpoints=(0, 3))
+    lines = text.splitlines()
+    assert lines[0] == "# ulmc-csv v2 compare"
+    assert lines[1] == "method,grad_evals,energy_dist,w2"
+    assert lines[2].startswith("quicsort,0,")
+
+
+def test_contract_and_stationary_csv():
+    text = cli._csv("contract", "step,distance", enumerate([1.0, 0.5, 0.25]))
+    assert text.splitlines()[0] == "# ulmc-csv v2 contract"
+    assert text.splitlines()[2] == "0,1"
+    assert text.splitlines()[3] == "1,0.5"
+    stat, _ = _table_run("stationary")
+    lines = stat.splitlines()
+    assert lines[0] == "# ulmc-csv v2 stationary"
+    assert lines[1] == "statistic,value"
+    assert lines[2].startswith("mean_x_sq,")
+
+
+def test_report_files_are_reproducible(tmp_path):
+    text, payload = _table_run("converge", levels=(2, 3, 4), fine_level=5)
+    path = tmp_path / "converge.csv"
+    cli.write_text_report(path, text)
+    first = path.read_bytes()
+    cli.write_text_report(path, text)
+    assert path.read_bytes() == first
+    assert b"\r" not in first
+
+    jpath = tmp_path / "converge.json"
+    cli.write_json_report(jpath, {"config": {"seed": 42, "gamma": 2.0}, "report": payload})
+    loaded = json.loads(jpath.read_text())
+    assert loaded["config"]["seed"] == 42
+    assert loaded["report"]["fits"]["quicsort"]["order"] == payload["fits"]["quicsort"]["order"]
+    assert jpath.read_text().endswith("\n")
+
+
 @pytest.mark.parametrize("argv, setting", [
     (["contract", "--steps", "10000000000000", "--pairs", "2"], "steps"),
     (["stationary", "--kept", "1000000000000", "--chains", "2"], "kept"),
@@ -556,8 +614,9 @@ def test_cli_first_diagnostic_is_what_the_study_raises(experiment, setting, bad,
     rc = _default_config(experiment, **{**_TINY, **bad})
     diags, pot, solver = cli._validate(rc)
     assert diags and diags[0].startswith(f"{setting}: ")
+    run, _ = cli.EXPERIMENTS[experiment]
     with pytest.raises(ValueError) as exc:
-        cli._dispatch(rc, pot, solver)
+        run(rc, pot, solver)
     assert str(exc.value) == diags[0]
 
 

@@ -5,7 +5,6 @@ plus its analytic confidence band; Monte Carlo assertions (noise floors,
 J-doubling) use the standard-error bounds computed in the tests.
 """
 
-import json
 import math
 import sys
 import threading
@@ -24,20 +23,14 @@ from ulmc.harness import (
     OrderFit,
     StationaryReport,
     compare_study,
-    contract_csv,
     contractivity_study,
     converge_problems,
-    convergence_csv,
     fit_order,
     gaussian_ground_truth,
     long_run_ground_truth,
-    mixing_csv,
     mixing_study,
-    stationary_csv,
     stationary_study,
     strong_error_study,
-    write_json_report,
-    write_text_report,
 )
 from ulmc.integrators import STEPPERS, DivergenceError, PhaseState, SolverConfig
 from ulmc.metrics import EmpiricalDistribution, energy_distance_sq, subsample, wasserstein2
@@ -681,60 +674,6 @@ def test_report_invariants_enforced():
             method="quicsort", step_size=0.1, n_chains=4, checkpoints=(1, 2),
             grad_evals=(8, 16), energy=(0.5,), w2=(0.5, 0.4), seed=0,
         )
-
-
-def test_convergence_csv_schema(mini_report):
-    text = convergence_csv(mini_report)
-    lines = text.splitlines()
-    assert lines[0] == "# ulmc-csv v2 converge"
-    assert lines[1] == "method,N,rms_error"
-    assert len(lines) == 2 + 12
-    method, n, err = lines[2].split(",")
-    assert method == "quicsort" and int(n) == 4
-    assert float(err) == mini_report.errors["quicsort"][0]
-    assert text.endswith("\n")
-
-
-def test_mixing_csv_schema(aniso_truth):
-    pot, gt = aniso_truth
-    rep = mixing_study(CFG, pot, "quicsort", 64, 0.2, [0, 3], gt, seed=1)
-    text = mixing_csv([rep], kind="compare")
-    lines = text.splitlines()
-    assert lines[0] == "# ulmc-csv v2 compare"
-    assert lines[1] == "method,grad_evals,energy_dist,w2"
-    assert lines[2].startswith("quicsort,0,")
-    with pytest.raises(ValueError):
-        mixing_csv([rep], kind="mix")
-
-
-def test_contract_and_stationary_csv():
-    text = contract_csv([1.0, 0.5, 0.25])
-    assert text.splitlines()[0] == "# ulmc-csv v2 contract"
-    assert text.splitlines()[2] == "0,1"
-    assert text.splitlines()[3] == "1,0.5"
-    rep = stationary_study(CFG, POT2, 0.1, 8, 10, 20, seed=2)
-    stat = stationary_csv(rep)
-    lines = stat.splitlines()
-    assert lines[0] == "# ulmc-csv v2 stationary"
-    assert lines[1] == "statistic,value"
-    assert lines[2].startswith("mean_x_sq,")
-
-
-def test_report_files_are_reproducible(tmp_path, mini_report):
-    path = tmp_path / "converge.csv"
-    write_text_report(path, convergence_csv(mini_report))
-    first = path.read_bytes()
-    write_text_report(path, convergence_csv(mini_report))
-    assert path.read_bytes() == first
-    assert b"\r" not in first
-
-    jpath = tmp_path / "converge.json"
-    payload = {"config": {"seed": 42, "gamma": 2.0}, "report": mini_report.to_dict()}
-    write_json_report(jpath, payload)
-    loaded = json.loads(jpath.read_text())
-    assert loaded["config"]["seed"] == 42
-    assert loaded["report"]["fits"]["quicsort"]["order"] == mini_report.fits["quicsort"].order
-    assert jpath.read_text().endswith("\n")
 
 
 # ---------------------------------------------------------------------------
