@@ -8,6 +8,10 @@ setting, plus the ``gamma_resolved`` and ``u_resolved`` the solver used.
 Exit codes: 0 success, 2 invalid configuration or reports that cannot be
 written, 3 numerical divergence.
 
+Each experiment is one entry of ``EXPERIMENTS``: the run that calls its study
+and the problems that check its settings.  This module alone writes the
+report formats: the tagged ``ulmc-csv`` table and the JSON report.
+
 ``main`` first freezes the garbage collector's heap (``gc.freeze``): the
 objects the imports left live until exit, and without the freeze
 interpreter shutdown walks them all, about 30 ms of every run on 2 cores.
@@ -291,9 +295,12 @@ def _mixing_problems(rc: RunConfig, pot, methods) -> list[str]:
     ``scipy.optimize`` would take a large share of a small run, so that a
     missing SciPy is a diagnostic, not a traceback halfway through a run.
     """
-    diags = mixing_problems(methods, rc.chains, rc.h, rc.checkpoints)
+    # a target that failed to build is its own diagnostic; the rest are
+    # checked at d = 1, the least any target has
+    d = pot.meta.d if pot is not None else 1
+    diags = mixing_problems(methods, rc.chains, rc.h, rc.checkpoints, d)
     long_run = (_truth_h(rc), rc.truth_steps) if rc.dataset else ()
-    diags += ground_truth_problems(rc.truth_samples, *long_run)
+    diags += ground_truth_problems(rc.truth_samples, d, *long_run)
     try:
         distance_kernels()
     except ImportError as exc:
@@ -377,8 +384,9 @@ def _compare(rc: RunConfig, pot, solver: SolverConfig):
 
 # Each experiment, in the order the parser lists them, with its run (whose
 # docstring is its help line) and its problems, of (rc, pot, solver) both.
-# The runs call the studies, the ground truths and the report writers by
-# their module names at call time, so a wrapper set on this module sees them.
+# The runs and main call the studies, the ground truths and the report
+# writers by their names in this module at call time, and no entry holds
+# one, so a wrapper set on this module (as perfbench/shim.py sets) sees them.
 EXPERIMENTS = {
     "converge": (_converge, lambda rc, pot, solver: converge_problems(
         rc.methods, rc.horizon, rc.paths, rc.levels, rc.fine_level)),

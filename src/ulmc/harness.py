@@ -13,7 +13,8 @@ run's checkpoints on helper threads while later runs evolve, gathering the
 distances in submission order.  ``threads`` caps the threads alive at once,
 the calling thread among them, and changes wall time, never output: a run's
 chunks take the threads its pending measurements leave, and work too small to
-gain from threads runs in the calling thread.
+gain from threads runs in the calling thread.  Studies return report objects
+(``rows()`` and ``to_dict()``); :mod:`ulmc.cli` writes them as CSV and JSON.
 """
 
 from __future__ import annotations
@@ -111,6 +112,22 @@ _MAX_CONTRACT_STEPS = 2**20
 # pair in one unchunked (2, pairs, d) state, and the stepper holds a few float
 # arrays of that shape at once; at this bound each is 256 MB.
 _MAX_CONTRACT_ENTRIES = 2**24
+
+# The most chunks a chain or path study may cut its chains or paths into.  A
+# run keeps one chunk size, one queued job and one result per chunk, about
+# 150 bytes in all (tracemalloc), and a one-step chunk took about 110 us:
+# ``stationary --chains 4194304 --burn-in 0 --kept 1 --dimension 2`` makes
+# this many chunks and took 7 s (one thread, 2 cores).  One step on each of
+# 2**30 chunks fits the step plan, but its bookkeeping alone would be 160 GB.
+_MAX_CHUNKS = 2**16
+
+# The most floats of position clouds a run may hold at once: a mixing study's
+# chains times d at every checkpoint of every run, whose clouds wait for their
+# measurements, or a reference cloud's samples times d.  At this bound (128
+# MB of floats) evolving 65,536 chains at d = 64 to four checkpoints raised
+# peak RSS by 263 MB, as each checkpoint's chunk copies are joined into one
+# cloud, and exact draws of 2**18 samples at d = 64 raised it by 390 MB.
+_MAX_CLOUD_ENTRIES = 2**24
 
 _MIN_STEP = math.ulp(0.0)  # the smallest positive float; shorter steps are 0
 
@@ -356,16 +373,38 @@ def _require(problems: list[str]) -> None:
         raise ValueError(problems[0])
 
 
-def _plan_rule(key: str, run: str, n: int, unit: str, steps: int) -> tuple[bool, str]:
-    """The rule that ``run``, ``steps`` steps on each chunk of ``n`` ``unit``, stays within the plan."""
+def _plan_rule(
+    key: str, run: str, n: int, unit: str, steps: int, held: int = 0, n_key: str | None = None
+) -> tuple[bool, str]:
+    """The rule that ``run``, ``steps`` steps on each chunk of ``n`` ``unit`` holding ``held``
+    floats of clouds at once, stays within the plan.
+
+    Its problem is the first bound broken: the steps, named by ``key``, then
+    the chunks and the held floats, named by ``n_key`` (``unit`` by default).
+    A run of no steps makes no chunks.
+    """
     chunks = -(-n // CHUNK)
     power = isinstance(steps, int) and steps > 1 and steps & (steps - 1) == 0
     shown = f"2**{steps.bit_length() - 1}" if power else steps
-    return (
-        chunks * steps <= _MAX_CHUNK_STEPS,
-        f"{key}: {run} would take {shown} steps on each of {chunks} chunks of {unit}, "
-        f"above the 2**{_MAX_CHUNK_STEPS.bit_length() - 1} a run may plan (about a day)",
+    n_key = n_key or unit
+    rules = (
+        (
+            chunks * steps <= _MAX_CHUNK_STEPS,
+            f"{key}: {run} would take {shown} steps on each of {chunks} chunks of {unit}, "
+            f"above the 2**{_MAX_CHUNK_STEPS.bit_length() - 1} a run may plan (about a day)",
+        ),
+        (
+            not steps or chunks <= _MAX_CHUNKS,
+            f"{n_key}: {run} would cut {n} {unit} into {chunks} chunks of {CHUNK}, "
+            f"above the 2**{_MAX_CHUNKS.bit_length() - 1} a run may plan",
+        ),
+        (
+            held <= _MAX_CLOUD_ENTRIES,
+            f"{n_key}: {run} would hold {held} floats of positions at once, "
+            f"above the 2**{_MAX_CLOUD_ENTRIES.bit_length() - 1} a run may hold",
+        ),
     )
+    return next((rule for rule in rules if not rule[0]), rules[0])
 
 
 def _method_problems(key: str, methods: Sequence[str]) -> list[str]:
@@ -643,19 +682,23 @@ def _mixing_runs(methods: str | Sequence[str], h: float, checkpoints: Sequence[i
 
 
 def mixing_problems(
-    methods: str | Sequence[str], n_chains: int, h: float, checkpoints: Sequence[int]
+    methods: str | Sequence[str], n_chains: int, h: float, checkpoints: Sequence[int], d: int
 ) -> list[str]:
-    """Why :func:`mixing_study` or :func:`compare_study` cannot run; empty if it can.
+    """Why :func:`mixing_study` or :func:`compare_study` cannot run on a
+    ``d``-dimensional target; empty if it can.
 
     ``methods`` is one stepper name, the ``method`` of a mixing study, or
     the sequence of names a comparison runs.  The plan and the underflow
     check read the runs of :func:`_mixing_runs`.  A run to checkpoint 0 still
     draws each chunk's initial state, so the plan counts it as one step.
+    Every run's clouds wait for their measurements, so the plan holds the
+    chains' positions at every checkpoint of every run.
     """
     key, names = ("method", [methods]) if isinstance(methods, str) else ("methods", methods)
     cps = list(checkpoints)
     runs = _mixing_runs(methods, h, cps)
     steps = sum(max([*run_cps, 1]) for _, _, run_cps in runs)
+    held = n_chains * d * sum(len(run_cps) for _, _, run_cps in runs)
     problems = _method_problems(key, names) + _unmet(
         (n_chains >= 1, "chains: need at least 1"),
         (0.0 < h < math.inf, "h: step size must be positive and finite"),
@@ -665,7 +708,7 @@ def mixing_problems(
         ),
         _plan_rule(
             "checkpoints" if max(cps, default=0) > 0 else "chains",
-            "the runs to the last checkpoint", n_chains, "chains", steps,
+            "the runs to the last checkpoint", n_chains, "chains", steps, held,
         ),
     )
     # a stepper on halves steps over half steps, the shortest intervals it sees
@@ -752,7 +795,7 @@ def mixing_study(
     clouds larger than ``_METRIC_CAP`` points are subsampled for it
     (deterministic in the seed); the energy distance uses the full clouds.
     """
-    _require(mixing_problems(stepper, n_chains, h, checkpoints))
+    _require(mixing_problems(stepper, n_chains, h, checkpoints, pot.meta.d))
     runs = _mixing_runs(stepper, h, checkpoints)
     (report,) = _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads)
     return report
@@ -779,7 +822,7 @@ def compare_study(
     :func:`mixing_study`; the checkpoints of all methods share one pool of
     distance workers.
     """
-    _require(mixing_problems(methods, n_chains, h, checkpoints))
+    _require(mixing_problems(methods, n_chains, h, checkpoints, pot.meta.d))
     runs = _mixing_runs(methods, h, checkpoints)
     reports = _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads)
     return {rep.method: rep for rep in reports}
@@ -883,23 +926,27 @@ def stationary_study(
     )
 
 
-def ground_truth_problems(n_samples: int, h: float | None = None, n_steps: int | None = None) -> list[str]:
-    """Why a reference cloud cannot be built; empty if it can.
+def ground_truth_problems(
+    n_samples: int, d: int, h: float | None = None, n_steps: int | None = None
+) -> list[str]:
+    """Why a reference cloud of ``n_samples`` points in ``d`` dimensions cannot be
+    built; empty if it can.
 
     ``h`` and ``n_steps`` are the run of :func:`long_run_ground_truth`; leave
     them out for the exact draws of :func:`gaussian_ground_truth`.
     """
+    run = "the reference draws" if n_steps is None else "the reference run"
     return _unmet(
         (n_samples >= 1, "truth_samples: need at least one sample"),
         (h is None or 0.0 < h < math.inf, "truth_h: step size must be positive and finite"),
         (n_steps is None or n_steps >= 1, "truth_steps: need at least one step"),
-        _plan_rule("truth_steps", "the reference run", n_samples, "chains", n_steps or 0),
+        _plan_rule("truth_steps", run, n_samples, "chains", n_steps or 0, n_samples * d, "truth_samples"),
     )
 
 
 def gaussian_ground_truth(pot: QuadraticPotential, n: int, seed: int) -> EmpiricalDistribution:
     """Exact draws from the Gaussian position law exp(-f) of a quadratic f."""
-    _require(ground_truth_problems(n))
+    _require(ground_truth_problems(n, pot.meta.d))
     rng = keyed_generator(seed, _TAG_TRUTH, 0)
     z = rng.standard_normal((int(n), pot.meta.d))
     return EmpiricalDistribution(pot.center + z / np.sqrt(pot.curvatures))
@@ -922,6 +969,6 @@ def long_run_ground_truth(
     chain.  A stand-in for an exact sampler; make ``h`` small and
     ``n_steps * h`` comfortably longer than the mixing time.
     """
-    _require(ground_truth_problems(n_samples, h, n_steps))
+    _require(ground_truth_problems(n_samples, pot.meta.d, h, n_steps))
     clouds = _evolve_positions(cfg, pot, "quicsort", n_samples, h, (int(n_steps),), seed, _TAGS_TRUTH, threads)
     return EmpiricalDistribution(clouds[int(n_steps)])

@@ -32,7 +32,12 @@ __all__ = [
     "subsample",
 ]
 
+# Mean distances sum blocks of at most _BLOCK_ROWS rows and _BLOCK_ENTRIES
+# distances (64 MB): 2,048 rows against clouds of up to 4,096 points, fewer
+# rows against larger ones, and one row against more than _BLOCK_ENTRIES.
+# With rows alone, a 200,000-point reference made 3.05 GB blocks.
 _BLOCK_ROWS = 2048
+_BLOCK_ENTRIES = 2**23
 _MAX_ASSIGNMENT = 4096
 _LOADING = threading.Lock()  # two threads' first distances load each module once
 
@@ -135,9 +140,10 @@ def _mean_distance(xs, ys) -> float:
     cdist_euclidean, _, _ = distance_kernels()
     wx = np.full(xs.shape[0], 1.0 / xs.shape[0])
     wy = np.full(ys.shape[0], 1.0 / ys.shape[0])
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // ys.shape[0]))
     total = 0.0
-    for start in range(0, xs.shape[0], _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
+    for start in range(0, xs.shape[0], rows):
+        stop = start + rows
         block = cdist_euclidean(xs[start:stop], ys)
         total += float(wx[start:stop] @ block @ wy)
     return total

@@ -296,13 +296,23 @@ def test_plans_too_long_to_run_exit_2_naming_the_setting(argv, setting, tmp_path
     (["sample", "--chains", "1000000000000", "--checkpoints", "0", "--truth-samples", "4", "--threads", "1"], "chains"),
     # contract holds all its pairs in one state
     (["contract", "--pairs", "1000000000000", "--steps", "2"], "pairs"),
+    # one step on each of 2**30 chunks fits the step plan, but not the chunk bound
+    (["sample", "--chains", "68719476736", "--checkpoints", "0,1", "--truth-samples", "4", "--threads", "1"], "chains"),
+    (["stationary", "--chains", "68719476736", "--burn-in", "0", "--kept", "1", "--threads", "1"], "chains"),
+    (["converge", "--paths", "68719476736", "--levels", "0", "--fine-level", "0", "--methods", "euler",
+      "--threads", "1"], "paths"),
+    # position clouds: the reference's samples times d, the chains' at every checkpoint
+    (["sample", "--truth-samples", "1000000000000", "--chains", "4", "--checkpoints", "0,1"], "truth_samples"),
+    (["sample", "--chains", "4194304", "--dimension", "1000", "--checkpoints", "0,1", "--truth-samples", "4",
+      "--threads", "1"], "chains"),
 ])
 def test_runs_too_wide_to_hold_exit_2_at_once(argv, setting, tmp_path):
     # in a child with its address space capped at 2 GiB, so a run that slips
-    # past validation fails or times out instead of filling the machine
+    # past validation fails or times out instead of filling the machine; d = 2
+    # unless the case sets it
     code = (
         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
-        f"from ulmc.cli import main; sys.exit(main({[*argv, '--dimension', '2', '--out', 'run']!r}))"
+        f"from ulmc.cli import main; sys.exit(main({[argv[0], '--dimension', '2', *argv[1:], '--out', 'run']!r}))"
     )
     proc = _run_python(code, tmp_path, timeout=10)
     assert proc.returncode == 2, proc.stderr
@@ -712,6 +722,49 @@ def test_stationary_moments_overflowing_on_a_finite_state_exit_3(tmp_path, capsy
         err,
     )
     assert list(tmp_path.iterdir()) == []
+
+
+# The module names a wrapper may replace on ulmc.cli and still see every call,
+# because the runs look them up at call time.
+_WRAPPABLE = (
+    "strong_error_study", "stationary_study", "compare_study", "mixing_study", "contractivity_study",
+    "gaussian_ground_truth", "long_run_ground_truth", "write_text_report", "write_json_report",
+)
+_TINY_RUNS = {
+    "converge": (["--levels", "1:2", "--fine-level", "3", "--paths", "2"], {"strong_error_study"}),
+    "sample": (["--chains", "4", "--checkpoints", "0,1", "--truth-samples", "8"], {"mixing_study"}),
+    "compare": (["--chains", "4", "--checkpoints", "0,1", "--truth-samples", "8"], {"compare_study"}),
+    "contract": (["--steps", "2", "--pairs", "2"], {"contractivity_study"}),
+    "stationary": (["--chains", "4", "--burn-in", "1", "--kept", "2"], {"stationary_study"}),
+}
+
+
+def _counted(calls, name, fn):
+    def counting(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return counting
+
+
+@pytest.mark.parametrize("dataset", [False, True], ids=["quadratic", "dataset"])
+@pytest.mark.parametrize("experiment", sorted(_TINY_RUNS))
+def test_main_calls_the_wrappable_names_through_the_module(experiment, dataset, tmp_path, monkeypatch):
+    calls = {}
+    for name in _WRAPPABLE:
+        monkeypatch.setattr(cli, name, _counted(calls, name, getattr(cli, name)))
+    args, studies = _TINY_RUNS[experiment]
+    argv = [experiment, *args, "--out", str(tmp_path / "run")]
+    if dataset:
+        data = synthetic_dataset(rows=20, d_feat=2, seed=3)
+        np.savetxt(tmp_path / "d.csv", np.column_stack([data.labels, data.features]), delimiter=",")
+        argv += ["--dataset", str(tmp_path / "d.csv"), "--truth-steps", "2"]
+    else:
+        argv += ["--dimension", "2"]
+    assert main(argv) == 0
+    if experiment in ("sample", "compare"):
+        studies = studies | {"long_run_ground_truth" if dataset else "gaussian_ground_truth"}
+    assert calls == dict.fromkeys(studies | {"write_text_report", "write_json_report"}, 1)
 
 
 def test_main_freezes_the_heap_it_starts_with(tmp_path):

@@ -242,33 +242,82 @@ def test_every_study_plans_at_most_max_chunk_steps():
     ]
     assert plan_problems(harness.stationary_problems(0.1, 64, budget, 1))[0].startswith("burn_in: ")
     # steps to the last checkpoint; compare runs one-gradient methods for twice the steps
-    assert plan_problems(harness.mixing_problems("euler", 64, 0.1, [0, budget])) == []
-    assert plan_problems(harness.mixing_problems("euler", 64, 0.1, [0, budget + 1]))[0].startswith("checkpoints: ")
-    assert plan_problems(harness.mixing_problems(["quicsort", "euler"], 64, 0.1, [0, budget // 3])) == []
-    assert plan_problems(harness.mixing_problems(["quicsort", "euler"], 64, 0.1, [0, budget // 3 + 1]))
+    assert plan_problems(harness.mixing_problems("euler", 64, 0.1, [0, budget], d=1)) == []
+    assert plan_problems(harness.mixing_problems("euler", 64, 0.1, [0, budget + 1], d=1))[0].startswith("checkpoints: ")
+    assert plan_problems(harness.mixing_problems(["quicsort", "euler"], 64, 0.1, [0, budget // 3], d=1)) == []
+    assert plan_problems(harness.mixing_problems(["quicsort", "euler"], 64, 0.1, [0, budget // 3 + 1], d=1))
     # the long-run reference's chunks of samples times its steps; exact draws take none
-    assert plan_problems(harness.ground_truth_problems(128, 0.1, budget // 2)) == []
-    assert plan_problems(harness.ground_truth_problems(129, 0.1, budget // 2))[0].startswith("truth_steps: ")
-    assert plan_problems(harness.ground_truth_problems(10**12)) == []
+    assert plan_problems(harness.ground_truth_problems(128, 1, 0.1, budget // 2)) == []
+    assert plan_problems(harness.ground_truth_problems(129, 1, 0.1, budget // 2))[0].startswith("truth_steps: ")
+    assert plan_problems(harness.ground_truth_problems(10**12, 1)) == []
     # contract keeps every step's distance, so it is bounded by its steps alone
     steps = [p for p in harness.contract_problems(CFG, POT1, 0.05, 2**20 + 1, 1) if p.startswith("steps: ")]
     assert steps == ["steps: the reports keep one distance per step, so a run may take at most 2**20"]
     assert harness.contract_problems(CFG, POT1, 0.05, 2**20, 10**6) == []
 
 
-def test_mixing_plan_counts_a_run_to_checkpoint_0_as_one_step():
+def test_mixing_plan_counts_a_run_to_checkpoint_0_as_one_step(monkeypatch):
+    # with the chunk and cloud bounds lifted, so that the step plan alone shows
+    monkeypatch.setattr(harness, "_MAX_CHUNKS", 2**62)
+    monkeypatch.setattr(harness, "_MAX_CLOUD_ENTRIES", 2**62)
     budget = harness._MAX_CHUNK_STEPS
     # every chunk of every run draws its initial state; past the plan the
     # culprit is the chain count, since no checkpoint is below 0
-    assert harness.mixing_problems("euler", 64 * budget, 0.1, [0]) == []
-    assert harness.mixing_problems("euler", 64 * budget + 1, 0.1, [0]) == [
+    assert harness.mixing_problems("euler", 64 * budget, 0.1, [0], d=1) == []
+    assert harness.mixing_problems("euler", 64 * budget + 1, 0.1, [0], d=1) == [
         f"chains: the runs to the last checkpoint would take 1 steps on each of {budget + 1} chunks of chains, "
         "above the 2**30 a run may plan (about a day)"
     ]
-    assert harness.mixing_problems(["quicsort", "ubu", "quicsort"], 64 * budget // 2, 0.1, [0]) == []
-    assert harness.mixing_problems(["quicsort", "ubu"], 64 * budget // 2 + 1, 0.1, [0])[0].startswith("chains: ")
+    assert harness.mixing_problems(["quicsort", "ubu", "quicsort"], 64 * budget // 2, 0.1, [0], d=1) == []
+    assert harness.mixing_problems(["quicsort", "ubu"], 64 * budget // 2 + 1, 0.1, [0], d=1)[0].startswith("chains: ")
     # one checkpoint past 0 counts as before
-    assert harness.mixing_problems("euler", 64 * budget, 0.1, [0, 1]) == []
+    assert harness.mixing_problems("euler", 64 * budget, 0.1, [0, 1], d=1) == []
+
+
+def test_chunk_count_is_bounded():
+    # one step on each of 2**30 chunks fits the step plan; the chunk bound
+    # names the chain or path count, and a run of no steps makes no chunks
+    most = 64 * harness._MAX_CHUNKS
+    assert harness._MAX_CHUNKS == 2**16
+    assert harness.stationary_problems(0.1, most, 0, 1) == []
+    assert harness.stationary_problems(0.1, most + 1, 0, 1) == [
+        "chains: burn_in + kept would cut 4194305 chains into 65537 chunks of 64, above the 2**16 a run may plan"
+    ]
+    assert converge_problems(["euler"], 1.0, most, [0], 0) == []
+    assert converge_problems(["euler"], 1.0, most + 1, [0], 0)[0].startswith("paths: the reference would cut ")
+    assert harness.mixing_problems("euler", most + 1, 0.1, [0], d=1)[0].startswith("chains: ")
+    assert harness.ground_truth_problems(most, 1, 0.1, 1) == []
+    assert harness.ground_truth_problems(most + 1, 1, 0.1, 1) == [
+        "truth_samples: the reference run would cut 4194305 chains into 65537 chunks of 64, above the 2**16 a run may plan"
+    ]
+    assert harness.ground_truth_problems(most + 1, 1) == []
+    # refused before any chunk size is listed
+    with pytest.raises(ValueError, match="^chains: burn_in [+] kept would cut 68719476736 chains"):
+        stationary_study(CFG, POT1, 0.1, 2**36, 0, 1, seed=0)
+
+
+def test_position_clouds_are_bounded():
+    # every checkpoint of every run waits for its measurement, and a reference holds samples times d
+    entries = harness._MAX_CLOUD_ENTRIES
+    assert entries == 2**24
+    assert harness.mixing_problems("quicsort", entries // 16, 0.1, [0, 1], d=8) == []
+    assert harness.mixing_problems("quicsort", entries // 16, 0.1, [0, 1], d=9) == [
+        "chains: the runs to the last checkpoint would hold 18874368 floats of positions at once, "
+        "above the 2**24 a run may hold"
+    ]
+    assert harness.mixing_problems(["quicsort", "euler"], entries // 16, 0.1, [0, 1], d=4) == []
+    assert harness.mixing_problems(["quicsort", "euler"], entries // 16, 0.1, [0, 1], d=5)[0].startswith("chains: ")
+    assert harness.ground_truth_problems(entries // 2, 2) == []
+    assert harness.ground_truth_problems(entries // 2 + 1, 2) == [
+        "truth_samples: the reference draws would hold 16777218 floats of positions at once, "
+        "above the 2**24 a run may hold"
+    ]
+    assert harness.ground_truth_problems(entries // 2 + 1, 2, 0.1, 1)[0].startswith("truth_samples: the reference run ")
+    # refused before anything is drawn
+    with pytest.raises(ValueError, match="^truth_samples: "):
+        gaussian_ground_truth(POT2, 10**12, seed=0)
+    with pytest.raises(ValueError, match="^chains: "):
+        mixing_study(CFG, QuadraticPotential(1.0, d=1000), "quicsort", 2**22, 0.1, [0, 1], np.zeros((4, 1000)), seed=0)
 
 
 def test_contract_pairs_times_dimension_is_bounded():

@@ -97,6 +97,28 @@ def test_energy_distance_blocked_path_consistent():
     assert d_full == pytest.approx(energy_distance_sq(ys, xs), rel=1e-10)
 
 
+def test_mean_distance_blocks_hold_at_most_the_entry_cap(monkeypatch):
+    # clouds of up to 4,096 points keep blocks of _BLOCK_ROWS rows, and their bits
+    assert metrics._BLOCK_ENTRIES // 4096 >= metrics._BLOCK_ROWS
+    rng = np.random.default_rng(407)
+    xs = rng.standard_normal((50, 3))
+    euclidean, sqeuclidean, lsap = metrics.distance_kernels()
+    blocks = []
+    monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 100)
+    monkeypatch.setattr(
+        metrics, "distance_kernels",
+        lambda: (lambda a, b: blocks.append(a.shape[0] * b.shape[0]) or euclidean(a, b), sqeuclidean, lsap),
+    )
+    # fewer rows against a wider cloud, and one row against more than the cap
+    for n_ys, n_blocks in ((37, 25), (150, 50)):
+        blocks.clear()
+        ys = rng.standard_normal((n_ys, 3)) + 0.2
+        direct = np.sqrt(((xs[:, None, :] - ys[None, :, :]) ** 2).sum(axis=-1)).mean()
+        assert metrics._mean_distance(xs, ys) == pytest.approx(direct, rel=1e-13)
+        assert len(blocks) == n_blocks and sum(blocks) == 50 * n_ys
+        assert max(blocks) <= max(100, n_ys)
+
+
 # ---------------------------------------------------------------------------
 # wasserstein
 

@@ -117,6 +117,36 @@ MUTANTS = (
         "[0.5 * q * q, q, 1.0]",
         "[q * q, q, 1.0]",
     ),
+    Mutant(
+        "chunk count bound dropped",
+        "src/ulmc/harness.py",
+        "not steps or chunks <= _MAX_CHUNKS,",
+        "True,",
+    ),
+    Mutant(
+        "mixing clouds counted for one run only",
+        "src/ulmc/harness.py",
+        "held = n_chains * d * sum(len(run_cps) for _, _, run_cps in runs)",
+        "held = n_chains * d * len(cps)",
+    ),
+    Mutant(
+        "reference cloud held without its dimension",
+        "src/ulmc/harness.py",
+        'n_steps or 0, n_samples * d, "truth_samples"',
+        'n_steps or 0, n_samples, "truth_samples"',
+    ),
+    Mutant(
+        "mean-distance blocks capped by rows only",
+        "src/ulmc/metrics.py",
+        "rows = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // ys.shape[0]))",
+        "rows = _BLOCK_ROWS",
+    ),
+    Mutant(
+        "sample checks the methods compare runs",
+        "src/ulmc/cli.py",
+        "_mixing_problems(rc, pot, rc.method))",
+        "_mixing_problems(rc, pot, rc.methods))",
+    ),
 )
 
 
