@@ -32,11 +32,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .brownian import _INDEX_BITS
 from .harness import (
     compare_study,
     contract_problems,
     contractivity_study,
     converge_problems,
+    distance_problems,
     gaussian_ground_truth,
     ground_truth_problems,
     long_run_ground_truth,
@@ -58,6 +60,8 @@ def _parse_levels(raw: str) -> list[int]:
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise ValueError(f"empty level range '{raw}'")
+        if hi - lo > _INDEX_BITS:  # listed before any check, so a wide range is refused here
+            raise ValueError(f"level range '{raw}' holds more than the {_INDEX_BITS + 1} levels 0 to {_INDEX_BITS}")
         return list(range(lo, hi + 1))
     return _parse_list(int)(raw)
 
@@ -100,8 +104,8 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], object], str]] = {
     "threads": (
         "auto", lambda raw: _available_cpus() if raw.lower() == "auto" else int(raw),
         "upper bound on the threads alive at once, the calling thread among them, or 'auto' "
-        "for one per usable core; chunks and distances share it, small targets and clouds "
-        "run serially, and output never depends on it",
+        "for one per usable core; chunks and distances share it, small targets run their "
+        "chunks serially, and output never depends on it",
     ),
     "out": ("", str, "output prefix for .csv and .json reports (default ulmc-EXPERIMENT)"),
     "dataset": ("", str, "labelled CSV for a logistic posterior target"),
@@ -129,6 +133,12 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], object], str]] = {
     "truth_steps": ("2000", int, "steps of the logistic reference run"),
 }
 DEFAULTS: dict[str, str] = {key: default for key, (default, _, _) in _SETTINGS.items()}
+
+# The largest dimension of a quadratic target.  Building one allocates its
+# curvatures and its center, d floats each (8 MB at this bound), before any plan
+# is checked: --dimension 100000000000 failed allocating 745 GiB.  Within it one
+# chain's state fits a chunk, so the plan names any larger run.
+_MAX_DIMENSION = 2**20
 
 RunConfig = make_dataclass("RunConfig", ["experiment", *_SETTINGS], namespace={
     "__module__": __name__, "__doc__": "An experiment's name and the parsed value of each setting.",
@@ -206,6 +216,9 @@ def _build_potential(rc: RunConfig, diags: list[str]):
             diags.append(f"dataset: {exc}")
             return None
         return LogisticPosterior(data)
+    if rc.dimension > _MAX_DIMENSION:
+        diags.append(f"dimension: may be at most 2**{_MAX_DIMENSION.bit_length() - 1}")
+        return None
     try:
         return QuadraticPotential(rc.curvature, d=rc.dimension)
     except ValueError as exc:
@@ -287,6 +300,12 @@ def _ground_truth(rc: RunConfig, pot, solver: SolverConfig):
     return gaussian_ground_truth(pot, rc.truth_samples, rc.seed)
 
 
+def _dimension(pot) -> int:
+    """The target's dimension, or 1, the least any target has, when it failed
+    to build: that failure is its own diagnostic, and the rest are checked."""
+    return pot.meta.d if pot is not None else 1
+
+
 def _mixing_problems(rc: RunConfig, pot, methods) -> list[str]:
     """The problems of ``sample`` or ``compare`` running ``methods``.
 
@@ -295,12 +314,11 @@ def _mixing_problems(rc: RunConfig, pot, methods) -> list[str]:
     ``scipy.optimize`` would take a large share of a small run, so that a
     missing SciPy is a diagnostic, not a traceback halfway through a run.
     """
-    # a target that failed to build is its own diagnostic; the rest are
-    # checked at d = 1, the least any target has
-    d = pot.meta.d if pot is not None else 1
+    d = _dimension(pot)
     diags = mixing_problems(methods, rc.chains, rc.h, rc.checkpoints, d)
     long_run = (_truth_h(rc), rc.truth_steps) if rc.dataset else ()
     diags += ground_truth_problems(rc.truth_samples, d, *long_run)
+    diags = diags or distance_problems(rc.chains, rc.truth_samples, d)
     try:
         distance_kernels()
     except ImportError as exc:
@@ -389,11 +407,12 @@ def _compare(rc: RunConfig, pot, solver: SolverConfig):
 # one, so a wrapper set on this module (as perfbench/shim.py sets) sees them.
 EXPERIMENTS = {
     "converge": (_converge, lambda rc, pot, solver: converge_problems(
-        rc.methods, rc.horizon, rc.paths, rc.levels, rc.fine_level)),
+        rc.methods, rc.horizon, rc.paths, rc.levels, rc.fine_level, _dimension(pot))),
     "sample": (_sample, lambda rc, pot, solver: _mixing_problems(rc, pot, rc.method)),
     "contract": (_contract, lambda rc, pot, solver: contract_problems(
         solver, pot, rc.h, rc.steps, rc.pairs) if solver is not None else []),
-    "stationary": (_stationary, lambda rc, pot, solver: stationary_problems(rc.h, rc.chains, rc.burn_in, rc.kept)),
+    "stationary": (_stationary, lambda rc, pot, solver: stationary_problems(
+        rc.h, rc.chains, rc.burn_in, rc.kept, _dimension(pot))),
     "compare": (_compare, lambda rc, pot, solver: _mixing_problems(rc, pot, rc.methods)),
 }
 

@@ -12,8 +12,8 @@ stacked in one state.  Chains step on a keyed path through
 run's checkpoints on helper threads while later runs evolve, gathering the
 distances in submission order.  ``threads`` caps the threads alive at once,
 the calling thread among them, and changes wall time, never output: a run's
-chunks take the threads its pending measurements leave, and work too small to
-gain from threads runs in the calling thread.  Studies return report objects
+chunks take the threads its pending measurements leave, and chunks too narrow
+to gain from threads run in the calling thread.  Studies return report objects
 (``rows()`` and ``to_dict()``); :mod:`ulmc.cli` writes them as CSV and JSON.
 """
 
@@ -62,6 +62,7 @@ __all__ = [
     "contract_problems",
     "contractivity_study",
     "converge_problems",
+    "distance_problems",
     "fit_order",
     "gaussian_ground_truth",
     "ground_truth_problems",
@@ -82,15 +83,6 @@ __all__ = [
 # it.  Break-even measured on 2 cores: d of about 56 and about 550 rows.
 _POOL_MIN_STATE = 4096
 _POOL_MIN_LOGITS = 32768
-
-# Checkpoint measurements (one energy distance and one exact W2 each) go to a
-# thread pool only when the measured clouds and the reference both hold at
-# least _POOL_MIN_POINTS points.  SciPy's cdist and linear_sum_assignment run
-# with the interpreter lock released, but smaller measurements are too short
-# to pay for the pool.  Measured on 2 cores at d = 10, nine measurements on two
-# threads took 1.20x their serial time at 64 points, 0.99x at 96, 0.79x at
-# 128 and 0.58x at 640.
-_POOL_MIN_POINTS = 128
 
 # A checkpoint's exact W2 uses at most this many points of each cloud, subsampled by seed.
 _METRIC_CAP = 2048
@@ -129,6 +121,20 @@ _MAX_CHUNKS = 2**16
 # cloud, and exact draws of 2**18 samples at d = 64 raised it by 390 MB.
 _MAX_CLOUD_ENTRIES = 2**24
 
+# The most floats of state one chunk may keep: its rows times the target's
+# dimension, for each run a converge chunk steps and each node on its tree
+# walk's stack.  A step holds about 18 arrays of a state's shape at once: a
+# stationary chunk of 64 chains at d = 65,536 (this bound) raised peak RSS to
+# 614 MB, and at d = 262,144 to 2.3 GB (one thread, 2 cores).
+_MAX_CHUNK_ENTRIES = 2**22
+
+# The most distance terms, point pairs times the dimension, that one checkpoint
+# measurement may sum: the energy distance reads every pair within the cloud,
+# between the cloud and the reference, and, the first time, within the
+# reference.  A distance took about 5.2 ns at d = 1 and 0.7 ns per coordinate
+# at d >= 10 (one thread, 2 cores), so this many take at most about 90 s.
+_MAX_DISTANCE_WORK = 2**34
+
 _MIN_STEP = math.ulp(0.0)  # the smallest positive float; shorter steps are 0
 
 # Tags of the work units this module keys with chunk_key.  A chain study's
@@ -160,17 +166,6 @@ def _chunk_workers(pot, threads: int, n_chunks: int) -> int:
     if CHUNK * pot.meta.d < _POOL_MIN_STATE and CHUNK * rows < _POOL_MIN_LOGITS:
         return 1
     return min(threads, n_chunks)
-
-
-def _metric_workers(threads: int, n_jobs: int, points: int) -> int:
-    """How many threads measure ``n_jobs`` checkpoints of clouds of ``points`` points.
-
-    ``threads`` is an upper bound: measurements smaller than
-    ``_POOL_MIN_POINTS`` points run in the calling thread.
-    """
-    if points < _POOL_MIN_POINTS:
-        return 1
-    return min(threads, n_jobs)
 
 
 class _WorkQueue:
@@ -374,16 +369,17 @@ def _require(problems: list[str]) -> None:
 
 
 def _plan_rule(
-    key: str, run: str, n: int, unit: str, steps: int, held: int = 0, n_key: str | None = None
+    key: str, run: str, n: int, unit: str, steps: int, held: int = 0, n_key: str | None = None, width: int = 0
 ) -> tuple[bool, str]:
     """The rule that ``run``, ``steps`` steps on each chunk of ``n`` ``unit`` holding ``held``
-    floats of clouds at once, stays within the plan.
+    floats of clouds at once and ``width`` floats of state per row, stays within the plan.
 
     Its problem is the first bound broken: the steps, named by ``key``, then
-    the chunks and the held floats, named by ``n_key`` (``unit`` by default).
-    A run of no steps makes no chunks.
+    the chunks and the held floats, named by ``n_key`` (``unit`` by default),
+    then a chunk's state, named by ``dimension``.  A run of no steps makes no
+    chunks.
     """
-    chunks = -(-n // CHUNK)
+    chunks, rows = -(-n // CHUNK), min(n, CHUNK)
     power = isinstance(steps, int) and steps > 1 and steps & (steps - 1) == 0
     shown = f"2**{steps.bit_length() - 1}" if power else steps
     n_key = n_key or unit
@@ -403,6 +399,11 @@ def _plan_rule(
             f"{n_key}: {run} would hold {held} floats of positions at once, "
             f"above the 2**{_MAX_CLOUD_ENTRIES.bit_length() - 1} a run may hold",
         ),
+        (
+            not steps or rows * width <= _MAX_CHUNK_ENTRIES,
+            f"dimension: a chunk of {rows} {unit} would keep {rows * width} floats of state, "
+            f"above the 2**{_MAX_CHUNK_ENTRIES.bit_length() - 1} a chunk may hold",
+        ),
     )
     return next((rule for rule in rules if not rule[0]), rules[0])
 
@@ -418,16 +419,21 @@ def _method_problems(key: str, methods: Sequence[str]) -> list[str]:
 
 
 def converge_problems(
-    methods: Sequence[str], horizon: float, paths: int, coarse_levels: Sequence[int], fine_level: int
+    methods: Sequence[str], horizon: float, paths: int, coarse_levels: Sequence[int], fine_level: int, d: int
 ) -> list[str]:
-    """Why :func:`strong_error_study` cannot run on these arguments; empty if it can.
+    """Why :func:`strong_error_study` cannot run on these arguments on a
+    ``d``-dimensional target; empty if it can.
 
     Each entry reads ``"<setting>: <problem>"``, naming the CLI setting to
     change; the study raises the first.  Every study has such a function.
     """
-    # beyond the index bound 2**fine_level is refused above, and need not be formed
-    reference_steps = 1 << min(max(fine_level, 0), _INDEX_BITS)
-    reference = _plan_rule("fine_level", "the reference", paths, "paths", reference_steps)
+    levels = sorted({int(lvl) for lvl in coarse_levels})
+    # beyond the index bound 2**fine_level is refused below, and need not be formed
+    depth = min(max(fine_level, 0), _INDEX_BITS)
+    # a chunk keeps each method's state at each level, the reference's, and
+    # one tree node per level on the walk's stack
+    states = sum(m in STEPPER_SPECS for m in dict.fromkeys(methods)) * len(levels) + depth + 2
+    reference = _plan_rule("fine_level", "the reference", paths, "paths", 1 << depth, width=states * d)
     problems = _method_problems("methods", methods) + _unmet(
         (paths >= 2, "paths: need at least 2 for a Monte Carlo error estimate"),
         (0.0 < horizon < math.inf, "horizon: must be positive and finite"),
@@ -442,7 +448,6 @@ def converge_problems(
         ),
         (fine_level > _INDEX_BITS or reference[0], reference[1]),
     )
-    levels = sorted({int(lvl) for lvl in coarse_levels})
     if not levels:
         problems.append("levels: need at least one coarse level")
     elif levels[0] < 0:
@@ -491,7 +496,7 @@ def strong_error_study(
     initial velocities from N(0, u I), shared by all methods on a given path.
     """
     method_list = tuple(dict.fromkeys(str(m) for m in methods))
-    _require(converge_problems(method_list, horizon, paths, coarse_levels, fine_level))
+    _require(converge_problems(method_list, horizon, paths, coarse_levels, fine_level, pot.meta.d))
     levels = tuple(sorted({int(lvl) for lvl in coarse_levels}))
     fine_level = int(fine_level)
 
@@ -563,6 +568,7 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
     """Why :func:`contractivity_study` cannot run on these arguments; empty if it can."""
     gamma_floor = 2.0 * math.sqrt(cfg.u * pot.meta.M1)
     h_ceil = 0.1 / cfg.gamma
+    chunks = -(-n_pairs // CHUNK)  # the pairs' time is planned as a chain study's chunks
     return _unmet(
         (
             cfg.gamma >= gamma_floor * (1.0 - 1e-12),
@@ -584,6 +590,12 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
             n_pairs * pot.meta.d <= _MAX_CONTRACT_ENTRIES,
             f"pairs: all pairs step as one state, so pairs times the dimension "
             f"{pot.meta.d} may be at most 2**{_MAX_CONTRACT_ENTRIES.bit_length() - 1}",
+        ),
+        (  # planned once the steps and the pairs are within their own bounds
+            n_steps > _MAX_CONTRACT_STEPS or n_pairs * pot.meta.d > _MAX_CONTRACT_ENTRIES
+            or chunks * n_steps <= _MAX_CHUNK_STEPS,
+            f"steps: all pairs step as one state, which costs {n_steps} steps on each of {chunks} "
+            f"chunks of {CHUNK} pairs, above the 2**{_MAX_CHUNK_STEPS.bit_length() - 1} a run may plan (about a day)",
         ),
     )
 
@@ -708,7 +720,7 @@ def mixing_problems(
         ),
         _plan_rule(
             "checkpoints" if max(cps, default=0) > 0 else "chains",
-            "the runs to the last checkpoint", n_chains, "chains", steps, held,
+            "the runs to the last checkpoint", n_chains, "chains", steps, held, width=d,
         ),
     )
     # a stepper on halves steps over half steps, the shortest intervals it sees
@@ -719,6 +731,26 @@ def mixing_problems(
     ]
 
 
+def distance_problems(n_chains: int, n_truth: int, d: int) -> list[str]:
+    """Why clouds of ``n_chains`` points cannot be measured against a reference
+    of ``n_truth`` points in ``d`` dimensions; empty if they can.
+
+    A checkpoint's energy distance sums every pair of the cloud, every pair of
+    cloud and reference and, for the first checkpoint, every pair of the
+    reference, so the larger of the two sizes is the setting to lower.  The
+    studies and the CLI check it once the run has no other problem, so a plan
+    reports one problem.
+    """
+    n, t = max(n_chains, 0), max(n_truth, 0)
+    work = (n * n + n * t + t * t) * d
+    return _unmet((
+        work <= _MAX_DISTANCE_WORK,
+        f"{'chains' if n >= t else 'truth_samples'}: a checkpoint's energy distance would sum {work} "
+        f"distance terms (point pairs times the dimension), above the "
+        f"2**{_MAX_DISTANCE_WORK.bit_length() - 1} a measurement may plan",
+    ))
+
+
 def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> list[MixingReport]:
     """One report per ``(method, h, checkpoints)`` run, in run order.
 
@@ -726,11 +758,12 @@ def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> li
     on the ``threads`` the measurement helpers leave: all of them until the
     first measurement is submitted.  As soon as a run's clouds exist, each of
     its checkpoints is one measurement job, with the inputs a serial loop
-    would give it, including the keyed subsamples; helper threads start on
-    them while the calling thread evolves the next run, and after the last run
-    the calling thread takes the unstarted ones itself, so no more than
-    ``threads`` threads are alive at once.  Results are gathered in submission
-    order.  A divergence drops the pending measurements and raises.
+    would give it, including the keyed subsamples; ``min(threads, jobs) - 1``
+    helper threads start on them, whatever the cloud size, while the calling
+    thread evolves the next run, and after the last run the calling thread
+    takes the unstarted ones itself, so no more than ``threads`` threads are
+    alive at once.  Results are gathered in submission order.  A divergence
+    drops the pending measurements and raises.
     """
     gt = _as_dist(ground_truth)
     gt_cmp = gt if gt.n <= _METRIC_CAP else subsample(gt, _METRIC_CAP, keyed_generator(seed, _TAG_SUBSAMPLE_REF, 0))
@@ -743,7 +776,7 @@ def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> li
         return math.sqrt(energy_distance_sq(emp, gt)), wasserstein2(emp_w, gt_w)
 
     n_jobs = sum(len(cps) for _, _, cps in runs)
-    with _WorkQueue(_metric_workers(threads, n_jobs, min(int(n_chains), gt.n))) as measuring:
+    with _WorkQueue(min(threads, n_jobs)) as measuring:
         for method, h, cps in runs:
             free = threads - len(measuring.helpers)
             clouds = _evolve_positions(cfg, pot, method, n_chains, h, cps, seed, _TAGS_MIXING, free)
@@ -795,9 +828,11 @@ def mixing_study(
     clouds larger than ``_METRIC_CAP`` points are subsampled for it
     (deterministic in the seed); the energy distance uses the full clouds.
     """
-    _require(mixing_problems(stepper, n_chains, h, checkpoints, pot.meta.d))
+    gt = _as_dist(ground_truth)
+    d = pot.meta.d
+    _require(mixing_problems(stepper, n_chains, h, checkpoints, d) or distance_problems(n_chains, gt.n, d))
     runs = _mixing_runs(stepper, h, checkpoints)
-    (report,) = _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads)
+    (report,) = _mixing_reports(cfg, pot, runs, n_chains, gt, seed, threads)
     return report
 
 
@@ -822,9 +857,11 @@ def compare_study(
     :func:`mixing_study`; the checkpoints of all methods share one pool of
     distance workers.
     """
-    _require(mixing_problems(methods, n_chains, h, checkpoints, pot.meta.d))
+    gt = _as_dist(ground_truth)
+    d = pot.meta.d
+    _require(mixing_problems(methods, n_chains, h, checkpoints, d) or distance_problems(n_chains, gt.n, d))
     runs = _mixing_runs(methods, h, checkpoints)
-    reports = _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads)
+    reports = _mixing_reports(cfg, pot, runs, n_chains, gt, seed, threads)
     return {rep.method: rep for rep in reports}
 
 
@@ -854,14 +891,17 @@ class StationaryReport:
         return {"kind": "stationary", **asdict(self)}
 
 
-def stationary_problems(h: float, n_chains: int, burn_in: int, kept: int) -> list[str]:
-    """Why :func:`stationary_study` cannot run on these arguments; empty if it can."""
+def stationary_problems(h: float, n_chains: int, burn_in: int, kept: int, d: int) -> list[str]:
+    """Why :func:`stationary_study` cannot run on these arguments on a
+    ``d``-dimensional target; empty if it can."""
     return _unmet(
         (0.0 < h < math.inf, "h: step size must be positive and finite"),
         (n_chains >= 1, "chains: need at least 1"),
         (burn_in >= 0, "burn_in: must be nonnegative"),
         (kept >= 1, "kept: need at least one kept step"),
-        _plan_rule("kept" if kept >= burn_in else "burn_in", "burn_in + kept", n_chains, "chains", burn_in + kept),
+        _plan_rule(
+            "kept" if kept >= burn_in else "burn_in", "burn_in + kept", n_chains, "chains", burn_in + kept, width=d
+        ),
     )
 
 
@@ -884,8 +924,8 @@ def stationary_study(
     pooled per-coordinate moment, which for a Gaussian stationary law gives
     sqrt(u d), 3^(1/4) sqrt(u d), 15^(1/6) sqrt(u d) at p = 1, 2, 3.
     """
-    _require(stationary_problems(h, n_chains, burn_in, kept))
     d = pot.meta.d
+    _require(stationary_problems(h, n_chains, burn_in, kept, d))
     add_all = np.add.reduce
 
     def observe(sums: list, step: int, state: PhaseState) -> bool | None:  # sums of x^2, v^2, v^4, v^6
@@ -940,7 +980,7 @@ def ground_truth_problems(
         (n_samples >= 1, "truth_samples: need at least one sample"),
         (h is None or 0.0 < h < math.inf, "truth_h: step size must be positive and finite"),
         (n_steps is None or n_steps >= 1, "truth_steps: need at least one step"),
-        _plan_rule("truth_steps", run, n_samples, "chains", n_steps or 0, n_samples * d, "truth_samples"),
+        _plan_rule("truth_steps", run, n_samples, "chains", n_steps or 0, n_samples * d, "truth_samples", d),
     )
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -305,6 +306,23 @@ def test_plans_too_long_to_run_exit_2_naming_the_setting(argv, setting, tmp_path
     (["sample", "--truth-samples", "1000000000000", "--chains", "4", "--checkpoints", "0,1"], "truth_samples"),
     (["sample", "--chains", "4194304", "--dimension", "1000", "--checkpoints", "0,1", "--truth-samples", "4",
       "--threads", "1"], "chains"),
+    # one checkpoint's energy distance sums the pairs of the cloud, or of the reference
+    (["sample", "--chains", "4194304", "--dimension", "1", "--checkpoints", "0", "--truth-samples", "4",
+      "--threads", "1"], "chains"),
+    (["sample", "--truth-samples", "200000", "--dimension", "2", "--chains", "64", "--checkpoints", "0",
+      "--threads", "1"], "truth_samples"),
+    # all pairs step as one state, planned as chunks of 64 pairs times the steps
+    (["contract", "--pairs", "1048576", "--dimension", "2", "--steps", "1048576"], "steps"),
+    # the target is built before any plan, and a chunk's state is bounded
+    (["stationary", "--dimension", "100000000000", "--threads", "1"], "dimension"),
+    (["stationary", "--dimension", "20000000", "--chains", "1", "--burn-in", "0", "--kept", "1", "--threads", "1"],
+     "dimension"),
+    (["stationary", "--dimension", "1048576", "--chains", "64", "--burn-in", "0", "--kept", "1", "--threads", "1"],
+     "dimension"),
+    (["converge", "--dimension", "65536", "--paths", "64", "--levels", "3:5", "--fine-level", "8", "--threads", "1"],
+     "dimension"),
+    # a level range is listed as it is parsed
+    (["converge", "--levels", "0:100000000000"], "flag --levels"),
 ])
 def test_runs_too_wide_to_hold_exit_2_at_once(argv, setting, tmp_path):
     # in a child with its address space capped at 2 GiB, so a run that slips
@@ -509,7 +527,7 @@ def test_converge_on_a_dataset_does_not_load_numpy_ma(tmp_path):
 
 
 def test_pooled_compare_loads_neither_concurrent_futures_nor_logging(tmp_path):
-    # 128 chains reach the distance pool at two threads
+    # two threads send the distances to a helper
     argv = ["compare", "--chains", "128", "--threads", "2", "--out", "cmp"]
     assert _loaded_after(argv, ["concurrent.futures", "logging"], tmp_path) == []
 
@@ -826,3 +844,55 @@ def test_any_one_bad_setting_exits_cleanly(experiment, key, value):
         mp.chdir(tmp)  # every report, whatever the drawn out prefix, lands here
         Path("run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
         assert main([experiment, "--config", "run.cfg"]) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("experiment", ["sample", "compare"])
+@pytest.mark.parametrize("chains", [40, 200])
+def test_mixing_csv_is_the_same_at_one_and_two_threads(experiment, chains, tmp_path):
+    # clouds smaller and larger than the reference; measurements go to a helper at two threads
+    argv = [experiment, "--dimension", "2", "--h", "0.2", "--checkpoints", "0,2", "--chains", str(chains),
+            "--truth-samples", "150", "--seed", "5"]
+    csvs = []
+    for threads in ("1", "2"):
+        assert main([*argv, "--threads", threads, "--out", str(tmp_path / threads)]) == 0
+        csvs.append((tmp_path / f"{threads}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+_HUGE = 2**70
+_NUMBER = st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False)  # subnormals included
+_NAMES = st.sampled_from(["quicsort", "ubu", "euler", "rk4", ""])
+_DRAWN = {
+    **{key: st.integers(-_HUGE, _HUGE) for key in (
+        "seed", "threads", "label_col", "fine_level", "paths", "chains", "burn_in", "kept", "steps", "pairs",
+        "dimension", "truth_samples", "truth_steps",
+    )},
+    **{key: _NUMBER for key in ("h", "horizon", "curvature")},
+    **{key: st.just("auto") | _NUMBER for key in ("gamma", "u", "truth_h")},
+    **{key: st.lists(st.integers(-_HUGE, _HUGE), max_size=4) for key in ("levels", "checkpoints")},
+    "methods": st.lists(_NAMES, max_size=4),
+    "method": _NAMES,
+    "standardize": st.booleans(),
+    "dataset": st.just(""),
+    "out": st.just(""),
+}
+
+
+@pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_configuration_gets_diagnostics_not_an_exception(experiment, data):
+    """Whole configurations, every setting drawn from wide ranges, only validated:
+    what comes back is "<setting>: <problem>" lines, and nothing large is allocated."""
+    assert set(_DRAWN) == set(cli._SETTINGS)
+    rc = RunConfig(experiment=experiment, **{key: data.draw(_DRAWN[key], label=key) for key in cli._SETTINGS})
+    tracemalloc.start()
+    try:
+        diags = cli._validate(rc)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    for diag in diags:
+        setting, sep, problem = diag.partition(": ")
+        assert sep and problem and setting in cli._SETTINGS, diag

@@ -109,7 +109,6 @@ def pooled(monkeypatch):
     pools; collect the threads that ran them."""
     monkeypatch.setattr(harness, "_POOL_MIN_STATE", 0)
     monkeypatch.setattr(harness, "_POOL_MIN_LOGITS", 0)
-    monkeypatch.setattr(harness, "_POOL_MIN_POINTS", 0)
     ran = _Ran()
     initial_state = harness._initial_state
 
@@ -203,9 +202,9 @@ def test_fine_level_must_fit_the_noise_index():
     # tree node indices stay below 2**fine_level and must fit a 64-bit counter word
     # (fine_level 64 fits it, but plans too many steps to run)
     index_problem = "fit the 64-bit noise index"
-    assert not any(index_problem in p for p in converge_problems(["quicsort"], 1.0, 2, [3, 4, 5], 64))
+    assert not any(index_problem in p for p in converge_problems(["quicsort"], 1.0, 2, [3, 4, 5], 64, 1))
     for fine_level in (65, 1500):
-        problems = converge_problems(["quicsort"], 1.0, 2, [3, 4, 5], fine_level)
+        problems = converge_problems(["quicsort"], 1.0, 2, [3, 4, 5], fine_level, 1)
         assert problems and problems[0].startswith("fine_level: ") and index_problem in problems[0]
         with pytest.raises(ValueError, match="^fine_level: "):
             strong_error_study(CFG, POT2, ["quicsort"], 1.0, 2, [3, 4, 5], fine_level, seed=1)
@@ -214,7 +213,7 @@ def test_fine_level_must_fit_the_noise_index():
 def test_converge_plans_at_most_max_reference_steps():
     # chunks of 64 paths times 2**fine_level reference steps each
     def plan_problems(paths, fine_level):
-        return [p for p in converge_problems(["quicsort"], 1.0, paths, [3, 4, 5], fine_level)
+        return [p for p in converge_problems(["quicsort"], 1.0, paths, [3, 4, 5], fine_level, 1)
                 if "a run may plan" in p]
 
     assert harness._MAX_CHUNK_STEPS == 2**30
@@ -234,13 +233,13 @@ def test_every_study_plans_at_most_max_chunk_steps():
 
     budget = harness._MAX_CHUNK_STEPS
     # chunks of 64 chains times burn_in + kept steps, named by the larger setting
-    assert plan_problems(harness.stationary_problems(0.1, 64, 10, budget - 10)) == []
-    assert plan_problems(harness.stationary_problems(0.1, 65, 10, budget // 2 - 10)) == []
-    assert plan_problems(harness.stationary_problems(0.1, 65, 10, budget // 2)) == [
+    assert plan_problems(harness.stationary_problems(0.1, 64, 10, budget - 10, 1)) == []
+    assert plan_problems(harness.stationary_problems(0.1, 65, 10, budget // 2 - 10, 1)) == []
+    assert plan_problems(harness.stationary_problems(0.1, 65, 10, budget // 2, 1)) == [
         "kept: burn_in + kept would take 536870922 steps on each of 2 chunks of chains, "
         "above the 2**30 a run may plan (about a day)"
     ]
-    assert plan_problems(harness.stationary_problems(0.1, 64, budget, 1))[0].startswith("burn_in: ")
+    assert plan_problems(harness.stationary_problems(0.1, 64, budget, 1, 1))[0].startswith("burn_in: ")
     # steps to the last checkpoint; compare runs one-gradient methods for twice the steps
     assert plan_problems(harness.mixing_problems("euler", 64, 0.1, [0, budget], d=1)) == []
     assert plan_problems(harness.mixing_problems("euler", 64, 0.1, [0, budget + 1], d=1))[0].startswith("checkpoints: ")
@@ -250,10 +249,15 @@ def test_every_study_plans_at_most_max_chunk_steps():
     assert plan_problems(harness.ground_truth_problems(128, 1, 0.1, budget // 2)) == []
     assert plan_problems(harness.ground_truth_problems(129, 1, 0.1, budget // 2))[0].startswith("truth_steps: ")
     assert plan_problems(harness.ground_truth_problems(10**12, 1)) == []
-    # contract keeps every step's distance, so it is bounded by its steps alone
+    # contract keeps every step's distance, so it is bounded by its steps, and
+    # steps its pairs as one state, planned as chunks of 64 pairs times its steps
     steps = [p for p in harness.contract_problems(CFG, POT1, 0.05, 2**20 + 1, 1) if p.startswith("steps: ")]
     assert steps == ["steps: the reports keep one distance per step, so a run may take at most 2**20"]
-    assert harness.contract_problems(CFG, POT1, 0.05, 2**20, 10**6) == []
+    assert harness.contract_problems(CFG, POT1, 0.05, 2**20, 64 * 2**10) == []
+    assert harness.contract_problems(CFG, POT1, 0.05, 2**20, 64 * 2**10 + 1) == [
+        "steps: all pairs step as one state, which costs 1048576 steps on each of 1025 chunks of 64 pairs, "
+        "above the 2**30 a run may plan (about a day)"
+    ]
 
 
 def test_mixing_plan_counts_a_run_to_checkpoint_0_as_one_step(monkeypatch):
@@ -279,12 +283,12 @@ def test_chunk_count_is_bounded():
     # names the chain or path count, and a run of no steps makes no chunks
     most = 64 * harness._MAX_CHUNKS
     assert harness._MAX_CHUNKS == 2**16
-    assert harness.stationary_problems(0.1, most, 0, 1) == []
-    assert harness.stationary_problems(0.1, most + 1, 0, 1) == [
+    assert harness.stationary_problems(0.1, most, 0, 1, 1) == []
+    assert harness.stationary_problems(0.1, most + 1, 0, 1, 1) == [
         "chains: burn_in + kept would cut 4194305 chains into 65537 chunks of 64, above the 2**16 a run may plan"
     ]
-    assert converge_problems(["euler"], 1.0, most, [0], 0) == []
-    assert converge_problems(["euler"], 1.0, most + 1, [0], 0)[0].startswith("paths: the reference would cut ")
+    assert converge_problems(["euler"], 1.0, most, [0], 0, 1) == []
+    assert converge_problems(["euler"], 1.0, most + 1, [0], 0, 1)[0].startswith("paths: the reference would cut ")
     assert harness.mixing_problems("euler", most + 1, 0.1, [0], d=1)[0].startswith("chains: ")
     assert harness.ground_truth_problems(most, 1, 0.1, 1) == []
     assert harness.ground_truth_problems(most + 1, 1, 0.1, 1) == [
@@ -318,6 +322,54 @@ def test_position_clouds_are_bounded():
         gaussian_ground_truth(POT2, 10**12, seed=0)
     with pytest.raises(ValueError, match="^chains: "):
         mixing_study(CFG, QuadraticPotential(1.0, d=1000), "quicsort", 2**22, 0.1, [0, 1], np.zeros((4, 1000)), seed=0)
+
+
+def test_distance_work_is_bounded():
+    # one checkpoint sums the cloud's pairs, its pairs with the reference and,
+    # the first time, the reference's: pairs times d, named by the larger size
+    work = harness._MAX_DISTANCE_WORK
+    assert work == 2**34
+    assert harness.distance_problems(2**16, 2**16, 1) == harness.distance_problems(2**15, 2**15, 5) == []
+    assert harness.distance_problems(2**16, 2**16, 2) == [
+        "chains: a checkpoint's energy distance would sum 25769803776 distance terms "
+        "(point pairs times the dimension), above the 2**34 a measurement may plan"
+    ]
+    assert harness.distance_problems(64, 200_000, 2)[0].startswith("truth_samples: ")
+    # checked once the runs themselves are within their plans, before anything is drawn
+    gt = np.zeros((2**17 + 1, 1))
+    assert harness.mixing_problems("quicsort", 4, 0.1, [0, 1], 1) == []
+    with pytest.raises(ValueError, match="^truth_samples: a checkpoint's energy distance"):
+        mixing_study(CFG, POT1, "quicsort", 4, 0.1, [0, 1], gt, seed=0)
+    with pytest.raises(ValueError, match="^truth_samples: a checkpoint's energy distance"):
+        compare_study(CFG, POT1, 4, 0.1, [0, 1], gt, seed=0)
+    with pytest.raises(ValueError, match="^checkpoints: "):
+        mixing_study(CFG, POT1, "quicsort", 4, 0.1, [1, 0], gt, seed=0)
+
+
+def test_chunk_state_is_bounded():
+    # a chunk's rows times d, times the runs and tree nodes a converge chunk keeps
+    most = harness._MAX_CHUNK_ENTRIES
+    assert most == 2**22
+    assert harness.stationary_problems(0.1, 64, 0, 1, most // 64) == []
+    assert harness.stationary_problems(0.1, 1, 0, 1, most) == []
+    assert harness.stationary_problems(0.1, 64, 0, 1, most // 64 + 1) == [
+        "dimension: a chunk of 64 chains would keep 4194368 floats of state, above the 2**22 a chunk may hold"
+    ]
+    assert harness.mixing_problems("quicsort", 2, 0.1, [0], most // 2 + 1)[0].startswith("dimension: a chunk of 2 ")
+    assert harness.ground_truth_problems(2, most // 2 + 1, 0.1, 1)[0].startswith("dimension: a chunk of 2 ")
+    assert harness.ground_truth_problems(2, most // 2 + 1) == []  # exact draws keep no chunk
+    # quicsort and euler at levels 1 and 2, the reference, and tree nodes at levels 0 to 3
+    states = 2 * 2 + 1 + 4
+    assert converge_problems(["quicsort", "euler", "rk4"], 1.0, 64, [1, 2], 3, most // (64 * states)) == [
+        "methods: unknown method 'rk4'; choose from ['euler', 'quicsort', 'ubu']"
+    ]
+    assert converge_problems(["quicsort", "euler"], 1.0, 64, [1, 2], 3, most // (64 * states) + 1) == [
+        f"dimension: a chunk of 64 paths would keep {64 * states * (most // (64 * states) + 1)} floats of state, "
+        "above the 2**22 a chunk may hold"
+    ]
+    # refused before any state is drawn
+    with pytest.raises(ValueError, match="^dimension: a chunk of 64 chains"):
+        stationary_study(CFG, types.SimpleNamespace(meta=types.SimpleNamespace(d=2**20)), 0.1, 64, 0, 1, seed=0)
 
 
 def test_contract_pairs_times_dimension_is_bounded():
@@ -438,27 +490,17 @@ def test_chunk_workers_pool_only_wide_chunks():
     assert harness._chunk_workers(large_data, 1, 4) == 1
 
 
-def test_metric_workers_pool_only_large_clouds():
-    assert harness._metric_workers(2, 9, 64) == 1
-    assert harness._metric_workers(2, 9, harness._POOL_MIN_POINTS) == 2
-    assert harness._metric_workers(2, 9, 640) == 2
-    # never more workers than measurements, and threads stays an upper bound
-    assert harness._metric_workers(8, 3, 640) == 3
-    assert harness._metric_workers(8, 1, 640) == 1
-    assert harness._metric_workers(1, 9, 640) == 1
-
-
-@pytest.mark.parametrize("n_chains, pools", [(harness._POOL_MIN_POINTS - 1, False), (harness._POOL_MIN_POINTS, True)])
-def test_metric_pool_follows_the_smaller_cloud(monkeypatch, aniso_truth, n_chains, pools):
+@pytest.mark.parametrize("n_chains", [64, 640])
+def test_metric_helpers_measure_any_cloud_size(monkeypatch, aniso_truth, n_chains):
     pot, gt = aniso_truth
     ran = _Ran()
-    ran.meet(*("metrics",) * pools)
+    ran.meet("metrics")
     _record_metric_threads(monkeypatch, ran)
     mixing_study(CFG, pot, "quicsort", n_chains, 0.2, [0, 1], gt, seed=3, threads=2)
-    if pools:
-        assert len(ran.metrics) >= 2
-    else:
-        assert ran.metrics == {threading.get_ident()}
+    assert len(ran.metrics) >= 2
+    ran.clear()
+    mixing_study(CFG, pot, "quicsort", n_chains, 0.2, [0, 1], gt, seed=3, threads=1)
+    assert ran.metrics == {threading.get_ident()}
 
 
 def test_counted_posterior_runs_like_the_posterior():
@@ -1140,7 +1182,6 @@ def test_work_queue_under_contention_keeps_every_result_and_the_earliest_failure
 
 def test_compare_measures_while_the_next_method_evolves(monkeypatch, aniso_truth):
     pot, gt = aniso_truth
-    monkeypatch.setattr(harness, "_POOL_MIN_POINTS", 0)
     measuring = threading.Event()
     waited = []
     for name in ("wasserstein2", "energy_distance_sq"):
@@ -1202,7 +1243,6 @@ def _start_second_method_chain_70_at_infinity(monkeypatch):
 
 def test_compare_divergence_while_measuring_equals_the_serial_one(monkeypatch, aniso_truth):
     pot, gt = aniso_truth
-    monkeypatch.setattr(harness, "_POOL_MIN_POINTS", 0)
     errors = []
     for threads in (1, 2):
         seen = _start_second_method_chain_70_at_infinity(monkeypatch)
@@ -1218,7 +1258,6 @@ def test_compare_divergence_while_measuring_equals_the_serial_one(monkeypatch, a
 
 def test_compare_failing_measurement_raises_the_serial_exception(monkeypatch, aniso_truth):
     pot, gt = aniso_truth
-    monkeypatch.setattr(harness, "_POOL_MIN_POINTS", 0)
     order = []  # the measured clouds, in the order a serial run measures them
     w2 = harness.wasserstein2
 

@@ -30,7 +30,7 @@ from ulmc import harness
 from ulmc.cli import main
 from ulmc.potentials import synthetic_dataset
 
-_POOLED = {"_POOL_MIN_STATE": 0, "_POOL_MIN_LOGITS": 0, "_POOL_MIN_POINTS": 0}
+_POOLED = {"_POOL_MIN_STATE": 0, "_POOL_MIN_LOGITS": 0}
 
 _CONVERGE = ["--levels", "2:4", "--fine-level", "6", "--paths", "70", "--horizon", "1.0"]
 _COMPARE = ["--dimension", "2", "--curvature", "2.0", "--h", "0.2", "--checkpoints", "0,2,5"]

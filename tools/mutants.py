@@ -147,6 +147,36 @@ MUTANTS = (
         "_mixing_problems(rc, pot, rc.method))",
         "_mixing_problems(rc, pot, rc.methods))",
     ),
+    Mutant(
+        "distance work bound dropped",
+        "src/ulmc/harness.py",
+        "work <= _MAX_DISTANCE_WORK,",
+        "True,",
+    ),
+    Mutant(
+        "contract pair-steps bound dropped",
+        "src/ulmc/harness.py",
+        "or chunks * n_steps <= _MAX_CHUNK_STEPS,",
+        "or True,",
+    ),
+    Mutant(
+        "dimension bound dropped",
+        "src/ulmc/cli.py",
+        "if rc.dimension > _MAX_DIMENSION:",
+        "if False:",
+    ),
+    Mutant(
+        "chunk state bound dropped",
+        "src/ulmc/harness.py",
+        "not steps or rows * width <= _MAX_CHUNK_ENTRIES,",
+        "True,",
+    ),
+    Mutant(
+        "level range bound dropped",
+        "src/ulmc/cli.py",
+        "if hi - lo > _INDEX_BITS:",
+        "if False:",
+    ),
 )
 
 
