@@ -442,15 +442,14 @@ def _parser() -> argparse.ArgumentParser:
         description="Kinetic Langevin sampler experiments: convergence, mixing, "
         "contraction, and stationarity studies.",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True, metavar="|".join(EXPERIMENTS))
-    for name, (run, _) in EXPERIMENTS.items():
-        sp = sub.add_parser(name, help=run.__doc__)
-        sp.add_argument("--config", help="flat key = value settings file")
-        for key, (default, _, help_text) in _SETTINGS.items():
-            action = argparse.BooleanOptionalAction if key == "standardize" else "store"
-            if default:
-                help_text = f"{help_text} (default {default})"
-            sp.add_argument(f"--{key.replace('_', '-')}", action=action, help=help_text)
+    parser.add_argument("experiment", choices=EXPERIMENTS, metavar="|".join(EXPERIMENTS), help="; ".join(
+        f"{name}: {run.__doc__}" if run.__doc__ else name for name, (run, _) in EXPERIMENTS.items()))
+    parser.add_argument("--config", help="flat key = value settings file")
+    for key, (default, _, help_text) in _SETTINGS.items():
+        action = argparse.BooleanOptionalAction if key == "standardize" else "store"
+        if default:
+            help_text = f"{help_text} (default {default})"
+        parser.add_argument(f"--{key.replace('_', '-')}", action=action, help=help_text)
     return parser
 
 
