@@ -9,8 +9,11 @@ Exit codes: 0 success, 2 invalid configuration or reports that cannot be
 written, 3 numerical divergence.
 
 Each experiment is one entry of ``EXPERIMENTS``: the run that calls its study
-and the problems that check its settings.  This module alone writes the
-report formats: the tagged ``ulmc-csv`` table and the JSON report.
+and the problems that check its settings.  One parser reads the experiment
+as a positional argument and ``--config`` and every setting as flags, before
+or after it: every experiment accepts every setting.  ``--threads`` is at
+most ``_MAX_THREADS``.  This module alone writes the report formats: the
+tagged ``ulmc-csv`` table and the JSON report.
 
 ``main`` first freezes the garbage collector's heap (``gc.freeze``): the
 objects the imports left live until exit, and without the freeze
@@ -96,16 +99,24 @@ def _available_cpus() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
+# The most threads a run may keep alive.  No pool gains past the cores: on 2
+# cores a 16-chunk stationary run at d = 64 took 0.89-1.32 s at two threads
+# and 2.46-3.10 s at sixteen (three runs each).  Each thread reserves a stack
+# and an allocator arena: 256 idle threads reserved 3 GB of address space and
+# took 30-50 ms to start and join, and 65,536 would reserve 512 GB of stacks.
+_MAX_THREADS = 256
+
+
 # Every setting, in flag order: (built-in default, parser of the raw string,
 # help line).  The config file and flags override the defaults; the help line
 # gains the default when it is not empty.
 _SETTINGS: dict[str, tuple[str, Callable[[str], object], str]] = {
     "seed": ("2024", int, "master seed"),
     "threads": (
-        "auto", lambda raw: _available_cpus() if raw.lower() == "auto" else int(raw),
-        "upper bound on the threads alive at once, the calling thread among them, or 'auto' "
-        "for one per usable core; chunks and distances share it, small targets run their "
-        "chunks serially, and output never depends on it",
+        "auto", lambda raw: min(_available_cpus(), _MAX_THREADS) if raw.lower() == "auto" else int(raw),
+        "upper bound on the threads alive at once, the calling thread among them, at most "
+        f"{_MAX_THREADS}, or 'auto' for one per usable core up to that; chunks and distances share "
+        "it, small targets run their chunks serially, and output never depends on it",
     ),
     "out": ("", str, "output prefix for .csv and .json reports (default ulmc-EXPERIMENT)"),
     "dataset": ("", str, "labelled CSV for a logistic posterior target"),
@@ -255,6 +266,8 @@ def _validate(rc: RunConfig) -> tuple[list[str], object, SolverConfig | None]:
         diags.append("seed: must be below 2**64")
     if rc.threads < 1:
         diags.append("threads: must be at least 1")
+    elif rc.threads > _MAX_THREADS:
+        diags.append(f"threads: may be at most {_MAX_THREADS}")
     solver_problems = [
         f"{key}: must be positive (or 'auto')"
         for key in ("gamma", "u")

@@ -100,11 +100,6 @@ _MAX_CHUNK_STEPS = 2**30
 # in all, so this many make reports of about 100 MB (2**30 would make 100 GB).
 _MAX_CONTRACT_STEPS = 2**20
 
-# The most pairs times dimension a contraction run may take.  It steps every
-# pair in one unchunked (2, pairs, d) state, and the stepper holds a few float
-# arrays of that shape at once; at this bound each is 256 MB.
-_MAX_CONTRACT_ENTRIES = 2**24
-
 # The most chunks a chain or path study may cut its chains or paths into.  A
 # run keeps one chunk size, one queued job and one result per chunk, about
 # 150 bytes in all (tracemalloc), and a one-step chunk took about 110 us:
@@ -123,9 +118,11 @@ _MAX_CLOUD_ENTRIES = 2**24
 
 # The most floats of state one chunk may keep: its rows times the target's
 # dimension, for each run a converge chunk steps and each node on its tree
-# walk's stack.  A step holds about 18 arrays of a state's shape at once: a
-# stationary chunk of 64 chains at d = 65,536 (this bound) raised peak RSS to
-# 614 MB, and at d = 262,144 to 2.3 GB (one thread, 2 cores).
+# walk's stack, and contract's one (2, pairs, d) state.  A step holds about 18
+# arrays of a state's shape at once: a stationary chunk of 64 chains at
+# d = 65,536 (this bound) raised peak RSS to 614 MB, and at d = 262,144 to
+# 2.3 GB, and contract at this bound (524,288 pairs at d = 4) to 517 MB (one
+# thread, 2 cores).
 _MAX_CHUNK_ENTRIES = 2**22
 
 # The most distance terms, point pairs times the dimension, that one checkpoint
@@ -569,6 +566,7 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
     gamma_floor = 2.0 * math.sqrt(cfg.u * pot.meta.M1)
     h_ceil = 0.1 / cfg.gamma
     chunks = -(-n_pairs // CHUNK)  # the pairs' time is planned as a chain study's chunks
+    state = 2 * n_pairs * pot.meta.d  # floats of the one (2, pairs, d) state
     return _unmet(
         (
             cfg.gamma >= gamma_floor * (1.0 - 1e-12),
@@ -587,12 +585,12 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
         ),
         (n_pairs >= 1, "pairs: need at least one pair"),
         (
-            n_pairs * pot.meta.d <= _MAX_CONTRACT_ENTRIES,
-            f"pairs: all pairs step as one state, so pairs times the dimension "
-            f"{pot.meta.d} may be at most 2**{_MAX_CONTRACT_ENTRIES.bit_length() - 1}",
+            state <= _MAX_CHUNK_ENTRIES,
+            f"pairs: all pairs step as one state of 2 x {n_pairs} pairs x the dimension {pot.meta.d} "
+            f"= {state} floats, above the 2**{_MAX_CHUNK_ENTRIES.bit_length() - 1} a chunk may hold",
         ),
         (  # planned once the steps and the pairs are within their own bounds
-            n_steps > _MAX_CONTRACT_STEPS or n_pairs * pot.meta.d > _MAX_CONTRACT_ENTRIES
+            n_steps > _MAX_CONTRACT_STEPS or state > _MAX_CHUNK_ENTRIES
             or chunks * n_steps <= _MAX_CHUNK_STEPS,
             f"steps: all pairs step as one state, which costs {n_steps} steps on each of {chunks} "
             f"chunks of {CHUNK} pairs, above the 2**{_MAX_CHUNK_STEPS.bit_length() - 1} a run may plan (about a day)",

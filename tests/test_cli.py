@@ -1,5 +1,6 @@
 """Tests for the command-line entry point: config handling, outputs, exit codes."""
 
+import argparse
 import gc
 import json
 import os
@@ -19,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 import ulmc
 from ulmc import cli
 from ulmc.cli import DEFAULTS, RunConfig, main, validate_config, _parser, _resolve
-from ulmc.potentials import synthetic_dataset
+from ulmc.harness import _chunk_workers
+from ulmc.potentials import QuadraticPotential, synthetic_dataset
 
 SMALL_CONVERGE = """\
 # quick settings for a toy run
@@ -323,6 +325,11 @@ def test_plans_too_long_to_run_exit_2_naming_the_setting(argv, setting, tmp_path
      "dimension"),
     # a level range is listed as it is parsed
     (["converge", "--levels", "0:100000000000"], "flag --levels"),
+    # 65,536 chunks would each get a thread
+    (["stationary", "--dimension", "64", "--chains", "4194304", "--burn-in", "0", "--kept", "1",
+      "--threads", "100000"], "threads"),
+    # contract's (2, pairs, d) state is held like a chunk's
+    (["contract", "--pairs", "1048576", "--dimension", "4", "--steps", "1", "--threads", "1"], "pairs"),
 ])
 def test_runs_too_wide_to_hold_exit_2_at_once(argv, setting, tmp_path):
     # in a child with its address space capped at 2 GiB, so a run that slips
@@ -406,10 +413,29 @@ def test_threads_auto_follows_cpu_affinity(monkeypatch):
     assert _default_config("stationary").threads == 8
 
 
-def test_subcommand_required():
+def test_threads_are_bounded_and_auto_stays_within_the_bound(monkeypatch):
+    # validated only, so no thread is started
+    most = cli._MAX_THREADS
+    assert most == 256
+    for threads, diags in [(most, []), (most + 1, [f"threads: may be at most {most}"]),
+                           (100000, [f"threads: may be at most {most}"])]:
+        assert cli._validate(_default_config("stationary", threads=threads))[0] == diags
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4 * most)), raising=False)
+    rc = _default_config("stationary")
+    assert rc.threads == most and cli._validate(rc)[0] == []
+    # the widest run a valid configuration can ask for pools at most that many threads
+    assert _chunk_workers(QuadraticPotential(1.0, d=64), most, 2**16) == most
+
+
+def test_subcommand_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    # an unknown experiment is a usage error, before any setting is resolved
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--out", "run"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -896,3 +922,90 @@ def test_any_configuration_gets_diagnostics_not_an_exception(experiment, data):
     for diag in diags:
         setting, sep, problem = diag.partition(": ")
         assert sep and problem and setting in cli._SETTINGS, diag
+
+
+def _five_subparsers() -> argparse.ArgumentParser:
+    """The parser as it was before the experiment became a positional argument:
+    one subparser per experiment, each declaring --config and every setting.
+    Kept as the reference the one parser must parse like."""
+    parser = argparse.ArgumentParser(prog="ulmc")
+    sub = parser.add_subparsers(dest="experiment", required=True, metavar="|".join(cli.EXPERIMENTS))
+    for name, (run, _) in cli.EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=run.__doc__)
+        sp.add_argument("--config", help="flat key = value settings file")
+        for key, (default, _, help_text) in cli._SETTINGS.items():
+            action = argparse.BooleanOptionalAction if key == "standardize" else "store"
+            if default:
+                help_text = f"{help_text} (default {default})"
+            sp.add_argument(f"--{key.replace('_', '-')}", action=action, help=help_text)
+    return parser
+
+
+_COUNT = st.integers(0, 10**6).map(str)
+_METHOD = st.sampled_from(["quicsort", "ubu", "euler"])
+_POSITIVE = st.floats(0.0, 1e6, allow_nan=False).map(repr)  # a leading '-' other than a number's reads as a flag
+_INDICES = st.lists(st.integers(0, 100), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+_RAW = {
+    **{key: _COUNT for key in (
+        "label_col", "fine_level", "paths", "chains", "burn_in", "kept", "steps", "pairs", "dimension",
+        "truth_samples", "truth_steps",
+    )},
+    "seed": st.integers(0, 2**64 - 1).map(str),
+    "threads": st.sampled_from(["auto", "Auto"]) | st.integers(1, 256).map(str),
+    "out": st.sampled_from(["", "run", "reports/run"]),
+    "dataset": st.sampled_from(["", "data.csv"]),
+    **{key: st.just("auto") | _POSITIVE for key in ("gamma", "u", "truth_h")},
+    **{key: _POSITIVE for key in ("h", "horizon", "curvature")},
+    "levels": _INDICES | st.tuples(st.integers(0, 9), st.integers(0, 9)).map(lambda r: f"{min(r)}:{max(r)}"),
+    "checkpoints": _INDICES,
+    "method": _METHOD,
+    "methods": st.lists(_METHOD, min_size=1, max_size=3).map(",".join),
+}
+
+
+@pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_parser_resolves_every_argv_as_the_five_subparsers_did(experiment, data):
+    """Flags for a random subset of the settings, in random order, as '--key value'
+    or '--key=value', with or without --config: the one parser and the reference
+    give the same namespace and the same resolved settings, and the one parser
+    takes the experiment anywhere among the flags."""
+    assert set(_RAW) == set(cli._SETTINGS) - {"standardize"}
+    keys = data.draw(st.lists(st.sampled_from(sorted(_RAW)), unique=True), label="keys")
+    flags = []
+    for key in keys:
+        flag, raw = f"--{key.replace('_', '-')}", data.draw(_RAW[key], label=key)
+        flags.append([f"{flag}={raw}"] if data.draw(st.booleans(), label=f"{key} joined") else [flag, raw])
+    flags.append(data.draw(st.sampled_from([[], ["--standardize"], ["--no-standardize"]]), label="standardize"))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp) / "run.cfg", "seed = 3\nchains = 64\nstandardize = yes\n")
+        if data.draw(st.booleans(), label="config"):
+            flags.append(["--config", cfg])
+        order = data.draw(st.permutations(range(len(flags))), label="order")
+        flags = [flags[i] for i in order]
+        argv = [experiment, *(word for pair in flags for word in pair)]
+        expected = _five_subparsers().parse_args(argv)
+        args = _parser().parse_args(argv)
+        assert args == expected
+        assert _resolve(args) == _resolve(expected)
+        at = data.draw(st.integers(0, len(flags)), label="experiment at")
+        moved = [word for pair in [*flags[:at], [experiment], *flags[at:]] for word in pair]
+        assert _parser().parse_args(moved) == expected
+
+
+@pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+def test_help_names_every_experiment_and_every_setting_with_its_default(experiment, capsys):
+    parser = _parser()
+    assert not any(isinstance(action, argparse._SubParsersAction) for action in parser._actions)
+    assert len(parser._actions) == 3 + len(cli._SETTINGS)  # --help, the experiment, --config, each setting once
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # the help wraps at the terminal width
+    for name, (run, _) in cli.EXPERIMENTS.items():
+        assert f"{name}: {run.__doc__}" in out
+    for key, default in DEFAULTS.items():
+        flag = f"--{key.replace('_', '-')}"
+        assert flag in out
+        assert not default or f"{cli._SETTINGS[key][2]} (default {default})" in out, key

@@ -373,12 +373,14 @@ def test_chunk_state_is_bounded():
 
 
 def test_contract_pairs_times_dimension_is_bounded():
-    entries = harness._MAX_CONTRACT_ENTRIES
-    assert entries == 2**24
+    # both chains of every pair in one (2, pairs, d) state, held like a chunk's
+    entries = harness._MAX_CHUNK_ENTRIES
+    assert entries == 2**22
     pot = QuadraticPotential(1.0, d=4)
-    assert harness.contract_problems(CFG, pot, 0.05, 2, entries // 4) == []
-    assert harness.contract_problems(CFG, pot, 0.05, 2, entries // 4 + 1) == [
-        "pairs: all pairs step as one state, so pairs times the dimension 4 may be at most 2**24"
+    assert harness.contract_problems(CFG, pot, 0.05, 2, entries // 8) == []
+    assert harness.contract_problems(CFG, pot, 0.05, 2, entries // 8 + 1) == [
+        "pairs: all pairs step as one state of 2 x 524289 pairs x the dimension 4 = 4194312 floats, "
+        "above the 2**22 a chunk may hold"
     ]
     # refused before any state is drawn
     with pytest.raises(ValueError, match="^pairs: all pairs step as one state"):

@@ -108,7 +108,7 @@ MUTANTS = (
     Mutant(
         "contract pairs bound dropped",
         "src/ulmc/harness.py",
-        "n_pairs * pot.meta.d <= _MAX_CONTRACT_ENTRIES,",
+        "state <= _MAX_CHUNK_ENTRIES,",
         "True,",
     ),
     Mutant(
@@ -176,6 +176,24 @@ MUTANTS = (
         "src/ulmc/cli.py",
         "if hi - lo > _INDEX_BITS:",
         "if False:",
+    ),
+    Mutant(
+        "experiment choices dropped",
+        "src/ulmc/cli.py",
+        "choices=EXPERIMENTS, ",
+        "",
+    ),
+    Mutant(
+        "threads bound dropped",
+        "src/ulmc/cli.py",
+        "elif rc.threads > _MAX_THREADS:",
+        "elif False:",
+    ),
+    Mutant(
+        "contract state bound dropped to one chain of each pair",
+        "src/ulmc/harness.py",
+        "state = 2 * n_pairs * pot.meta.d",
+        "state = n_pairs * pot.meta.d",
     ),
 )
 
