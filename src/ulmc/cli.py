@@ -41,9 +41,7 @@ from .harness import (
     contract_problems,
     contractivity_study,
     converge_problems,
-    distance_problems,
     gaussian_ground_truth,
-    ground_truth_problems,
     long_run_ground_truth,
     mixing_problems,
     mixing_study,
@@ -327,11 +325,8 @@ def _mixing_problems(rc: RunConfig, pot, methods) -> list[str]:
     ``scipy.optimize`` would take a large share of a small run, so that a
     missing SciPy is a diagnostic, not a traceback halfway through a run.
     """
-    d = _dimension(pot)
-    diags = mixing_problems(methods, rc.chains, rc.h, rc.checkpoints, d)
     long_run = (_truth_h(rc), rc.truth_steps) if rc.dataset else ()
-    diags += ground_truth_problems(rc.truth_samples, d, *long_run)
-    diags = diags or distance_problems(rc.chains, rc.truth_samples, d)
+    diags = mixing_problems(methods, rc.chains, rc.h, rc.checkpoints, _dimension(pot), (rc.truth_samples, *long_run))
     try:
         distance_kernels()
     except ImportError as exc:

@@ -62,7 +62,6 @@ __all__ = [
     "contract_problems",
     "contractivity_study",
     "converge_problems",
-    "distance_problems",
     "fit_order",
     "gaussian_ground_truth",
     "ground_truth_problems",
@@ -131,6 +130,21 @@ _MAX_CHUNK_ENTRIES = 2**22
 # reference.  A distance took about 5.2 ns at d = 1 and 0.7 ns per coordinate
 # at d >= 10 (one thread, 2 cores), so this many take at most about 90 s.
 _MAX_DISTANCE_WORK = 2**34
+
+# The bounds of every plan, in the order checked: (a Plan field, the constant
+# bounding it, read at each check, and the problem past it).  README lists them.
+_BOUNDS = (
+    ("chunk_steps", "_MAX_CHUNK_STEPS", "{run} would take {steps} steps on each of {chunks} chunks of {unit}, "
+     "above the {limit} a run may plan (about a day)"),
+    ("chunks", "_MAX_CHUNKS", "{run} would cut {count} {unit} into {chunks} chunks of {chunk}, "
+     "above the {limit} a run may plan"),
+    ("held", "_MAX_CLOUD_ENTRIES", "{run} would hold {held} floats of positions at once, "
+     "above the {limit} a run may hold"),
+    ("state", "_MAX_CHUNK_ENTRIES", "a chunk of {rows} {unit} would keep {state} floats of state, "
+     "above the {limit} a chunk may hold"),
+    ("terms", "_MAX_DISTANCE_WORK", "a checkpoint's energy distance would sum {terms} distance terms "
+     "(point pairs times the dimension), above the {limit} a measurement may plan"),
+)
 
 _MIN_STEP = math.ulp(0.0)  # the smallest positive float; shorter steps are 0
 
@@ -365,44 +379,48 @@ def _require(problems: list[str]) -> None:
         raise ValueError(problems[0])
 
 
-def _plan_rule(
-    key: str, run: str, n: int, unit: str, steps: int, held: int = 0, n_key: str | None = None, width: int = 0
-) -> tuple[bool, str]:
-    """The rule that ``run``, ``steps`` steps on each chunk of ``n`` ``unit`` holding ``held``
-    floats of clouds at once and ``width`` floats of state per row, stays within the plan.
+@dataclass(frozen=True)
+class Plan:
+    """A run's size in closed form, as ``_BOUNDS`` reads it, and the words of its
+    problems; ``names`` holds the setting each bound names, in ``_BOUNDS``' order,
+    up to the last bound the run can break."""
 
-    Its problem is the first bound broken: the steps, named by ``key``, then
-    the chunks and the held floats, named by ``n_key`` (``unit`` by default),
-    then a chunk's state, named by ``dimension``.  A run of no steps makes no
-    chunks.
-    """
-    chunks, rows = -(-n // CHUNK), min(n, CHUNK)
-    power = isinstance(steps, int) and steps > 1 and steps & (steps - 1) == 0
-    shown = f"2**{steps.bit_length() - 1}" if power else steps
-    n_key = n_key or unit
-    rules = (
-        (
-            chunks * steps <= _MAX_CHUNK_STEPS,
-            f"{key}: {run} would take {shown} steps on each of {chunks} chunks of {unit}, "
-            f"above the 2**{_MAX_CHUNK_STEPS.bit_length() - 1} a run may plan (about a day)",
-        ),
-        (
-            not steps or chunks <= _MAX_CHUNKS,
-            f"{n_key}: {run} would cut {n} {unit} into {chunks} chunks of {CHUNK}, "
-            f"above the 2**{_MAX_CHUNKS.bit_length() - 1} a run may plan",
-        ),
-        (
-            held <= _MAX_CLOUD_ENTRIES,
-            f"{n_key}: {run} would hold {held} floats of positions at once, "
-            f"above the 2**{_MAX_CLOUD_ENTRIES.bit_length() - 1} a run may hold",
-        ),
-        (
-            not steps or rows * width <= _MAX_CHUNK_ENTRIES,
-            f"dimension: a chunk of {rows} {unit} would keep {rows * width} floats of state, "
-            f"above the 2**{_MAX_CHUNK_ENTRIES.bit_length() - 1} a chunk may hold",
-        ),
-    )
-    return next((rule for rule in rules if not rule[0]), rules[0])
+    names: tuple[str, ...]
+    run: str
+    unit: str
+    count: int
+    rows: int
+    steps: int
+    chunks: int
+    state: int
+    held: int = 0
+    terms: int = 0
+
+    @property
+    def chunk_steps(self) -> int:
+        return self.chunks * self.steps
+
+
+def _chunk_plan(names, run, unit, n, steps, width, held=0, terms=0) -> Plan:
+    """The plan of ``steps`` steps on each chunk of ``n`` ``unit``, a row of
+    state keeping ``width`` floats; a run of no steps makes no chunks."""
+    chunks, rows = (-(-n // CHUNK), min(n, CHUNK)) if steps else (0, 0)
+    return Plan(names, run, unit, n, rows, steps, chunks, rows * width, held, terms)
+
+
+def _power(n: int):
+    """``n``, written as a power of two when it is one above 1."""
+    return f"2**{n.bit_length() - 1}" if n > 1 and not n & (n - 1) else n
+
+
+def _plan_problems(plan: Plan) -> list[str]:
+    """The problem of the first bound of ``_BOUNDS`` that ``plan`` breaks, if any."""
+    for row, (field, bound, reason) in enumerate(_BOUNDS):
+        limit = globals()[bound]
+        if getattr(plan, field) > limit:
+            words = {**vars(plan), "steps": _power(plan.steps), "limit": _power(limit), "chunk": CHUNK}
+            return [f"{plan.names[row]}: {reason.format(**words)}"]
+    return []
 
 
 def _method_problems(key: str, methods: Sequence[str]) -> list[str]:
@@ -425,12 +443,13 @@ def converge_problems(
     change; the study raises the first.  Every study has such a function.
     """
     levels = sorted({int(lvl) for lvl in coarse_levels})
-    # beyond the index bound 2**fine_level is refused below, and need not be formed
+    # beyond the index bound 2**fine_level is refused below, need not be formed, and plans no reference
     depth = min(max(fine_level, 0), _INDEX_BITS)
     # a chunk keeps each method's state at each level, the reference's, and
     # one tree node per level on the walk's stack
     states = sum(m in STEPPER_SPECS for m in dict.fromkeys(methods)) * len(levels) + depth + 2
-    reference = _plan_rule("fine_level", "the reference", paths, "paths", 1 << depth, width=states * d)
+    steps = 1 << depth if fine_level <= _INDEX_BITS else 0
+    plan = _chunk_plan(("fine_level", "paths", "", "dimension"), "the reference", "paths", paths, steps, states * d)
     problems = _method_problems("methods", methods) + _unmet(
         (paths >= 2, "paths: need at least 2 for a Monte Carlo error estimate"),
         (0.0 < horizon < math.inf, "horizon: must be positive and finite"),
@@ -443,8 +462,7 @@ def converge_problems(
             not 0.0 < horizon < math.inf or fine_level > _INDEX_BITS or horizon >= math.ldexp(_MIN_STEP, fine_level),
             f"horizon: must be at least 2**fine_level * {_MIN_STEP:g}, or the finest steps underflow to 0",
         ),
-        (fine_level > _INDEX_BITS or reference[0], reference[1]),
-    )
+    ) + _plan_problems(plan)
     if not levels:
         problems.append("levels: need at least one coarse level")
     elif levels[0] < 0:
@@ -565,8 +583,11 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
     """Why :func:`contractivity_study` cannot run on these arguments; empty if it can."""
     gamma_floor = 2.0 * math.sqrt(cfg.u * pot.meta.M1)
     h_ceil = 0.1 / cfg.gamma
-    chunks = -(-n_pairs // CHUNK)  # the pairs' time is planned as a chain study's chunks
-    state = 2 * n_pairs * pot.meta.d  # floats of the one (2, pairs, d) state
+    # all pairs step as one (2, pairs, d) state, one chunk's, and once it fits,
+    # their time is planned as chunks of pairs; steps past their bound plan none
+    state = Plan(("", "", "", "pairs"), "the pairs", "pairs", n_pairs, n_pairs, 0, 1, 2 * n_pairs * pot.meta.d)
+    steps = n_steps if n_steps <= _MAX_CONTRACT_STEPS else 0
+    time = _chunk_plan(("steps", "pairs"), "the pairs", "pairs", n_pairs, steps, 0)
     return _unmet(
         (
             cfg.gamma >= gamma_floor * (1.0 - 1e-12),
@@ -584,18 +605,7 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
             f"2**{_MAX_CONTRACT_STEPS.bit_length() - 1}",
         ),
         (n_pairs >= 1, "pairs: need at least one pair"),
-        (
-            state <= _MAX_CHUNK_ENTRIES,
-            f"pairs: all pairs step as one state of 2 x {n_pairs} pairs x the dimension {pot.meta.d} "
-            f"= {state} floats, above the 2**{_MAX_CHUNK_ENTRIES.bit_length() - 1} a chunk may hold",
-        ),
-        (  # planned once the steps and the pairs are within their own bounds
-            n_steps > _MAX_CONTRACT_STEPS or state > _MAX_CHUNK_ENTRIES
-            or chunks * n_steps <= _MAX_CHUNK_STEPS,
-            f"steps: all pairs step as one state, which costs {n_steps} steps on each of {chunks} "
-            f"chunks of {CHUNK} pairs, above the 2**{_MAX_CHUNK_STEPS.bit_length() - 1} a run may plan (about a day)",
-        ),
-    )
+    ) + (_plan_problems(state) or _plan_problems(time))
 
 
 def contractivity_study(
@@ -692,7 +702,8 @@ def _mixing_runs(methods: str | Sequence[str], h: float, checkpoints: Sequence[i
 
 
 def mixing_problems(
-    methods: str | Sequence[str], n_chains: int, h: float, checkpoints: Sequence[int], d: int
+    methods: str | Sequence[str], n_chains: int, h: float, checkpoints: Sequence[int], d: int,
+    reference: tuple = (),
 ) -> list[str]:
     """Why :func:`mixing_study` or :func:`compare_study` cannot run on a
     ``d``-dimensional target; empty if it can.
@@ -702,13 +713,18 @@ def mixing_problems(
     check read the runs of :func:`_mixing_runs`.  A run to checkpoint 0 still
     draws each chunk's initial state, so the plan counts it as one step.
     Every run's clouds wait for their measurements, so the plan holds the
-    chains' positions at every checkpoint of every run.
+    chains' positions at every checkpoint of every run.  ``reference``, the
+    arguments of :func:`ground_truth_problems` but ``d``, adds the reference
+    the runs are measured against, whose plan is checked once theirs holds.
     """
     key, names = ("method", [methods]) if isinstance(methods, str) else ("methods", methods)
     cps = list(checkpoints)
     runs = _mixing_runs(methods, h, cps)
     steps = sum(max([*run_cps, 1]) for _, _, run_cps in runs)
     held = n_chains * d * sum(len(run_cps) for _, _, run_cps in runs)
+    named = ("checkpoints" if max(cps, default=0) > 0 else "chains", "chains", "chains", "dimension")
+    plan = _chunk_plan(named, "the runs to the last checkpoint", "chains", n_chains, steps, d, held)
+    planned = _plan_problems(plan)
     problems = _method_problems(key, names) + _unmet(
         (n_chains >= 1, "chains: need at least 1"),
         (0.0 < h < math.inf, "h: step size must be positive and finite"),
@@ -716,37 +732,17 @@ def mixing_problems(
             bool(cps) and cps[0] >= 0 and all(b > a for a, b in zip(cps, cps[1:])),
             "checkpoints: must be strictly increasing step indices >= 0",
         ),
-        _plan_rule(
-            "checkpoints" if max(cps, default=0) > 0 else "chains",
-            "the runs to the last checkpoint", n_chains, "chains", steps, held, width=d,
-        ),
-    )
+    ) + planned
     # a stepper on halves steps over half steps, the shortest intervals it sees
-    return problems + [
+    problems += [
         f"h: {m} would step over intervals that underflow to 0"
         for m, step, _ in runs
         if 0.0 < h < math.inf and not (0.5 * step if STEPPER_SPECS[m].needs_halves else step) > 0.0
     ]
-
-
-def distance_problems(n_chains: int, n_truth: int, d: int) -> list[str]:
-    """Why clouds of ``n_chains`` points cannot be measured against a reference
-    of ``n_truth`` points in ``d`` dimensions; empty if they can.
-
-    A checkpoint's energy distance sums every pair of the cloud, every pair of
-    cloud and reference and, for the first checkpoint, every pair of the
-    reference, so the larger of the two sizes is the setting to lower.  The
-    studies and the CLI check it once the run has no other problem, so a plan
-    reports one problem.
-    """
-    n, t = max(n_chains, 0), max(n_truth, 0)
-    work = (n * n + n * t + t * t) * d
-    return _unmet((
-        work <= _MAX_DISTANCE_WORK,
-        f"{'chains' if n >= t else 'truth_samples'}: a checkpoint's energy distance would sum {work} "
-        f"distance terms (point pairs times the dimension), above the "
-        f"2**{_MAX_DISTANCE_WORK.bit_length() - 1} a measurement may plan",
-    ))
+    if reference:
+        truth, truth_plan = _reference(d, *reference, chains=n_chains)
+        problems += truth + ([] if planned else _plan_problems(truth_plan))
+    return problems
 
 
 def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> list[MixingReport]:
@@ -827,8 +823,7 @@ def mixing_study(
     (deterministic in the seed); the energy distance uses the full clouds.
     """
     gt = _as_dist(ground_truth)
-    d = pot.meta.d
-    _require(mixing_problems(stepper, n_chains, h, checkpoints, d) or distance_problems(n_chains, gt.n, d))
+    _require(mixing_problems(stepper, n_chains, h, checkpoints, pot.meta.d, (gt.n,)))
     runs = _mixing_runs(stepper, h, checkpoints)
     (report,) = _mixing_reports(cfg, pot, runs, n_chains, gt, seed, threads)
     return report
@@ -856,8 +851,7 @@ def compare_study(
     distance workers.
     """
     gt = _as_dist(ground_truth)
-    d = pot.meta.d
-    _require(mixing_problems(methods, n_chains, h, checkpoints, d) or distance_problems(n_chains, gt.n, d))
+    _require(mixing_problems(methods, n_chains, h, checkpoints, pot.meta.d, (gt.n,)))
     runs = _mixing_runs(methods, h, checkpoints)
     reports = _mixing_reports(cfg, pot, runs, n_chains, gt, seed, threads)
     return {rep.method: rep for rep in reports}
@@ -892,15 +886,13 @@ class StationaryReport:
 def stationary_problems(h: float, n_chains: int, burn_in: int, kept: int, d: int) -> list[str]:
     """Why :func:`stationary_study` cannot run on these arguments on a
     ``d``-dimensional target; empty if it can."""
+    names = ("kept" if kept >= burn_in else "burn_in", "chains", "", "dimension")
     return _unmet(
         (0.0 < h < math.inf, "h: step size must be positive and finite"),
         (n_chains >= 1, "chains: need at least 1"),
         (burn_in >= 0, "burn_in: must be nonnegative"),
         (kept >= 1, "kept: need at least one kept step"),
-        _plan_rule(
-            "kept" if kept >= burn_in else "burn_in", "burn_in + kept", n_chains, "chains", burn_in + kept, width=d
-        ),
-    )
+    ) + _plan_problems(_chunk_plan(names, "burn_in + kept", "chains", n_chains, burn_in + kept, d))
 
 
 def stationary_study(
@@ -964,6 +956,22 @@ def stationary_study(
     )
 
 
+def _reference(d, n_samples, h=None, n_steps=None, chains=None) -> tuple[list[str], Plan]:
+    """A reference cloud's problems but its plan's, and its plan.  Clouds of ``chains``
+    points measured against it add one checkpoint's energy distance terms: every pair
+    of cloud, of cloud and reference and, the first time, of reference."""
+    n, t = max(chains or 0, 0), max(n_samples, 0)
+    names = ("truth_steps", "truth_samples", "truth_samples", "dimension", "chains" if n >= t else "truth_samples")
+    run = "the reference draws" if n_steps is None else "the reference run"
+    terms = 0 if chains is None else (n * n + n * t + t * t) * d
+    plan = _chunk_plan(names, run, "chains", n_samples, n_steps or 0, d, n_samples * d, terms)
+    return _unmet(
+        (n_samples >= 1, "truth_samples: need at least one sample"),
+        (h is None or 0.0 < h < math.inf, "truth_h: step size must be positive and finite"),
+        (n_steps is None or n_steps >= 1, "truth_steps: need at least one step"),
+    ), plan
+
+
 def ground_truth_problems(
     n_samples: int, d: int, h: float | None = None, n_steps: int | None = None
 ) -> list[str]:
@@ -973,13 +981,8 @@ def ground_truth_problems(
     ``h`` and ``n_steps`` are the run of :func:`long_run_ground_truth`; leave
     them out for the exact draws of :func:`gaussian_ground_truth`.
     """
-    run = "the reference draws" if n_steps is None else "the reference run"
-    return _unmet(
-        (n_samples >= 1, "truth_samples: need at least one sample"),
-        (h is None or 0.0 < h < math.inf, "truth_h: step size must be positive and finite"),
-        (n_steps is None or n_steps >= 1, "truth_steps: need at least one step"),
-        _plan_rule("truth_steps", run, n_samples, "chains", n_steps or 0, n_samples * d, "truth_samples", d),
-    )
+    problems, plan = _reference(d, n_samples, h, n_steps)
+    return problems + _plan_problems(plan)
 
 
 def gaussian_ground_truth(pot: QuadraticPotential, n: int, seed: int) -> EmpiricalDistribution:

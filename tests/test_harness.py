@@ -255,7 +255,7 @@ def test_every_study_plans_at_most_max_chunk_steps():
     assert steps == ["steps: the reports keep one distance per step, so a run may take at most 2**20"]
     assert harness.contract_problems(CFG, POT1, 0.05, 2**20, 64 * 2**10) == []
     assert harness.contract_problems(CFG, POT1, 0.05, 2**20, 64 * 2**10 + 1) == [
-        "steps: all pairs step as one state, which costs 1048576 steps on each of 1025 chunks of 64 pairs, "
+        "steps: the pairs would take 2**20 steps on each of 1025 chunks of pairs, "
         "above the 2**30 a run may plan (about a day)"
     ]
 
@@ -329,12 +329,16 @@ def test_distance_work_is_bounded():
     # the first time, the reference's: pairs times d, named by the larger size
     work = harness._MAX_DISTANCE_WORK
     assert work == 2**34
-    assert harness.distance_problems(2**16, 2**16, 1) == harness.distance_problems(2**15, 2**15, 5) == []
-    assert harness.distance_problems(2**16, 2**16, 2) == [
+
+    def distance_problems(n_chains, n_truth, d):  # one run to checkpoint 0 measured against exact draws
+        return harness.mixing_problems("quicsort", n_chains, 0.1, [0], d, (n_truth,))
+
+    assert distance_problems(2**16, 2**16, 1) == distance_problems(2**15, 2**15, 5) == []
+    assert distance_problems(2**16, 2**16, 2) == [
         "chains: a checkpoint's energy distance would sum 25769803776 distance terms "
         "(point pairs times the dimension), above the 2**34 a measurement may plan"
     ]
-    assert harness.distance_problems(64, 200_000, 2)[0].startswith("truth_samples: ")
+    assert distance_problems(64, 200_000, 2)[0].startswith("truth_samples: ")
     # checked once the runs themselves are within their plans, before anything is drawn
     gt = np.zeros((2**17 + 1, 1))
     assert harness.mixing_problems("quicsort", 4, 0.1, [0, 1], 1) == []
@@ -379,11 +383,10 @@ def test_contract_pairs_times_dimension_is_bounded():
     pot = QuadraticPotential(1.0, d=4)
     assert harness.contract_problems(CFG, pot, 0.05, 2, entries // 8) == []
     assert harness.contract_problems(CFG, pot, 0.05, 2, entries // 8 + 1) == [
-        "pairs: all pairs step as one state of 2 x 524289 pairs x the dimension 4 = 4194312 floats, "
-        "above the 2**22 a chunk may hold"
+        "pairs: a chunk of 524289 pairs would keep 4194312 floats of state, above the 2**22 a chunk may hold"
     ]
     # refused before any state is drawn
-    with pytest.raises(ValueError, match="^pairs: all pairs step as one state"):
+    with pytest.raises(ValueError, match="^pairs: a chunk of 1000000000000 pairs"):
         contractivity_study(CFG, POT1, 0.05, 2, 10**12, seed=0)
 
 
