@@ -42,7 +42,6 @@ __all__ = [
     "BrownianPath",
     "DyadicBrownianTree",
     "sample_increment",
-    "zero_increment",
     "to_time_integrals",
     "from_time_integrals",
     "combine",
@@ -157,12 +156,6 @@ def sample_increment(
     z[1] *= math.sqrt(dt * _VAR_H)
     z[2] *= math.sqrt(dt * _VAR_K)
     return BrownianIncrement._trusted(dt, z[0], z[1], z[2])
-
-
-def zero_increment(dt: float, d: int, *, shape: tuple[int, ...] = ()) -> BrownianIncrement:
-    """Increment of a path that is identically zero on the interval."""
-    z = np.zeros((*shape, d))
-    return BrownianIncrement(dt, z, z.copy(), z.copy())
 
 
 def to_time_integrals(inc: BrownianIncrement) -> TimeIntegrals:

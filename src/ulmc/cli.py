@@ -3,7 +3,8 @@
 Settings resolve in three layers: built-in defaults, then a flat
 ``key = value`` config file given with --config, then command-line flags.
 Every run writes a CSV table and a JSON report that records every resolved
-setting, plus the ``gamma_resolved`` and ``u_resolved`` the solver used.
+setting, plus the ``gamma_resolved`` and ``u_resolved`` the solver used, and
+under ``"plan"`` the numbers of every plan its study checked, by role.
 ``--config`` reads only ``key = value`` lines, not that JSON.
 Exit codes: 0 success, 2 invalid configuration or reports that cannot be
 written, 3 numerical divergence.
@@ -53,7 +54,7 @@ from .integrators import DivergenceError, SolverConfig
 from .metrics import distance_kernels
 from .potentials import LogisticPosterior, QuadraticPotential, load_dataset
 
-__all__ = ["RunConfig", "main", "validate_config"]
+__all__ = ["RunConfig", "main"]
 
 def _parse_levels(raw: str) -> list[int]:
     if ":" in raw:
@@ -242,17 +243,13 @@ def _resolve_solver(rc: RunConfig, pot) -> SolverConfig:
     return SolverConfig(gamma=gamma, u=u)
 
 
-def validate_config(rc: RunConfig) -> list[str]:
-    """All configuration problems at once; an empty list means runnable."""
-    return _validate(rc)[0]
-
-
-def _validate(rc: RunConfig) -> tuple[list[str], object, SolverConfig | None]:
+def _validate(rc: RunConfig, plans: dict | None = None) -> tuple[list[str], object, SolverConfig | None]:
     """The problems of ``rc``, and the potential and solver built while checking it.
 
     Each experiment checks only the settings it reads: its entry in
     ``EXPERIMENTS`` returns what the study's own ``*_problems`` function
-    names, and this adds the settings no study owns.
+    names, and this adds the settings no study owns.  ``plans``, if given,
+    gets the plans the study checked, by role.
     """
     diags: list[str] = []
     if rc.experiment not in EXPERIMENTS:
@@ -290,7 +287,7 @@ def _validate(rc: RunConfig) -> tuple[list[str], object, SolverConfig | None]:
         except ValueError as exc:  # the auto policy can overflow on finite input
             diags.append(str(exc))
     if rc.experiment in EXPERIMENTS:
-        diags += EXPERIMENTS[rc.experiment][1](rc, pot, solver)
+        diags += EXPERIMENTS[rc.experiment][1](rc, pot, solver, plans)
     return diags, pot, solver
 
 
@@ -317,7 +314,7 @@ def _dimension(pot) -> int:
     return pot.meta.d if pot is not None else 1
 
 
-def _mixing_problems(rc: RunConfig, pot, methods) -> list[str]:
+def _mixing_problems(rc: RunConfig, pot, methods, plans) -> list[str]:
     """The problems of ``sample`` or ``compare`` running ``methods``.
 
     Besides the runs and their reference cloud, this loads SciPy's two
@@ -325,8 +322,8 @@ def _mixing_problems(rc: RunConfig, pot, methods) -> list[str]:
     ``scipy.optimize`` would take a large share of a small run, so that a
     missing SciPy is a diagnostic, not a traceback halfway through a run.
     """
-    long_run = (_truth_h(rc), rc.truth_steps) if rc.dataset else ()
-    diags = mixing_problems(methods, rc.chains, rc.h, rc.checkpoints, _dimension(pot), (rc.truth_samples, *long_run))
+    reference = (rc.truth_samples, _truth_h(rc), rc.truth_steps) if rc.dataset else (rc.truth_samples,)
+    diags = mixing_problems(methods, rc.chains, rc.h, rc.checkpoints, _dimension(pot), reference, plans)
     try:
         distance_kernels()
     except ImportError as exc:
@@ -408,20 +405,20 @@ def _compare(rc: RunConfig, pot, solver: SolverConfig):
     return _MIXING_HEADER, (row for rep in reps.values() for row in rep.rows()), payload, summary
 
 
-# Each experiment, in the order the parser lists them, with its run (whose
-# docstring is its help line) and its problems, of (rc, pot, solver) both.
+# Each experiment, in the order the parser lists them, with its run (whose docstring
+# is its help line), of (rc, pot, solver), and its problems, of (rc, pot, solver, plans).
 # The runs and main call the studies, the ground truths and the report
 # writers by their names in this module at call time, and no entry holds
 # one, so a wrapper set on this module (as perfbench/shim.py sets) sees them.
 EXPERIMENTS = {
-    "converge": (_converge, lambda rc, pot, solver: converge_problems(
-        rc.methods, rc.horizon, rc.paths, rc.levels, rc.fine_level, _dimension(pot))),
-    "sample": (_sample, lambda rc, pot, solver: _mixing_problems(rc, pot, rc.method)),
-    "contract": (_contract, lambda rc, pot, solver: contract_problems(
-        solver, pot, rc.h, rc.steps, rc.pairs) if solver is not None else []),
-    "stationary": (_stationary, lambda rc, pot, solver: stationary_problems(
-        rc.h, rc.chains, rc.burn_in, rc.kept, _dimension(pot))),
-    "compare": (_compare, lambda rc, pot, solver: _mixing_problems(rc, pot, rc.methods)),
+    "converge": (_converge, lambda rc, pot, solver, plans: converge_problems(
+        rc.methods, rc.horizon, rc.paths, rc.levels, rc.fine_level, _dimension(pot), plans)),
+    "sample": (_sample, lambda rc, pot, solver, plans: _mixing_problems(rc, pot, rc.method, plans)),
+    "contract": (_contract, lambda rc, pot, solver, plans: contract_problems(
+        solver, pot, rc.h, rc.steps, rc.pairs, plans) if solver is not None else []),
+    "stationary": (_stationary, lambda rc, pot, solver, plans: stationary_problems(
+        rc.h, rc.chains, rc.burn_in, rc.kept, _dimension(pot), plans)),
+    "compare": (_compare, lambda rc, pot, solver, plans: _mixing_problems(rc, pot, rc.methods, plans)),
 }
 
 _CSV_VERSION = "ulmc-csv v2"
@@ -469,8 +466,9 @@ def main(argv=None) -> int:
     gc.freeze()
     args = _parser().parse_args(argv)
     rc, diags = _resolve(args)
+    plans: dict = {}
     if not diags and rc is not None:
-        diags, pot, solver = _validate(rc)
+        diags, pot, solver = _validate(rc, plans)
     if diags:
         for diag in diags:
             print(f"ulmc: {diag}", file=sys.stderr)
@@ -492,7 +490,8 @@ def main(argv=None) -> int:
     config = asdict(rc)
     config["gamma_resolved"] = solver.gamma
     config["u_resolved"] = solver.u
-    report = {"experiment": rc.experiment, "config": config, "report": payload}
+    plan = {role: {k: v for k, v in asdict(p).items() if isinstance(v, int)} for role, p in plans.items()}
+    report = {"experiment": rc.experiment, "config": config, "plan": plan, "report": payload}
     try:
         write_text_report(csv_path, csv_text)
         write_json_report(json_path, report)

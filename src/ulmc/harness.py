@@ -1,6 +1,8 @@
 """Experiment drivers: convergence, contraction, stationarity, and mixing.
 
-Every study here is deterministic given its seed and arguments.  Work is cut
+Every study here is deterministic given its seed and arguments, which its
+``*_problems`` function checks first: a :class:`Plan` of the run's size, in
+closed form, is checked against one table of bounds, ``_BOUNDS``.  Work is cut
 into fixed-size chunks of paths or chains, each chunk draws its initial state
 (positions from the dataset prior or N(0, I), velocities from N(0, u I)) and
 its noise from generators keyed by (seed, tag, chunk), and per-chunk results
@@ -182,7 +184,7 @@ def _chunk_workers(pot, threads: int, n_chunks: int) -> int:
 class _WorkQueue:
     """Jobs run by ``threads - 1`` helper threads and, once it gathers, the
     calling thread, so ``threads`` threads work in all; results come back in
-    submission order.
+    submission order.  A helper that cannot start leaves its jobs to the caller.
 
     Helpers start with the first job and take jobs from one queue as soon
     as they are submitted, so the caller can do other work (evolve the next
@@ -216,9 +218,13 @@ class _WorkQueue:
         self._results.append(None)
         self._jobs.put((len(self._results) - 1, fn, item))
         if len(self._results) == 1:
-            self.helpers = [threading.Thread(target=self._serve, daemon=True) for _ in range(self._threads - 1)]
-            for helper in self.helpers:
-                helper.start()
+            for _ in range(self._threads - 1):
+                helper = threading.Thread(target=self._serve, daemon=True)
+                try:
+                    helper.start()
+                except RuntimeError:  # no thread to be had: the calling thread serves the jobs left
+                    break
+                self.helpers.append(helper)
 
     def _serve(self) -> None:
         while (job := self._jobs.get()) is not self._STOP:
@@ -402,9 +408,8 @@ class Plan:
 
 
 def _chunk_plan(names, run, unit, n, steps, width, held=0, terms=0) -> Plan:
-    """The plan of ``steps`` steps on each chunk of ``n`` ``unit``, a row of
-    state keeping ``width`` floats; a run of no steps makes no chunks."""
-    chunks, rows = (-(-n // CHUNK), min(n, CHUNK)) if steps else (0, 0)
+    """The plan of ``steps`` steps on each chunk of ``n`` ``unit``, ``width`` floats a row."""
+    chunks, rows = (-(-n // CHUNK), min(n, CHUNK)) if steps else (0, 0)  # no steps make no chunks
     return Plan(names, run, unit, n, rows, steps, chunks, rows * width, held, terms)
 
 
@@ -413,8 +418,11 @@ def _power(n: int):
     return f"2**{n.bit_length() - 1}" if n > 1 and not n & (n - 1) else n
 
 
-def _plan_problems(plan: Plan) -> list[str]:
-    """The problem of the first bound of ``_BOUNDS`` that ``plan`` breaks, if any."""
+def _plan_problems(plan: Plan, plans: dict | None = None, role: str = "runs") -> list[str]:
+    """The problem of the first bound of ``_BOUNDS`` that ``plan`` breaks, if
+    any; ``plans``, if given, keeps ``plan`` as its ``role``."""
+    if plans is not None:
+        plans[role] = plan
     for row, (field, bound, reason) in enumerate(_BOUNDS):
         limit = globals()[bound]
         if getattr(plan, field) > limit:
@@ -434,13 +442,15 @@ def _method_problems(key: str, methods: Sequence[str]) -> list[str]:
 
 
 def converge_problems(
-    methods: Sequence[str], horizon: float, paths: int, coarse_levels: Sequence[int], fine_level: int, d: int
+    methods: Sequence[str], horizon: float, paths: int, coarse_levels: Sequence[int], fine_level: int, d: int,
+    plans: dict | None = None,
 ) -> list[str]:
     """Why :func:`strong_error_study` cannot run on these arguments on a
     ``d``-dimensional target; empty if it can.
 
     Each entry reads ``"<setting>: <problem>"``, naming the CLI setting to
-    change; the study raises the first.  Every study has such a function.
+    change; the study raises the first.  Every study has such a function,
+    and keeps each :class:`Plan` it checks in ``plans``, if given, by role.
     """
     levels = sorted({int(lvl) for lvl in coarse_levels})
     # beyond the index bound 2**fine_level is refused below, need not be formed, and plans no reference
@@ -462,7 +472,7 @@ def converge_problems(
             not 0.0 < horizon < math.inf or fine_level > _INDEX_BITS or horizon >= math.ldexp(_MIN_STEP, fine_level),
             f"horizon: must be at least 2**fine_level * {_MIN_STEP:g}, or the finest steps underflow to 0",
         ),
-    ) + _plan_problems(plan)
+    ) + _plan_problems(plan, plans)
     if not levels:
         problems.append("levels: need at least one coarse level")
     elif levels[0] < 0:
@@ -579,7 +589,7 @@ def _transformed_distance(cfg: SolverConfig, a: PhaseState, b: PhaseState) -> fl
     return w_part + z_part
 
 
-def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: int) -> list[str]:
+def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: int, plans=None) -> list[str]:
     """Why :func:`contractivity_study` cannot run on these arguments; empty if it can."""
     gamma_floor = 2.0 * math.sqrt(cfg.u * pot.meta.M1)
     h_ceil = 0.1 / cfg.gamma
@@ -605,7 +615,7 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
             f"2**{_MAX_CONTRACT_STEPS.bit_length() - 1}",
         ),
         (n_pairs >= 1, "pairs: need at least one pair"),
-    ) + (_plan_problems(state) or _plan_problems(time))
+    ) + (_plan_problems(state, plans, "state") or _plan_problems(time, plans))
 
 
 def contractivity_study(
@@ -703,7 +713,7 @@ def _mixing_runs(methods: str | Sequence[str], h: float, checkpoints: Sequence[i
 
 def mixing_problems(
     methods: str | Sequence[str], n_chains: int, h: float, checkpoints: Sequence[int], d: int,
-    reference: tuple = (),
+    reference: tuple = (), plans: dict | None = None,
 ) -> list[str]:
     """Why :func:`mixing_study` or :func:`compare_study` cannot run on a
     ``d``-dimensional target; empty if it can.
@@ -714,8 +724,8 @@ def mixing_problems(
     draws each chunk's initial state, so the plan counts it as one step.
     Every run's clouds wait for their measurements, so the plan holds the
     chains' positions at every checkpoint of every run.  ``reference``, the
-    arguments of :func:`ground_truth_problems` but ``d``, adds the reference
-    the runs are measured against, whose plan is checked once theirs holds.
+    arguments of :func:`ground_truth_problems` but ``d``, adds the runs'
+    reference, whose plan is checked once theirs holds.
     """
     key, names = ("method", [methods]) if isinstance(methods, str) else ("methods", methods)
     cps = list(checkpoints)
@@ -724,7 +734,7 @@ def mixing_problems(
     held = n_chains * d * sum(len(run_cps) for _, _, run_cps in runs)
     named = ("checkpoints" if max(cps, default=0) > 0 else "chains", "chains", "chains", "dimension")
     plan = _chunk_plan(named, "the runs to the last checkpoint", "chains", n_chains, steps, d, held)
-    planned = _plan_problems(plan)
+    planned = _plan_problems(plan, plans)
     problems = _method_problems(key, names) + _unmet(
         (n_chains >= 1, "chains: need at least 1"),
         (0.0 < h < math.inf, "h: step size must be positive and finite"),
@@ -741,7 +751,7 @@ def mixing_problems(
     ]
     if reference:
         truth, truth_plan = _reference(d, *reference, chains=n_chains)
-        problems += truth + ([] if planned else _plan_problems(truth_plan))
+        problems += truth + ([] if planned else _plan_problems(truth_plan, plans, "reference"))
     return problems
 
 
@@ -883,7 +893,7 @@ class StationaryReport:
         return {"kind": "stationary", **asdict(self)}
 
 
-def stationary_problems(h: float, n_chains: int, burn_in: int, kept: int, d: int) -> list[str]:
+def stationary_problems(h: float, n_chains: int, burn_in: int, kept: int, d: int, plans=None) -> list[str]:
     """Why :func:`stationary_study` cannot run on these arguments on a
     ``d``-dimensional target; empty if it can."""
     names = ("kept" if kept >= burn_in else "burn_in", "chains", "", "dimension")
@@ -892,7 +902,7 @@ def stationary_problems(h: float, n_chains: int, burn_in: int, kept: int, d: int
         (n_chains >= 1, "chains: need at least 1"),
         (burn_in >= 0, "burn_in: must be nonnegative"),
         (kept >= 1, "kept: need at least one kept step"),
-    ) + _plan_problems(_chunk_plan(names, "burn_in + kept", "chains", n_chains, burn_in + kept, d))
+    ) + _plan_problems(_chunk_plan(names, "burn_in + kept", "chains", n_chains, burn_in + kept, d), plans)
 
 
 def stationary_study(
@@ -957,9 +967,9 @@ def stationary_study(
 
 
 def _reference(d, n_samples, h=None, n_steps=None, chains=None) -> tuple[list[str], Plan]:
-    """A reference cloud's problems but its plan's, and its plan.  Clouds of ``chains``
-    points measured against it add one checkpoint's energy distance terms: every pair
-    of cloud, of cloud and reference and, the first time, of reference."""
+    """A reference cloud's problems but its plan's, and its plan; clouds of
+    ``chains`` points measured against it add the energy distance terms of
+    one checkpoint: pairs within and across both, the reference's once."""
     n, t = max(chains or 0, 0), max(n_samples, 0)
     names = ("truth_steps", "truth_samples", "truth_samples", "dimension", "chains" if n >= t else "truth_samples")
     run = "the reference draws" if n_steps is None else "the reference run"
@@ -972,9 +982,7 @@ def _reference(d, n_samples, h=None, n_steps=None, chains=None) -> tuple[list[st
     ), plan
 
 
-def ground_truth_problems(
-    n_samples: int, d: int, h: float | None = None, n_steps: int | None = None
-) -> list[str]:
+def ground_truth_problems(n_samples: int, d: int, h: float | None = None, n_steps: int | None = None) -> list[str]:
     """Why a reference cloud of ``n_samples`` points in ``d`` dimensions cannot be
     built; empty if it can.
 

@@ -20,6 +20,12 @@ from ulmc import brownian as bm
 _EPS = np.finfo(float).eps
 
 
+def _zero_increment(dt, d, shape=()):
+    """Increment of a path that is identically zero on the interval."""
+    z = np.zeros((*shape, d))
+    return bm.BrownianIncrement(dt, z, z.copy(), z.copy())
+
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -191,7 +197,7 @@ def test_time_integrals_of_plain_increment():
 
 
 def test_time_integrals_zero_path():
-    ti = bm.to_time_integrals(bm.zero_increment(2.0, 3))
+    ti = bm.to_time_integrals(_zero_increment(2.0, 3))
     assert not ti.i1.any() and not ti.i2.any()
 
 
@@ -230,7 +236,7 @@ def test_time_integrals_require_positive_dt():
 
 
 def test_combine_zero_paths():
-    out = bm.combine(bm.zero_increment(0.5, 2), bm.zero_increment(0.5, 2))
+    out = bm.combine(_zero_increment(0.5, 2), _zero_increment(0.5, 2))
     assert out.dt == 1.0
     assert not out.w.any() and not out.h.any() and not out.k.any()
 
@@ -249,7 +255,7 @@ def test_combine_associative():
 
 def test_combine_dimension_mismatch():
     with pytest.raises(ValueError):
-        bm.combine(bm.zero_increment(0.5, 2), bm.zero_increment(0.5, 3))
+        bm.combine(_zero_increment(0.5, 2), _zero_increment(0.5, 3))
 
 
 def test_combine_matches_reconstruction_quadrature():
@@ -328,7 +334,7 @@ def test_refine_left_marginal_zero_parent():
     # six simultaneous statistics.
     n = 1_000_000
     _, cond_o = _conditional_from_kernel(0.5)
-    parent = bm.zero_increment(1.0, 1, shape=(n,))
+    parent = _zero_increment(1.0, 1, shape=(n,))
     left, _ = bm.refine(parent, np.random.default_rng(108))
     lt = bm.to_time_integrals(left)
     for comp, var_o in zip((lt.w, lt.i1, lt.i2), np.diag(cond_o)):

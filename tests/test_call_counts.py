@@ -10,6 +10,9 @@ so a change to the per-chunk call structure fails here first.
 
 import collections
 import functools
+import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,3 +131,28 @@ def test_compare_calls_match_the_closed_form(calls, tmp_path):
         maps=chunks * len(METHODS),
     )
     assert _seen(calls, expected) == expected
+
+
+def _benchmark_workloads():
+    """The benchmark's workload table, read from ``perfbench/workloads.py``."""
+    return runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))["WORKLOADS"]
+
+
+@pytest.mark.parametrize("name", ["converge-logistic", "stationary-gauss", "compare-gauss"])
+def test_the_report_plans_the_steps_and_chunks_of_the_closed_forms(name, tmp_path):
+    # the steps each chunk takes as the closed forms above count them: the
+    # converge reference's, stationary's, and compare's summed over its methods
+    workload = _benchmark_workloads()[name]
+    s = workload.settings
+    argv = workload.write_inputs(3, tmp_path)
+    assert main([*argv, "--threads", "1", "--out", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run.json").read_text())
+    chains = {"converge": "paths"}.get(workload.experiment, "chains")
+    steps = {
+        "converge": lambda: 2 ** int(s["fine_level"]),
+        "stationary": lambda: int(s["burn_in"]) + int(s["kept"]),
+        "compare": lambda: sum(int(s["checkpoints"].split(",")[-1]) * 2 // GRAD_EVALS[m] for m in METHODS),
+    }[workload.experiment]()
+    runs = report["plan"]["runs"]
+    assert (runs["steps"], runs["chunks"]) == (steps, _chunks(int(s[chains])))
+    assert set(report["plan"]) == ({"runs", "reference"} if workload.experiment == "compare" else {"runs"})

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ulmc
-from ulmc import cli
-from ulmc.cli import DEFAULTS, RunConfig, main, validate_config, _parser, _resolve
+from ulmc import cli, harness
+from ulmc.cli import DEFAULTS, RunConfig, main, _parser, _resolve
 from ulmc.harness import _chunk_workers
 from ulmc.potentials import QuadraticPotential, synthetic_dataset
 
@@ -160,12 +160,12 @@ def test_missing_config_file_exits_2(capsys):
 def test_validate_default_config_is_clean():
     for experiment in ("converge", "sample", "contract", "stationary", "compare"):
         rc = _default_config(experiment)
-        assert validate_config(rc) == []
+        assert cli._validate(rc)[0] == []
 
 
 def test_validate_reports_all_violations_at_once():
     rc = _default_config("sample", h=0.0, chains=0, method="leapfrog")
-    diags = validate_config(rc)
+    diags = cli._validate(rc)[0]
     assert len(diags) == 3
     assert any("step size" in d for d in diags)
     assert any("chains" in d for d in diags)
@@ -173,14 +173,14 @@ def test_validate_reports_all_violations_at_once():
 
 
 def test_validate_zero_step_size():
-    diags = validate_config(_default_config("sample", h=0.0))
+    diags = cli._validate(_default_config("sample", h=0.0))[0]
     assert len(diags) == 1
     assert "h" in diags[0] and "positive" in diags[0]
 
 
 def test_validate_contract_precondition_cites_bound():
     rc = _default_config("contract", gamma=1.0, h=0.04)
-    diags = validate_config(rc)
+    diags = cli._validate(rc)[0]
     assert len(diags) == 1
     assert "2*sqrt(u*M1)" in diags[0]
 
@@ -601,7 +601,7 @@ def test_seed_of_2_pow_64_or_more_exits_2(tmp_path, capsys):
     assert main(argv + ["--seed", str(2**64 + 1), "--out", str(tmp_path / "big")]) == 2
     assert "ulmc: seed: must be below 2**64" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    assert validate_config(_default_config("stationary", seed=2**64 - 1)) == []
+    assert cli._validate(_default_config("stationary", seed=2**64 - 1))[0] == []
 
 
 # ---------------------------------------------------------------------------
@@ -902,19 +902,42 @@ _DRAWN = {
     "dataset": st.just(""),
     "out": st.just(""),
 }
+# Settings in ranges where whole configurations often pass, some of them near
+# the plan bounds, so that accepted plans are drawn as well as refused ones.
+_STEPPERS = st.sampled_from(["quicsort", "ubu", "euler"])
+_NEAR = {
+    **_DRAWN,
+    **{key: st.integers(1, 2**hi) for key, hi in (
+        ("threads", 2), ("paths", 23), ("chains", 23), ("kept", 31), ("steps", 21), ("pairs", 22),
+        ("dimension", 20), ("truth_samples", 18), ("truth_steps", 20),
+    )},
+    "seed": st.integers(0, 2**64 - 1),
+    "fine_level": st.integers(0, 40),
+    "burn_in": st.integers(0, 2**31),
+    **{key: st.floats(1e-6, 1.0) for key in ("h", "horizon", "curvature")},
+    **{key: st.just("auto") | st.floats(1e-3, 1e3) for key in ("gamma", "u", "truth_h")},
+    "levels": st.lists(st.integers(0, 40), min_size=1, max_size=4),
+    "checkpoints": st.lists(st.integers(0, 2**31), min_size=1, max_size=4, unique=True).map(sorted),
+    "methods": st.lists(_STEPPERS, min_size=1, max_size=3),
+    "method": _STEPPERS,
+}
 
 
 @pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_any_configuration_gets_diagnostics_not_an_exception(experiment, data):
-    """Whole configurations, every setting drawn from wide ranges, only validated:
-    what comes back is "<setting>: <problem>" lines, and nothing large is allocated."""
-    assert set(_DRAWN) == set(cli._SETTINGS)
-    rc = RunConfig(experiment=experiment, **{key: data.draw(_DRAWN[key], label=key) for key in cli._SETTINGS})
+    """Whole configurations, every setting drawn from wide ranges or from ranges
+    where many pass, only validated: what comes back is "<setting>: <problem>"
+    lines, nothing large is allocated, and a configuration that passes has every
+    plan it checked within every bound."""
+    assert set(_DRAWN) == set(_NEAR) == set(cli._SETTINGS)
+    drawn = data.draw(st.sampled_from([_DRAWN, _NEAR]), label="ranges")
+    rc = RunConfig(experiment=experiment, **{key: data.draw(drawn[key], label=key) for key in cli._SETTINGS})
+    plans = {}
     tracemalloc.start()
     try:
-        diags = cli._validate(rc)[0]
+        diags = cli._validate(rc, plans)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -922,6 +945,11 @@ def test_any_configuration_gets_diagnostics_not_an_exception(experiment, data):
     for diag in diags:
         setting, sep, problem = diag.partition(": ")
         assert sep and problem and setting in cli._SETTINGS, diag
+    if not diags:
+        assert "runs" in plans
+        for plan in plans.values():
+            for field, bound, _ in harness._BOUNDS:
+                assert getattr(plan, field) <= getattr(harness, bound), (field, plan)
 
 
 def _five_subparsers() -> argparse.ArgumentParser:

@@ -10,12 +10,13 @@ import sys
 import threading
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ulmc import harness
+from ulmc import cli, harness
 from ulmc.brownian import BrownianPath, DyadicBrownianTree, chunk_key, keyed_generator
 from ulmc.harness import (
     ConvergenceReport,
@@ -1185,6 +1186,45 @@ def test_work_queue_under_contention_keeps_every_result_and_the_earliest_failure
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("fails_at", [1, 2])
+def test_helpers_that_cannot_start_leave_their_jobs_to_the_calling_thread(fails_at, monkeypatch, tmp_path):
+    # Thread.start raises from its fails_at-th call on, as in a process out of
+    # threads; the chunks of a d = 2 target go to the pool too
+    monkeypatch.setattr(harness, "_POOL_MIN_STATE", 0)
+    runs = {
+        "stationary": ["stationary", "--chains", "130", "--burn-in", "2", "--kept", "3"],
+        "compare": ["compare", "--chains", "130", "--checkpoints", "0,2", "--truth-samples", "50"],
+    }
+
+    def csvs(threads):
+        for name, argv in runs.items():
+            out = str(tmp_path / f"{name}-{threads}")
+            assert cli.main([*argv, "--dimension", "2", "--seed", "5", "--threads", threads, "--out", out]) == 0
+        return [(tmp_path / f"{name}-{threads}.csv").read_bytes() for name in runs]
+
+    serial = csvs("1")
+    start, join = threading.Thread.start, threading.Thread.join
+    started, joined_unstarted = [], []
+
+    def failing_start(thread):
+        started.append(thread)
+        if len(started) >= fails_at:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    def checked_join(thread, timeout=None):
+        if thread.ident is None:
+            joined_unstarted.append(thread)
+        else:
+            join(thread, timeout)
+
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    monkeypatch.setattr(threading.Thread, "join", checked_join)
+    assert csvs("3") == serial
+    assert joined_unstarted == []
+    assert len(started) > fails_at and sum(t.ident is not None for t in started) == fails_at - 1
+
+
 def test_compare_measures_while_the_next_method_evolves(monkeypatch, aniso_truth):
     pot, gt = aniso_truth
     measuring = threading.Event()
@@ -1286,3 +1326,11 @@ def test_compare_failing_measurement_raises_the_serial_exception(monkeypatch, an
         with pytest.raises(RuntimeError, match=r"^job 1$"):
             compare_study(*args, seed=9, threads=threads)
         assert threading.active_count() == before
+
+
+def test_readme_lists_every_bound_with_its_limit():
+    # one table row per bound, naming its constant and its limit as a power of two
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {line.split("|")[1].strip(): line.split("|")[2].strip() for line in readme.splitlines()
+            if line.startswith("| `_MAX_")}
+    assert rows == {f"`{bound}`": f"2**{getattr(harness, bound).bit_length() - 1}" for _, bound, _ in harness._BOUNDS}

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from ulmc import integrators
-from ulmc.brownian import BrownianIncrement, BrownianPath, refine, sample_increment, zero_increment
+from ulmc.brownian import BrownianIncrement, BrownianPath, refine, sample_increment
 from ulmc.integrators import (
     LAMBDA_MINUS,
     LAMBDA_PLUS,
@@ -58,6 +58,11 @@ def _phis(gamma, h):
         for phi in (phi0, phi1, phi2)
         for name, x in points.items()
     })
+
+
+def zero_increment(dt, d):
+    """Increment of a path that is identically zero on the interval."""
+    return BrownianIncrement(dt, np.zeros(d), np.zeros(d), np.zeros(d))
 
 
 def _zero_inc_with_halves(h, d):

@@ -2,8 +2,10 @@
 
 Usage: python3 tools/mutants.py
 
-The script copies ``src/``, ``tests/``, ``demos/`` and ``pyproject.toml`` to a
-fresh temporary directory, removed afterwards, runs the fast suite (``pytest -m "not slow" -x -q``) there once
+The script copies ``src/``, ``tests/``, ``demos/``, ``perfbench/``,
+``pyproject.toml`` and ``README.md`` (the tests read the benchmark's workloads
+and README's table of bounds) to a fresh temporary directory, removed
+afterwards, runs the fast suite (``pytest -m "not slow" -x -q``) there once
 unmutated, which must pass, and then once per mutant with that one edit
 applied.  A mutant is killed when the suite fails.  A mutant that survives
 is a gap in the tests unless it is listed as equivalent, with the reason no
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "demos", "pyproject.toml")
+COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml", "README.md")
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,8 @@ MUTANTS = (
     Mutant(
         "contract pairs bound dropped",
         "src/ulmc/harness.py",
-        "state <= _MAX_CHUNK_ENTRIES,",
-        "True,",
+        '(_plan_problems(state, plans, "state") or ',
+        "(",
     ),
     Mutant(
         "refine map shift drops the half in its corner",
@@ -117,11 +119,11 @@ MUTANTS = (
         "[0.5 * q * q, q, 1.0]",
         "[q * q, q, 1.0]",
     ),
-    Mutant(
+    Mutant(  # past the step bound's row a run has at most 2**30 chunks, so this row never fires
         "chunk count bound dropped",
         "src/ulmc/harness.py",
-        "not steps or chunks <= _MAX_CHUNKS,",
-        "True,",
+        '("chunks", "_MAX_CHUNKS",',
+        '("chunks", "_MAX_CHUNK_STEPS",',
     ),
     Mutant(
         "mixing clouds counted for one run only",
@@ -132,8 +134,8 @@ MUTANTS = (
     Mutant(
         "reference cloud held without its dimension",
         "src/ulmc/harness.py",
-        'n_steps or 0, n_samples * d, "truth_samples"',
-        'n_steps or 0, n_samples, "truth_samples"',
+        "n_steps or 0, d, n_samples * d, terms)",
+        "n_steps or 0, d, n_samples, terms)",
     ),
     Mutant(
         "mean-distance blocks capped by rows only",
@@ -144,20 +146,20 @@ MUTANTS = (
     Mutant(
         "sample checks the methods compare runs",
         "src/ulmc/cli.py",
-        "_mixing_problems(rc, pot, rc.method))",
-        "_mixing_problems(rc, pot, rc.methods))",
+        "_mixing_problems(rc, pot, rc.method, plans))",
+        "_mixing_problems(rc, pot, rc.methods, plans))",
     ),
     Mutant(
         "distance work bound dropped",
         "src/ulmc/harness.py",
-        "work <= _MAX_DISTANCE_WORK,",
-        "True,",
+        "terms = 0 if chains is None else (n * n + n * t + t * t) * d",
+        "terms = 0",
     ),
     Mutant(
         "contract pair-steps bound dropped",
         "src/ulmc/harness.py",
-        "or chunks * n_steps <= _MAX_CHUNK_STEPS,",
-        "or True,",
+        " or _plan_problems(time, plans))",
+        ")",
     ),
     Mutant(
         "dimension bound dropped",
@@ -165,11 +167,11 @@ MUTANTS = (
         "if rc.dimension > _MAX_DIMENSION:",
         "if False:",
     ),
-    Mutant(
+    Mutant(  # every chunked plan keeps no state; contract's state plan is its own
         "chunk state bound dropped",
         "src/ulmc/harness.py",
-        "not steps or rows * width <= _MAX_CHUNK_ENTRIES,",
-        "True,",
+        "chunks, rows * width, held, terms)",
+        "chunks, 0, held, terms)",
     ),
     Mutant(
         "level range bound dropped",
@@ -192,8 +194,15 @@ MUTANTS = (
     Mutant(
         "contract state bound dropped to one chain of each pair",
         "src/ulmc/harness.py",
-        "state = 2 * n_pairs * pot.meta.d",
-        "state = n_pairs * pot.meta.d",
+        "1, 2 * n_pairs * pot.meta.d)",
+        "1, n_pairs * pot.meta.d)",
+    ),
+    Mutant(
+        "a helper that failed to start is joined",
+        "src/ulmc/harness.py",
+        "                    break\n                self.helpers.append(helper)",
+        "                    self.helpers.append(helper)\n"
+        "                    break\n                self.helpers.append(helper)",
     ),
 )
 
