@@ -1,8 +1,8 @@
 """Experiment drivers: convergence, contraction, stationarity, and mixing.
 
 Every study here is deterministic given its seed and arguments, which its
-``*_problems`` function checks first: a :class:`Plan` of the run's size, in
-closed form, is checked against one table of bounds, ``_BOUNDS``.  Work is cut
+``*_problems`` function checks first: each setting alone, then, once all hold,
+combined rules and a :class:`Plan` of the run against ``_BOUNDS``.  Work is cut
 into fixed-size chunks of paths or chains, each chunk draws its initial state
 (positions from the dataset prior or N(0, I), velocities from N(0, u I)) and
 its noise from generators keyed by (seed, tag, chunk), and per-chunk results
@@ -449,17 +449,11 @@ def converge_problems(
     ``d``-dimensional target; empty if it can.
 
     Each entry reads ``"<setting>: <problem>"``, naming the CLI setting to
-    change; the study raises the first.  Every study has such a function,
-    and keeps each :class:`Plan` it checks in ``plans``, if given, by role.
+    change; the study raises the first.  Every study has such a function: it
+    checks each setting on its own and, once all hold, the rules that combine
+    them and a :class:`Plan`, kept in ``plans``, if given, by role.
     """
     levels = sorted({int(lvl) for lvl in coarse_levels})
-    # beyond the index bound 2**fine_level is refused below, need not be formed, and plans no reference
-    depth = min(max(fine_level, 0), _INDEX_BITS)
-    # a chunk keeps each method's state at each level, the reference's, and
-    # one tree node per level on the walk's stack
-    states = sum(m in STEPPER_SPECS for m in dict.fromkeys(methods)) * len(levels) + depth + 2
-    steps = 1 << depth if fine_level <= _INDEX_BITS else 0
-    plan = _chunk_plan(("fine_level", "paths", "", "dimension"), "the reference", "paths", paths, steps, states * d)
     problems = _method_problems("methods", methods) + _unmet(
         (paths >= 2, "paths: need at least 2 for a Monte Carlo error estimate"),
         (0.0 < horizon < math.inf, "horizon: must be positive and finite"),
@@ -468,28 +462,31 @@ def converge_problems(
             f"fine_level: tree node indices below 2**fine_level must fit the "
             f"{_INDEX_BITS}-bit noise index, so it can be at most {_INDEX_BITS}",
         ),
+        (bool(levels), "levels: need at least one coarse level"),
+        (all(lvl >= 0 for lvl in levels), "levels: coarse levels are exponents of two and must be nonnegative"),
+    )
+    if problems:
+        return problems
+    # a chunk keeps each method's state at each level, the reference's and one tree node per level
+    states = len(dict.fromkeys(methods)) * len(levels) + fine_level + 2
+    names = ("fine_level", "paths", "", "dimension")
+    # the rules that combine settings, then the plan, which reads 2**fine_level, once they hold
+    return _unmet(
         (  # halvings round, and below this horizon the shortest finest step is 0
-            not 0.0 < horizon < math.inf or fine_level > _INDEX_BITS or horizon >= math.ldexp(_MIN_STEP, fine_level),
+            horizon >= math.ldexp(_MIN_STEP, fine_level),
             f"horizon: must be at least 2**fine_level * {_MIN_STEP:g}, or the finest steps underflow to 0",
         ),
-    ) + _plan_problems(plan, plans)
-    if not levels:
-        problems.append("levels: need at least one coarse level")
-    elif levels[0] < 0:
-        problems.append("levels: coarse levels are exponents of two and must be nonnegative")
-    elif fine_level < levels[-1]:
-        problems.append(
+        (
+            fine_level >= levels[-1],
             "fine_level: must be at least the finest coarse level so the fine "
-            "increments combine dyadically onto every coarse grid"
-        )
-    elif fine_level in levels:
-        problems += [
-            f"levels: method '{m}' needs increments refined into halves, so its "
-            f"coarse levels must stay strictly below fine_level {fine_level}"
-            for m in dict.fromkeys(methods)
-            if m in STEPPER_SPECS and STEPPER_SPECS[m].needs_halves
-        ]
-    return problems
+            "increments combine dyadically onto every coarse grid",
+        ),
+    ) + [
+        f"levels: method '{m}' needs increments refined into halves, so its "
+        f"coarse levels must stay strictly below fine_level {fine_level}"
+        for m in dict.fromkeys(methods)
+        if fine_level == levels[-1] and STEPPER_SPECS[m].needs_halves
+    ] or _plan_problems(_chunk_plan(names, "the reference", "paths", paths, 1 << fine_level, states * d), plans)
 
 
 def strong_error_study(
@@ -593,11 +590,8 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
     """Why :func:`contractivity_study` cannot run on these arguments; empty if it can."""
     gamma_floor = 2.0 * math.sqrt(cfg.u * pot.meta.M1)
     h_ceil = 0.1 / cfg.gamma
-    # all pairs step as one (2, pairs, d) state, one chunk's, and once it fits,
-    # their time is planned as chunks of pairs; steps past their bound plan none
-    state = Plan(("", "", "", "pairs"), "the pairs", "pairs", n_pairs, n_pairs, 0, 1, 2 * n_pairs * pot.meta.d)
-    steps = n_steps if n_steps <= _MAX_CONTRACT_STEPS else 0
-    time = _chunk_plan(("steps", "pairs"), "the pairs", "pairs", n_pairs, steps, 0)
+    # once every setting holds, all pairs step as one (2, pairs, d) state, one
+    # chunk's, and once it fits, their time is planned as chunks of pairs
     return _unmet(
         (
             cfg.gamma >= gamma_floor * (1.0 - 1e-12),
@@ -615,7 +609,9 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
             f"2**{_MAX_CONTRACT_STEPS.bit_length() - 1}",
         ),
         (n_pairs >= 1, "pairs: need at least one pair"),
-    ) + (_plan_problems(state, plans, "state") or _plan_problems(time, plans))
+    ) or _plan_problems(
+        Plan(("", "", "", "pairs"), "the pairs", "pairs", n_pairs, n_pairs, 0, 1, 2 * n_pairs * pot.meta.d), plans, "state"
+    ) or _plan_problems(_chunk_plan(("steps", "pairs"), "the pairs", "pairs", n_pairs, n_steps, 0), plans)
 
 
 def contractivity_study(
@@ -697,7 +693,7 @@ def _evolve_positions(cfg, pot, method, n_chains, h, record, seed, tags, threads
 
 
 def _mixing_runs(methods: str | Sequence[str], h: float, checkpoints: Sequence[int]) -> list[tuple]:
-    """The ``(method, step, checkpoints)`` runs of a mixing study, known methods only.
+    """The ``(method, step, checkpoints)`` runs of a mixing study of known methods.
 
     One name (``sample``) runs at ``h``.  A sequence of names (``compare``)
     runs each name once at the step that spends the gradients of one
@@ -706,8 +702,8 @@ def _mixing_runs(methods: str | Sequence[str], h: float, checkpoints: Sequence[i
     """
     cps = tuple(int(c) for c in checkpoints)
     if isinstance(methods, str):
-        return [(methods, h, cps)] if methods in STEPPER_SPECS else []
-    ratios = {m: 2 // STEPPER_SPECS[m].gradient_evals for m in dict.fromkeys(methods) if m in STEPPER_SPECS}
+        return [(methods, h, cps)]
+    ratios = {m: 2 // STEPPER_SPECS[m].gradient_evals for m in dict.fromkeys(methods)}
     return [(m, h / k, tuple(k * c for c in cps)) for m, k in ratios.items()]
 
 
@@ -719,22 +715,15 @@ def mixing_problems(
     ``d``-dimensional target; empty if it can.
 
     ``methods`` is one stepper name, the ``method`` of a mixing study, or
-    the sequence of names a comparison runs.  The plan and the underflow
-    check read the runs of :func:`_mixing_runs`.  A run to checkpoint 0 still
-    draws each chunk's initial state, so the plan counts it as one step.
-    Every run's clouds wait for their measurements, so the plan holds the
-    chains' positions at every checkpoint of every run.  ``reference``, the
-    arguments of :func:`ground_truth_problems` but ``d``, adds the runs'
-    reference, whose plan is checked once theirs holds.
+    the sequence of names a comparison runs, and ``reference``, the arguments
+    of :func:`ground_truth_problems` but ``d``, adds their reference.  The
+    plan and the underflow check read the runs of :func:`_mixing_runs`.  A
+    run to checkpoint 0 still draws each chunk's initial state, so the plan
+    counts it as one step.  Every run's clouds wait for their measurements,
+    so the plan holds the chains' positions at every checkpoint of every run.
     """
     key, names = ("method", [methods]) if isinstance(methods, str) else ("methods", methods)
     cps = list(checkpoints)
-    runs = _mixing_runs(methods, h, cps)
-    steps = sum(max([*run_cps, 1]) for _, _, run_cps in runs)
-    held = n_chains * d * sum(len(run_cps) for _, _, run_cps in runs)
-    named = ("checkpoints" if max(cps, default=0) > 0 else "chains", "chains", "chains", "dimension")
-    plan = _chunk_plan(named, "the runs to the last checkpoint", "chains", n_chains, steps, d, held)
-    planned = _plan_problems(plan, plans)
     problems = _method_problems(key, names) + _unmet(
         (n_chains >= 1, "chains: need at least 1"),
         (0.0 < h < math.inf, "h: step size must be positive and finite"),
@@ -742,16 +731,22 @@ def mixing_problems(
             bool(cps) and cps[0] >= 0 and all(b > a for a, b in zip(cps, cps[1:])),
             "checkpoints: must be strictly increasing step indices >= 0",
         ),
-    ) + planned
+    ) + (_reference_problems(*reference) if reference else [])
+    if problems:
+        return problems
+    runs = _mixing_runs(methods, h, cps)
+    steps = sum(max([*run_cps, 1]) for _, _, run_cps in runs)
+    held = n_chains * d * sum(len(run_cps) for _, _, run_cps in runs)
+    named = ("checkpoints" if cps[-1] > 0 else "chains", "chains", "chains", "dimension")
     # a stepper on halves steps over half steps, the shortest intervals it sees
-    problems += [
+    problems = _plan_problems(_chunk_plan(named, "the runs to the last checkpoint", "chains", n_chains, steps, d, held),
+                              plans) + [
         f"h: {m} would step over intervals that underflow to 0"
         for m, step, _ in runs
-        if 0.0 < h < math.inf and not (0.5 * step if STEPPER_SPECS[m].needs_halves else step) > 0.0
+        if not (0.5 * step if STEPPER_SPECS[m].needs_halves else step) > 0.0
     ]
-    if reference:
-        truth, truth_plan = _reference(d, *reference, chains=n_chains)
-        problems += truth + ([] if planned else _plan_problems(truth_plan, plans, "reference"))
+    if reference and not problems:  # (truth_samples,) or (truth_samples, truth_h, truth_steps)
+        problems = _plan_problems(_reference_plan(d, reference[0], *reference[2:], chains=n_chains), plans, "reference")
     return problems
 
 
@@ -902,7 +897,7 @@ def stationary_problems(h: float, n_chains: int, burn_in: int, kept: int, d: int
         (n_chains >= 1, "chains: need at least 1"),
         (burn_in >= 0, "burn_in: must be nonnegative"),
         (kept >= 1, "kept: need at least one kept step"),
-    ) + _plan_problems(_chunk_plan(names, "burn_in + kept", "chains", n_chains, burn_in + kept, d), plans)
+    ) or _plan_problems(_chunk_plan(names, "burn_in + kept", "chains", n_chains, burn_in + kept, d), plans)
 
 
 def stationary_study(
@@ -966,20 +961,23 @@ def stationary_study(
     )
 
 
-def _reference(d, n_samples, h=None, n_steps=None, chains=None) -> tuple[list[str], Plan]:
-    """A reference cloud's problems but its plan's, and its plan; clouds of
-    ``chains`` points measured against it add the energy distance terms of
-    one checkpoint: pairs within and across both, the reference's once."""
-    n, t = max(chains or 0, 0), max(n_samples, 0)
-    names = ("truth_steps", "truth_samples", "truth_samples", "dimension", "chains" if n >= t else "truth_samples")
-    run = "the reference draws" if n_steps is None else "the reference run"
-    terms = 0 if chains is None else (n * n + n * t + t * t) * d
-    plan = _chunk_plan(names, run, "chains", n_samples, n_steps or 0, d, n_samples * d, terms)
+def _reference_problems(n_samples, h=None, n_steps=None) -> list[str]:
+    """The problems of a reference cloud's settings, each on its own."""
     return _unmet(
         (n_samples >= 1, "truth_samples: need at least one sample"),
         (h is None or 0.0 < h < math.inf, "truth_h: step size must be positive and finite"),
         (n_steps is None or n_steps >= 1, "truth_steps: need at least one step"),
-    ), plan
+    )
+
+
+def _reference_plan(d, n_samples, n_steps=None, chains=None) -> Plan:
+    """A reference cloud's plan; clouds of ``chains`` points measured against it
+    add one checkpoint's energy distance terms: pairs within and across both, the reference's once."""
+    n, t = chains or 0, n_samples
+    names = ("truth_steps", "truth_samples", "truth_samples", "dimension", "chains" if n >= t else "truth_samples")
+    run = "the reference draws" if n_steps is None else "the reference run"
+    terms = 0 if chains is None else (n * n + n * t + t * t) * d
+    return _chunk_plan(names, run, "chains", n_samples, n_steps or 0, d, n_samples * d, terms)
 
 
 def ground_truth_problems(n_samples: int, d: int, h: float | None = None, n_steps: int | None = None) -> list[str]:
@@ -989,8 +987,7 @@ def ground_truth_problems(n_samples: int, d: int, h: float | None = None, n_step
     ``h`` and ``n_steps`` are the run of :func:`long_run_ground_truth`; leave
     them out for the exact draws of :func:`gaussian_ground_truth`.
     """
-    problems, plan = _reference(d, n_samples, h, n_steps)
-    return problems + _plan_problems(plan)
+    return _reference_problems(n_samples, h, n_steps) or _plan_problems(_reference_plan(d, n_samples, n_steps))
 
 
 def gaussian_ground_truth(pot: QuadraticPotential, n: int, seed: int) -> EmpiricalDistribution:

@@ -391,6 +391,34 @@ def test_contract_pairs_times_dimension_is_bounded():
         contractivity_study(CFG, POT1, 0.05, 2, 10**12, seed=0)
 
 
+@pytest.mark.parametrize(
+    "problems, expected",
+    [
+        (
+            lambda plans: harness.stationary_problems(0.1, -2**40, -2**40, 0, 1, plans),
+            ["chains: need at least 1", "burn_in: must be nonnegative", "kept: need at least one kept step"],
+        ),
+        (
+            lambda plans: harness.contract_problems(CFG, POT2, 0.01, -2**40, -2**40, plans),
+            ["steps: need at least one step", "pairs: need at least one pair"],
+        ),
+        (  # levels is refused on its own, so the plan of 2**40 reference steps is never built
+            lambda plans: converge_problems(["quicsort"], 1.0, 2**20, [-1, 3], 40, 10, plans),
+            ["levels: coarse levels are exponents of two and must be nonnegative"],
+        ),
+        (  # a refused reference setting holds back the runs' plan too
+            lambda plans: harness.mixing_problems("quicsort", 2**40, 0.1, [0, 1], 1, (0,), plans),
+            ["truth_samples: need at least one sample"],
+        ),
+    ],
+    ids=["stationary", "contract", "converge", "sample"],
+)
+def test_no_plan_is_built_while_a_setting_fails(problems, expected):
+    plans = {}
+    assert problems(plans) == expected
+    assert plans == {}
+
+
 def test_converge_error_sums_that_overflow_only_when_folded_diverge(monkeypatch):
     # each chunk's squared errors are finite, their sum over chunks is not
     monkeypatch.setattr(harness, "_chunked", lambda *args: [{("euler", 2): 1e308}] * 2)
