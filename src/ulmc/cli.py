@@ -237,9 +237,12 @@ def _build_potential(rc: RunConfig, diags: list[str]):
 
 
 def _resolve_solver(rc: RunConfig, pot) -> SolverConfig:
-    """Apply the auto policy: u = 1/M1, gamma = max(2 sqrt(u M1), 1)."""
+    """Apply the auto policy, u = 1/M1 and gamma = max(2 sqrt(u M1), 1), naming the rule of a bad derived value."""
     u = 1.0 / pot.meta.M1 if rc.u == "auto" else rc.u
     gamma = max(2.0 * math.sqrt(u * pot.meta.M1), 1.0) if rc.gamma == "auto" else rc.gamma
+    for key, value, rule in (("u", u, "1/M1"), ("gamma", gamma, "max(2*sqrt(u*M1), 1)")):
+        if getattr(rc, key) == "auto" and not 0.0 < value < math.inf:
+            raise ValueError(f"{key}: 'auto' gives {rule} = {value} on this target; set {key}")
     return SolverConfig(gamma=gamma, u=u)
 
 

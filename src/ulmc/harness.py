@@ -590,8 +590,6 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
     """Why :func:`contractivity_study` cannot run on these arguments; empty if it can."""
     gamma_floor = 2.0 * math.sqrt(cfg.u * pot.meta.M1)
     h_ceil = 0.1 / cfg.gamma
-    # once every setting holds, all pairs step as one (2, pairs, d) state, one
-    # chunk's, and once it fits, their time is planned as chunks of pairs
     return _unmet(
         (
             cfg.gamma >= gamma_floor * (1.0 - 1e-12),
@@ -610,6 +608,7 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
         ),
         (n_pairs >= 1, "pairs: need at least one pair"),
     ) or _plan_problems(
+        # all pairs step as one (2, pairs, d) state, one chunk's; once it fits, their time is planned in chunks
         Plan(("", "", "", "pairs"), "the pairs", "pairs", n_pairs, n_pairs, 0, 1, 2 * n_pairs * pot.meta.d), plans, "state"
     ) or _plan_problems(_chunk_plan(("steps", "pairs"), "the pairs", "pairs", n_pairs, n_steps, 0), plans)
 
@@ -693,7 +692,7 @@ def _evolve_positions(cfg, pot, method, n_chains, h, record, seed, tags, threads
 
 
 def _mixing_runs(methods: str | Sequence[str], h: float, checkpoints: Sequence[int]) -> list[tuple]:
-    """The ``(method, step, checkpoints)`` runs of a mixing study of known methods.
+    """The ``(method, step, checkpoints)`` runs of a mixing study whose methods are known.
 
     One name (``sample``) runs at ``h``.  A sequence of names (``compare``)
     runs each name once at the step that spends the gradients of one
@@ -738,9 +737,9 @@ def mixing_problems(
     steps = sum(max([*run_cps, 1]) for _, _, run_cps in runs)
     held = n_chains * d * sum(len(run_cps) for _, _, run_cps in runs)
     named = ("checkpoints" if cps[-1] > 0 else "chains", "chains", "chains", "dimension")
+    plan = _chunk_plan(named, "the runs to the last checkpoint", "chains", n_chains, steps, d, held)
     # a stepper on halves steps over half steps, the shortest intervals it sees
-    problems = _plan_problems(_chunk_plan(named, "the runs to the last checkpoint", "chains", n_chains, steps, d, held),
-                              plans) + [
+    problems = _plan_problems(plan, plans) + [
         f"h: {m} would step over intervals that underflow to 0"
         for m, step, _ in runs
         if not (0.5 * step if STEPPER_SPECS[m].needs_halves else step) > 0.0

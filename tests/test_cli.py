@@ -707,16 +707,25 @@ def test_contract_with_bad_gamma_or_u_exits_2(setting, value, capsys):
     assert err == f"ulmc: {setting}: must be positive (or 'auto')\n"
 
 
+_AUTO_U = "u: 'auto' gives 1/M1 = inf on this target; set u"
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["sample", "--chains", "4", "--truth-samples", "8"], ["contract"]],
-    ids=["sample", "contract"],
+    "argv, problem",
+    [
+        # u = 1/M1 overflows to inf on this finite curvature
+        (["sample", "--chains", "4", "--truth-samples", "8", "--curvature", "1e-320"], _AUTO_U),
+        (["contract", "--curvature", "1e-320"], _AUTO_U),
+        # the u set here is finite, and u*M1, so the auto gamma, is not
+        (["stationary", "--u", "1e300", "--curvature", "1e300"],
+         "gamma: 'auto' gives max(2*sqrt(u*M1), 1) = inf on this target; set gamma"),
+    ],
+    ids=["sample", "contract", "stationary-gamma"],
 )
-def test_auto_policy_overflow_exits_2(argv, tmp_path, capsys):
-    # u = 1/M1 overflows to inf on this finite curvature
-    assert main(argv + ["--curvature", "1e-320", "--out", str(tmp_path / "o")]) == 2
+def test_auto_policy_overflow_exits_2(argv, problem, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err == "ulmc: u: must be positive and finite, got inf\n"
+    assert err == f"ulmc: {problem}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -929,8 +938,9 @@ _NEAR = {
 def test_any_configuration_gets_diagnostics_not_an_exception(experiment, data):
     """Whole configurations, every setting drawn from wide ranges or from ranges
     where many pass, only validated: what comes back is "<setting>: <problem>"
-    lines, nothing large is allocated, and a configuration that passes has every
-    plan it checked within every bound."""
+    lines, nothing large is allocated, every plan checked counts nothing below
+    0, as no plan is built while a setting fails, and a configuration that
+    passes has every plan it checked within every bound."""
     assert set(_DRAWN) == set(_NEAR) == set(cli._SETTINGS)
     drawn = data.draw(st.sampled_from([_DRAWN, _NEAR]), label="ranges")
     rc = RunConfig(experiment=experiment, **{key: data.draw(drawn[key], label=key) for key in cli._SETTINGS})
@@ -945,6 +955,8 @@ def test_any_configuration_gets_diagnostics_not_an_exception(experiment, data):
     for diag in diags:
         setting, sep, problem = diag.partition(": ")
         assert sep and problem and setting in cli._SETTINGS, diag
+    for plan in plans.values():
+        assert min(plan.count, plan.rows, plan.steps, plan.chunks, plan.state, plan.held, plan.terms) >= 0, plan
     if not diags:
         assert "runs" in plans
         for plan in plans.values():

@@ -107,11 +107,11 @@ MUTANTS = (
         "steps = sum(max([*run_cps, 1]) for _, _, run_cps in runs)",
         "steps = sum(max([*run_cps, 0]) for _, _, run_cps in runs)",
     ),
-    Mutant(
+    Mutant(  # the state plan is still kept, but its problem is dropped
         "contract pairs bound dropped",
         "src/ulmc/harness.py",
-        '(_plan_problems(state, plans, "state") or ',
-        "(",
+        'plans, "state"\n    ) or ',
+        'plans, "state"\n    ) and [] or ',
     ),
     Mutant(
         "refine map shift drops the half in its corner",
@@ -158,8 +158,8 @@ MUTANTS = (
     Mutant(
         "contract pair-steps bound dropped",
         "src/ulmc/harness.py",
-        " or _plan_problems(time, plans))",
-        ")",
+        ' or _plan_problems(_chunk_plan(("steps", "pairs")',
+        ' or [] and _plan_problems(_chunk_plan(("steps", "pairs")',
     ),
     Mutant(
         "dimension bound dropped",
@@ -196,6 +196,12 @@ MUTANTS = (
         "src/ulmc/harness.py",
         "1, 2 * n_pairs * pot.meta.d)",
         "1, n_pairs * pot.meta.d)",
+    ),
+    Mutant(
+        "stationary plan built and checked while a setting fails",
+        "src/ulmc/harness.py",
+        ') or _plan_problems(_chunk_plan(names, "burn_in + kept"',
+        ') + _plan_problems(_chunk_plan(names, "burn_in + kept"',
     ),
     Mutant(
         "a helper that failed to start is joined",
