@@ -325,8 +325,8 @@ def _mixing_problems(rc: RunConfig, pot, methods, plans) -> list[str]:
     ``scipy.optimize`` would take a large share of a small run, so that a
     missing SciPy is a diagnostic, not a traceback halfway through a run.
     """
-    reference = (rc.truth_samples, _truth_h(rc), rc.truth_steps) if rc.dataset else (rc.truth_samples,)
-    diags = mixing_problems(methods, rc.chains, rc.h, rc.checkpoints, _dimension(pot), reference, plans)
+    run = {"truth_h": _truth_h(rc), "truth_steps": rc.truth_steps} if rc.dataset else {}
+    diags = mixing_problems(methods, rc.chains, rc.h, rc.checkpoints, _dimension(pot), rc.truth_samples, plans=plans, **run)
     try:
         distance_kernels()
     except ImportError as exc:

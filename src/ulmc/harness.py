@@ -388,10 +388,10 @@ def _require(problems: list[str]) -> None:
 @dataclass(frozen=True)
 class Plan:
     """A run's size in closed form, as ``_BOUNDS`` reads it, and the words of its
-    problems; ``names`` holds the setting each bound names, in ``_BOUNDS``' order,
-    up to the last bound the run can break."""
+    problems; ``names`` maps the field of each bound the run can break to the
+    setting that bound names."""
 
-    names: tuple[str, ...]
+    names: dict[str, str]
     run: str
     unit: str
     count: int
@@ -407,9 +407,11 @@ class Plan:
         return self.chunks * self.steps
 
 
-def _chunk_plan(names, run, unit, n, steps, width, held=0, terms=0) -> Plan:
-    """The plan of ``steps`` steps on each chunk of ``n`` ``unit``, ``width`` floats a row."""
+def _chunk_plan(step_name, count_name, run, unit, n, steps, width, held=0, terms=0, /, **names) -> Plan:
+    """The plan of ``steps`` steps on each chunk of ``n`` ``unit``, ``width`` floats a row; its bounds name the settings
+    ``step_name`` (steps), ``count_name`` (chunks and clouds), ``dimension`` (state) and, by field, ``names``."""
     chunks, rows = (-(-n // CHUNK), min(n, CHUNK)) if steps else (0, 0)  # no steps make no chunks
+    names = {"chunk_steps": step_name, "chunks": count_name, "held": count_name, "state": "dimension", **names}
     return Plan(names, run, unit, n, rows, steps, chunks, rows * width, held, terms)
 
 
@@ -423,11 +425,11 @@ def _plan_problems(plan: Plan, plans: dict | None = None, role: str = "runs") ->
     any; ``plans``, if given, keeps ``plan`` as its ``role``."""
     if plans is not None:
         plans[role] = plan
-    for row, (field, bound, reason) in enumerate(_BOUNDS):
+    for field, bound, reason in _BOUNDS:
         limit = globals()[bound]
         if getattr(plan, field) > limit:
             words = {**vars(plan), "steps": _power(plan.steps), "limit": _power(limit), "chunk": CHUNK}
-            return [f"{plan.names[row]}: {reason.format(**words)}"]
+            return [f"{plan.names[field]}: {reason.format(**words)}"]
     return []
 
 
@@ -467,9 +469,8 @@ def converge_problems(
     )
     if problems:
         return problems
-    # a chunk keeps each method's state at each level, the reference's and one tree node per level
-    states = len(dict.fromkeys(methods)) * len(levels) + fine_level + 2
-    names = ("fine_level", "paths", "", "dimension")
+    # a chunk row keeps each method's state at each level, the reference's and one tree node per level
+    width = (len(dict.fromkeys(methods)) * len(levels) + fine_level + 2) * d
     # the rules that combine settings, then the plan, which reads 2**fine_level, once they hold
     return _unmet(
         (  # halvings round, and below this horizon the shortest finest step is 0
@@ -486,7 +487,7 @@ def converge_problems(
         f"coarse levels must stay strictly below fine_level {fine_level}"
         for m in dict.fromkeys(methods)
         if fine_level == levels[-1] and STEPPER_SPECS[m].needs_halves
-    ] or _plan_problems(_chunk_plan(names, "the reference", "paths", paths, 1 << fine_level, states * d), plans)
+    ] or _plan_problems(_chunk_plan("fine_level", "paths", "the reference", "paths", paths, 1 << fine_level, width), plans)
 
 
 def strong_error_study(
@@ -609,8 +610,8 @@ def contract_problems(cfg: SolverConfig, pot, h: float, n_steps: int, n_pairs: i
         (n_pairs >= 1, "pairs: need at least one pair"),
     ) or _plan_problems(
         # all pairs step as one (2, pairs, d) state, one chunk's; once it fits, their time is planned in chunks
-        Plan(("", "", "", "pairs"), "the pairs", "pairs", n_pairs, n_pairs, 0, 1, 2 * n_pairs * pot.meta.d), plans, "state"
-    ) or _plan_problems(_chunk_plan(("steps", "pairs"), "the pairs", "pairs", n_pairs, n_steps, 0), plans)
+        Plan({"state": "pairs"}, "the pairs", "pairs", n_pairs, n_pairs, 0, 1, 2 * n_pairs * pot.meta.d), plans, "state"
+    ) or _plan_problems(_chunk_plan("steps", "pairs", "the pairs", "pairs", n_pairs, n_steps, 0), plans)
 
 
 def contractivity_study(
@@ -708,18 +709,18 @@ def _mixing_runs(methods: str | Sequence[str], h: float, checkpoints: Sequence[i
 
 def mixing_problems(
     methods: str | Sequence[str], n_chains: int, h: float, checkpoints: Sequence[int], d: int,
-    reference: tuple = (), plans: dict | None = None,
+    truth_samples=None, truth_h=None, truth_steps=None, plans: dict | None = None,
 ) -> list[str]:
     """Why :func:`mixing_study` or :func:`compare_study` cannot run on a
     ``d``-dimensional target; empty if it can.
 
-    ``methods`` is one stepper name, the ``method`` of a mixing study, or
-    the sequence of names a comparison runs, and ``reference``, the arguments
-    of :func:`ground_truth_problems` but ``d``, adds their reference.  The
-    plan and the underflow check read the runs of :func:`_mixing_runs`.  A
-    run to checkpoint 0 still draws each chunk's initial state, so the plan
-    counts it as one step.  Every run's clouds wait for their measurements,
-    so the plan holds the chains' positions at every checkpoint of every run.
+    ``methods`` is one stepper name, the ``method`` of a mixing study, or the sequence
+    of names a comparison runs; ``truth_samples``, ``truth_h`` and ``truth_steps``, as
+    :func:`ground_truth_problems` takes them, add their reference.  The plan and the
+    underflow check read the runs of :func:`_mixing_runs`.  A run to checkpoint 0
+    still draws each chunk's initial state, so the plan counts it as one step.  Every
+    run's clouds wait for their measurements, so the plan holds the chains' positions
+    at every checkpoint of every run.
     """
     key, names = ("method", [methods]) if isinstance(methods, str) else ("methods", methods)
     cps = list(checkpoints)
@@ -730,27 +731,27 @@ def mixing_problems(
             bool(cps) and cps[0] >= 0 and all(b > a for a, b in zip(cps, cps[1:])),
             "checkpoints: must be strictly increasing step indices >= 0",
         ),
-    ) + (_reference_problems(*reference) if reference else [])
+    ) + ([] if truth_samples is None else _reference_problems(truth_samples, truth_h, truth_steps))
     if problems:
         return problems
     runs = _mixing_runs(methods, h, cps)
     steps = sum(max([*run_cps, 1]) for _, _, run_cps in runs)
     held = n_chains * d * sum(len(run_cps) for _, _, run_cps in runs)
-    named = ("checkpoints" if cps[-1] > 0 else "chains", "chains", "chains", "dimension")
-    plan = _chunk_plan(named, "the runs to the last checkpoint", "chains", n_chains, steps, d, held)
+    step_name = "checkpoints" if cps[-1] > 0 else "chains"
+    plan = _chunk_plan(step_name, "chains", "the runs to the last checkpoint", "chains", n_chains, steps, d, held)
     # a stepper on halves steps over half steps, the shortest intervals it sees
     problems = _plan_problems(plan, plans) + [
         f"h: {m} would step over intervals that underflow to 0"
         for m, step, _ in runs
         if not (0.5 * step if STEPPER_SPECS[m].needs_halves else step) > 0.0
     ]
-    if reference and not problems:  # (truth_samples,) or (truth_samples, truth_h, truth_steps)
-        problems = _plan_problems(_reference_plan(d, reference[0], *reference[2:], chains=n_chains), plans, "reference")
+    if truth_samples is not None and not problems:
+        problems = _plan_problems(_reference_plan(d, truth_samples, truth_steps, n_chains), plans, "reference")
     return problems
 
 
-def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> list[MixingReport]:
-    """One report per ``(method, h, checkpoints)`` run, in run order.
+def _mixing_reports(cfg, pot, methods, n_chains, h, checkpoints, ground_truth, seed, threads) -> list[MixingReport]:
+    """One report per run of :func:`_mixing_runs`, in run order, once :func:`mixing_problems` holds.
 
     The calling thread evolves each run's clouds in turn, with the chunk rule,
     on the ``threads`` the measurement helpers leave: all of them until the
@@ -764,6 +765,8 @@ def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> li
     drops the pending measurements and raises.
     """
     gt = _as_dist(ground_truth)
+    _require(mixing_problems(methods, n_chains, h, checkpoints, pot.meta.d, gt.n))
+    runs = _mixing_runs(methods, h, checkpoints)
     gt_cmp = gt if gt.n <= _METRIC_CAP else subsample(gt, _METRIC_CAP, keyed_generator(seed, _TAG_SUBSAMPLE_REF, 0))
     # every energy distance reads the reference's own mean distance; fill its
     # cache here, before workers could race to compute it
@@ -775,9 +778,9 @@ def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> li
 
     n_jobs = sum(len(cps) for _, _, cps in runs)
     with _WorkQueue(min(threads, n_jobs)) as measuring:
-        for method, h, cps in runs:
+        for method, step_size, cps in runs:
             free = threads - len(measuring.helpers)
-            clouds = _evolve_positions(cfg, pot, method, n_chains, h, cps, seed, _TAGS_MIXING, free)
+            clouds = _evolve_positions(cfg, pot, method, n_chains, step_size, cps, seed, _TAGS_MIXING, free)
             for ci, step in enumerate(cps):
                 emp = EmpiricalDistribution(clouds[step])
                 m = min(emp.n, gt_cmp.n)
@@ -786,12 +789,12 @@ def _mixing_reports(cfg, pot, runs, n_chains, ground_truth, seed, threads) -> li
                 measuring.submit(measure, (emp, emp_w, gt_w))
         measured = iter(measuring.gather())
     reports = []
-    for method, h, cps in runs:
+    for method, step_size, cps in runs:
         energy, w2s = zip(*(next(measured) for _ in cps))
         reports.append(
             MixingReport(
                 method=method,
-                step_size=float(h),
+                step_size=float(step_size),
                 n_chains=int(n_chains),
                 checkpoints=cps,
                 grad_evals=tuple(c * STEPPER_SPECS[method].gradient_evals * int(n_chains) for c in cps),
@@ -826,10 +829,7 @@ def mixing_study(
     clouds larger than ``_METRIC_CAP`` points are subsampled for it
     (deterministic in the seed); the energy distance uses the full clouds.
     """
-    gt = _as_dist(ground_truth)
-    _require(mixing_problems(stepper, n_chains, h, checkpoints, pot.meta.d, (gt.n,)))
-    runs = _mixing_runs(stepper, h, checkpoints)
-    (report,) = _mixing_reports(cfg, pot, runs, n_chains, gt, seed, threads)
+    (report,) = _mixing_reports(cfg, pot, stepper, n_chains, h, checkpoints, ground_truth, seed, threads)
     return report
 
 
@@ -854,10 +854,7 @@ def compare_study(
     :func:`mixing_study`; the checkpoints of all methods share one pool of
     distance workers.
     """
-    gt = _as_dist(ground_truth)
-    _require(mixing_problems(methods, n_chains, h, checkpoints, pot.meta.d, (gt.n,)))
-    runs = _mixing_runs(methods, h, checkpoints)
-    reports = _mixing_reports(cfg, pot, runs, n_chains, gt, seed, threads)
+    reports = _mixing_reports(cfg, pot, methods, n_chains, h, checkpoints, ground_truth, seed, threads)
     return {rep.method: rep for rep in reports}
 
 
@@ -890,13 +887,13 @@ class StationaryReport:
 def stationary_problems(h: float, n_chains: int, burn_in: int, kept: int, d: int, plans=None) -> list[str]:
     """Why :func:`stationary_study` cannot run on these arguments on a
     ``d``-dimensional target; empty if it can."""
-    names = ("kept" if kept >= burn_in else "burn_in", "chains", "", "dimension")
+    step_name = "kept" if kept >= burn_in else "burn_in"
     return _unmet(
         (0.0 < h < math.inf, "h: step size must be positive and finite"),
         (n_chains >= 1, "chains: need at least 1"),
         (burn_in >= 0, "burn_in: must be nonnegative"),
         (kept >= 1, "kept: need at least one kept step"),
-    ) or _plan_problems(_chunk_plan(names, "burn_in + kept", "chains", n_chains, burn_in + kept, d), plans)
+    ) or _plan_problems(_chunk_plan(step_name, "chains", "burn_in + kept", "chains", n_chains, burn_in + kept, d), plans)
 
 
 def stationary_study(
@@ -960,7 +957,7 @@ def stationary_study(
     )
 
 
-def _reference_problems(n_samples, h=None, n_steps=None) -> list[str]:
+def _reference_problems(n_samples, h, n_steps) -> list[str]:
     """The problems of a reference cloud's settings, each on its own."""
     return _unmet(
         (n_samples >= 1, "truth_samples: need at least one sample"),
@@ -969,14 +966,13 @@ def _reference_problems(n_samples, h=None, n_steps=None) -> list[str]:
     )
 
 
-def _reference_plan(d, n_samples, n_steps=None, chains=None) -> Plan:
-    """A reference cloud's plan; clouds of ``chains`` points measured against it
+def _reference_plan(d, t, n_steps=None, n=0) -> Plan:
+    """The plan of a reference cloud of ``t`` points; clouds of ``n`` points measured against it
     add one checkpoint's energy distance terms: pairs within and across both, the reference's once."""
-    n, t = chains or 0, n_samples
-    names = ("truth_steps", "truth_samples", "truth_samples", "dimension", "chains" if n >= t else "truth_samples")
     run = "the reference draws" if n_steps is None else "the reference run"
-    terms = 0 if chains is None else (n * n + n * t + t * t) * d
-    return _chunk_plan(names, run, "chains", n_samples, n_steps or 0, d, n_samples * d, terms)
+    terms = (n * n + n * t + t * t) * d if n else 0
+    terms_name = "chains" if n >= t else "truth_samples"  # the larger cloud's count
+    return _chunk_plan("truth_steps", "truth_samples", run, "chains", t, n_steps or 0, d, t * d, terms, terms=terms_name)
 
 
 def ground_truth_problems(n_samples: int, d: int, h: float | None = None, n_steps: int | None = None) -> list[str]:

@@ -332,7 +332,7 @@ def test_distance_work_is_bounded():
     assert work == 2**34
 
     def distance_problems(n_chains, n_truth, d):  # one run to checkpoint 0 measured against exact draws
-        return harness.mixing_problems("quicsort", n_chains, 0.1, [0], d, (n_truth,))
+        return harness.mixing_problems("quicsort", n_chains, 0.1, [0], d, n_truth)
 
     assert distance_problems(2**16, 2**16, 1) == distance_problems(2**15, 2**15, 5) == []
     assert distance_problems(2**16, 2**16, 2) == [
@@ -407,7 +407,7 @@ def test_contract_pairs_times_dimension_is_bounded():
             ["levels: coarse levels are exponents of two and must be nonnegative"],
         ),
         (  # a refused reference setting holds back the runs' plan too
-            lambda plans: harness.mixing_problems("quicsort", 2**40, 0.1, [0, 1], 1, (0,), plans),
+            lambda plans: harness.mixing_problems("quicsort", 2**40, 0.1, [0, 1], 1, 0, plans=plans),
             ["truth_samples: need at least one sample"],
         ),
     ],

@@ -134,8 +134,8 @@ MUTANTS = (
     Mutant(
         "reference cloud held without its dimension",
         "src/ulmc/harness.py",
-        "n_steps or 0, d, n_samples * d, terms)",
-        "n_steps or 0, d, n_samples, terms)",
+        "n_steps or 0, d, t * d, terms,",
+        "n_steps or 0, d, t, terms,",
     ),
     Mutant(
         "mean-distance blocks capped by rows only",
@@ -152,14 +152,14 @@ MUTANTS = (
     Mutant(
         "distance work bound dropped",
         "src/ulmc/harness.py",
-        "terms = 0 if chains is None else (n * n + n * t + t * t) * d",
+        "terms = (n * n + n * t + t * t) * d if n else 0",
         "terms = 0",
     ),
     Mutant(
         "contract pair-steps bound dropped",
         "src/ulmc/harness.py",
-        ' or _plan_problems(_chunk_plan(("steps", "pairs")',
-        ' or [] and _plan_problems(_chunk_plan(("steps", "pairs")',
+        ' or _plan_problems(_chunk_plan("steps", "pairs"',
+        ' or [] and _plan_problems(_chunk_plan("steps", "pairs"',
     ),
     Mutant(
         "dimension bound dropped",
@@ -200,8 +200,8 @@ MUTANTS = (
     Mutant(
         "stationary plan built and checked while a setting fails",
         "src/ulmc/harness.py",
-        ') or _plan_problems(_chunk_plan(names, "burn_in + kept"',
-        ') + _plan_problems(_chunk_plan(names, "burn_in + kept"',
+        ') or _plan_problems(_chunk_plan(step_name, "chains", "burn_in + kept"',
+        ') + _plan_problems(_chunk_plan(step_name, "chains", "burn_in + kept"',
     ),
     Mutant(
         "a helper that failed to start is joined",
