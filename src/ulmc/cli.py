@@ -169,7 +169,7 @@ def _read_config_file(path: str, diags: list[str]) -> dict[str, tuple[str, int]]
     entries: dict[str, tuple[str, int]] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         diags.append(f"{path}: cannot read config file: {exc}")
         return entries
     for lineno, raw_line in enumerate(text.splitlines(), 1):
@@ -237,12 +237,15 @@ def _build_potential(rc: RunConfig, diags: list[str]):
 
 
 def _resolve_solver(rc: RunConfig, pot) -> SolverConfig:
-    """Apply the auto policy, u = 1/M1 and gamma = max(2 sqrt(u M1), 1), naming the rule of a bad derived value."""
+    """Apply the auto policy, u = 1/M1 and gamma = max(2 sqrt(u M1), 1), naming the rule of a derived value that is not
+    finite or that takes 2*gamma*u, which sigma reads, past the floats where twice the other value alone stays finite."""
     u = 1.0 / pot.meta.M1 if rc.u == "auto" else rc.u
     gamma = max(2.0 * math.sqrt(u * pot.meta.M1), 1.0) if rc.gamma == "auto" else rc.gamma
-    for key, value, rule in (("u", u, "1/M1"), ("gamma", gamma, "max(2*sqrt(u*M1), 1)")):
+    for key, value, other, rule in (("u", u, gamma, "1/M1"), ("gamma", gamma, u, "max(2*sqrt(u*M1), 1)")):
         if getattr(rc, key) == "auto" and not 0.0 < value < math.inf:
             raise ValueError(f"{key}: 'auto' gives {rule} = {value} on this target; set {key}")
+        if getattr(rc, key) == "auto" and not 2.0 * value * other < math.inf and 2.0 * other < math.inf:
+            raise ValueError(f"{key}: 'auto' gives {rule} = {value} on this target, and 2*gamma*u overflows; set {key}")
     return SolverConfig(gamma=gamma, u=u)
 
 
@@ -279,7 +282,9 @@ def _validate(rc: RunConfig, plans: dict | None = None) -> tuple[list[str], obje
     # the parent of the report file itself, which a trailing separator on
     # the prefix would hide from Path(prefix).parent
     out_dir = Path(f"{_report_prefix(rc)}.csv").parent
-    if not out_dir.is_dir():
+    if "\0" in rc.out:  # only a config file can carry one
+        diags.append("out: holds a NUL byte, which no file name may hold")
+    elif not out_dir.is_dir():
         diags.append(f"out: directory not found: {out_dir}")
 
     pot = _build_potential(rc, diags)

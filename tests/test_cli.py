@@ -157,6 +157,28 @@ def test_missing_config_file_exits_2(capsys):
     assert "/nowhere/run.cfg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (b"seed = 1\xff\n",
+         "{cfg}: cannot read config file: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+        # flags cannot carry a NUL byte, so only a config file can set one
+        (b"out = {tmp}/a\x00b\n", "out: holds a NUL byte, which no file name may hold"),
+    ],
+    ids=["not-utf-8", "nul-in-out"],
+)
+def test_config_file_bytes_no_setting_may_hold_exit_2_before_running(text, problem, tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "stationary_study", must_not_run)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(text.replace(b"{tmp}", bytes(tmp_path)))
+    assert main(["stationary", "--config", str(cfg), "--dimension", "2", "--chains", "4", "--kept", "2"]) == 2
+    assert capsys.readouterr().err == f"ulmc: {problem.format(cfg=cfg)}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_validate_default_config_is_clean():
     for experiment in ("converge", "sample", "contract", "stationary", "compare"):
         rc = _default_config(experiment)
@@ -719,8 +741,18 @@ _AUTO_U = "u: 'auto' gives 1/M1 = inf on this target; set u"
         # the u set here is finite, and u*M1, so the auto gamma, is not
         (["stationary", "--u", "1e300", "--curvature", "1e300"],
          "gamma: 'auto' gives max(2*sqrt(u*M1), 1) = inf on this target; set gamma"),
+        # each value finite, but 2*gamma*u, which sigma reads, is not: the auto value is named
+        (["stationary", "--u", "1e300", "--curvature", "1e-10"],
+         "gamma: 'auto' gives max(2*sqrt(u*M1), 1) = 2e+145 on this target, "
+         "and 2*gamma*u overflows; set gamma"),
+        (["stationary", "--gamma", "1e300", "--curvature", "1e-300"],
+         "u: 'auto' gives 1/M1 = 9.999999999999999e+299 on this target, "
+         "and 2*gamma*u overflows; set u"),
+        # with both set, no auto rule is to blame
+        (["stationary", "--gamma", "1e300", "--u", "1e10"],
+         "gamma: 2*gamma*u must be finite for sigma, got gamma 1e+300 and u 10000000000.0"),
     ],
-    ids=["sample", "contract", "stationary-gamma"],
+    ids=["sample", "contract", "stationary-gamma", "stationary-gamma-sigma", "stationary-u-sigma", "stationary-set"],
 )
 def test_auto_policy_overflow_exits_2(argv, problem, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2

@@ -156,6 +156,12 @@ MUTANTS = (
         "terms = 0",
     ),
     Mutant(
+        "reference distance terms always named by the reference's size",
+        "src/ulmc/harness.py",
+        'terms_name = "chains" if n >= t else "truth_samples"',
+        'terms_name = "truth_samples"',
+    ),
+    Mutant(
         "contract pair-steps bound dropped",
         "src/ulmc/harness.py",
         ' or _plan_problems(_chunk_plan("steps", "pairs"',
