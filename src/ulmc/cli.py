@@ -244,7 +244,7 @@ def _resolve_solver(rc: RunConfig, pot) -> SolverConfig:
     for key, value, other, rule in (("u", u, gamma, "1/M1"), ("gamma", gamma, u, "max(2*sqrt(u*M1), 1)")):
         if getattr(rc, key) == "auto" and not 0.0 < value < math.inf:
             raise ValueError(f"{key}: 'auto' gives {rule} = {value} on this target; set {key}")
-        if getattr(rc, key) == "auto" and not 2.0 * value * other < math.inf and 2.0 * other < math.inf:
+        if getattr(rc, key) == "auto" and not 2.0 * gamma * u < math.inf and 2.0 * other < math.inf:
             raise ValueError(f"{key}: 'auto' gives {rule} = {value} on this target, and 2*gamma*u overflows; set {key}")
     return SolverConfig(gamma=gamma, u=u)
 
