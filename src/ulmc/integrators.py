@@ -74,7 +74,8 @@ class SolverConfig:
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key}: must be positive and finite, got {getattr(self, key)}")
         if not 2.0 * self.gamma * self.u < math.inf:
-            raise ValueError(f"gamma: 2*gamma*u must be finite for sigma, got gamma {self.gamma} and u {self.u}")
+            key = "gamma" if 2.0 * self.u < math.inf else "u"  # name u when it overflows alone
+            raise ValueError(f"{key}: 2*gamma*u must be finite for sigma, got gamma {self.gamma} and u {self.u}")
 
     @property
     def sigma(self) -> float:

@@ -19,6 +19,8 @@ import importlib.util
 import os
 import sys
 import threading
+import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -44,7 +46,14 @@ _LOADING = threading.Lock()  # two threads' first distances load each module onc
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Uniform point cloud of finite ``samples``, each of weight 1/n; ``==`` is identity."""
+    """Uniform point cloud of finite ``samples``, each of weight 1/n; ``==`` is identity.
+
+    A cloud never changes (``samples`` is a read-only view), so what is
+    measured on it is kept: its own mean pairwise distance, and its energy
+    and W2 distances to each cloud passed second.  Each is computed once,
+    under this cloud's lock, whichever thread asks first; a repeat returns
+    the same float.
+    """
 
     samples: np.ndarray
 
@@ -56,7 +65,14 @@ class EmpiricalDistribution:
             raise ValueError("samples must be a nonempty (n, d) matrix")
         if not np.isfinite(pts).all():
             raise ValueError("samples must be finite, found NaN or inf")
+        pts = pts.view()
+        pts.flags.writeable = False
         object.__setattr__(self, "samples", pts)
+        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_lock", threading.Lock())
+
+    def __reduce__(self):  # a lock cannot be pickled or copied: a copy starts its own memo
+        return EmpiricalDistribution, (self.samples,)
 
     @property
     def n(self) -> int:
@@ -66,14 +82,28 @@ class EmpiricalDistribution:
     def d(self) -> int:
         return self.samples.shape[1]
 
-    @functools.cached_property
+    @property
     def mean_pairwise_distance(self) -> float:
         """Mean distance between two independent draws from the cloud.
 
         Computed on first use and kept, so a reference cloud measured
         against many others pays for its own pairs once.
         """
-        return _mean_distance(self.samples, self.samples)
+        return self._once("mean", self, lambda: _mean_distance(self.samples, self.samples))
+
+    def _once(self, kind: str, other: EmpiricalDistribution, compute: Callable[[], float]) -> float:
+        """``compute()``, run at most once for ``kind`` against ``other``.
+
+        Only this cloud's lock is held while it runs, and ``compute`` takes
+        no lock of another cloud, so threads measuring a pair in either order
+        cannot deadlock.  ``other`` is held weakly: a cloud measured against
+        many others keeps none of them alive.
+        """
+        key = (kind, weakref.ref(other))
+        with self._lock:
+            if key not in self._memo:
+                self._memo[key] = compute()
+            return self._memo[key]
 
 
 def _as_dist(obj) -> EmpiricalDistribution:
@@ -161,9 +191,13 @@ def energy_distance_sq(mu, nu) -> float:
     nu = _as_dist(nu)
     if mu.d != nu.d:
         raise ValueError(f"dimension mismatch: {mu.d} vs {nu.d}")
-    a = _mean_distance(mu.samples, nu.samples)
-    b, c = mu.mean_pairwise_distance, nu.mean_pairwise_distance
-    return np.inf if np.inf in (a, b, c) else max(2.0 * a - b - c, 0.0)
+    b, c = mu.mean_pairwise_distance, nu.mean_pairwise_distance  # each under its own cloud's lock
+
+    def energy() -> float:
+        a = _mean_distance(mu.samples, nu.samples)
+        return np.inf if np.inf in (a, b, c) else max(2.0 * a - b - c, 0.0)
+
+    return mu._once("energy", nu, energy)
 
 
 def wasserstein2(mu, nu) -> float:
@@ -188,12 +222,17 @@ def wasserstein2(mu, nu) -> float:
             f"clouds of {mu.n} points exceed the exact-assignment cap of "
             f"{_MAX_ASSIGNMENT}; subsample first"
         )
-    if mu.d == 1:
-        diff = np.sort(mu.samples[:, 0]) - np.sort(nu.samples[:, 0])
+    return mu._once("w2", nu, lambda: _assignment_distance(mu.samples, nu.samples))
+
+
+def _assignment_distance(xs, ys) -> float:
+    """Root mean squared distance of the cheapest matching of equally sized ``xs`` and ``ys``."""
+    if xs.shape[1] == 1:
+        diff = np.sort(xs[:, 0]) - np.sort(ys[:, 0])
         with np.errstate(over="ignore"):  # squares that overflow are inf, as in the 2-D branch
             return float(np.sqrt(np.mean(diff**2)))
     _, cdist_sqeuclidean, linear_sum_assignment = distance_kernels()
-    cost = cdist_sqeuclidean(mu.samples, nu.samples)
+    cost = cdist_sqeuclidean(xs, ys)
     try:
         rows, cols = linear_sum_assignment(cost)
     except ValueError:  # SciPy raises when every assignment needs an inf cost

@@ -469,8 +469,10 @@ def test_subcommand_required(capsys):
          "ulmc: {cfg}:1: bad value for 'standardize': expected true/false, got 'maybe'\n"),
         (["stationary", "--seed", "-1"], None, "ulmc: seed: must be nonnegative\n"),
         (["stationary", "--threads", "0"], None, "ulmc: threads: must be at least 1\n"),
+        (["converge", "--levels", "0:65"], None,
+         "ulmc: flag --levels: bad value for 'levels': level range '0:65' holds more than the 65 levels 0 to 64\n"),
     ],
-    ids=["levels", "standardize", "seed", "threads"],
+    ids=["levels", "standardize", "seed", "threads", "levels-wide"],
 )
 def test_bad_setting_exits_2_naming_it(argv, config, err, tmp_path, capsys):
     cfg = _write(tmp_path / "run.cfg", config) if config else None
@@ -751,8 +753,16 @@ _AUTO_U = "u: 'auto' gives 1/M1 = inf on this target; set u"
         # with both set, no auto rule is to blame
         (["stationary", "--gamma", "1e300", "--u", "1e10"],
          "gamma: 2*gamma*u must be finite for sigma, got gamma 1e+300 and u 10000000000.0"),
+        # a set value whose double alone overflows is named, the auto one is not
+        (["stationary", "--u", "1.7e308"],
+         "u: 2*gamma*u must be finite for sigma, got gamma 2.6076809620810593e+154 and u 1.7e+308"),
+        (["stationary", "--u", "10", "--gamma", "1e308"],
+         "gamma: 2*gamma*u must be finite for sigma, got gamma 1e+308 and u 10.0"),
     ],
-    ids=["sample", "contract", "stationary-gamma", "stationary-gamma-sigma", "stationary-u-sigma", "stationary-set"],
+    ids=[
+        "sample", "contract", "stationary-gamma", "stationary-gamma-sigma", "stationary-u-sigma", "stationary-set",
+        "stationary-u-alone", "stationary-gamma-alone",
+    ],
 )
 def test_auto_policy_overflow_exits_2(argv, problem, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -793,7 +803,7 @@ def test_extreme_finite_settings_exit_cleanly(argv, codes, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if codes == (2,):
-        assert re.match(r"ulmc: (gamma|horizon|h): ", err)
+        assert re.match(r"ulmc: (gamma|u|horizon|h): ", err)
 
 
 def test_stationary_moments_overflowing_on_a_finite_state_exit_3(tmp_path, capsys):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ulmc import cli, harness
+from ulmc import cli, harness, metrics
 from ulmc.brownian import BrownianPath, DyadicBrownianTree, chunk_key, keyed_generator
 from ulmc.harness import (
     ConvergenceReport,
@@ -996,6 +996,67 @@ def test_compare_w2_reads_keyed_subsamples(n_chains, n_truth):
                 ref = subsample(gt, n, keyed_generator(13, harness._TAG_SUBSAMPLE_REF, 1 + ci))
             want.append(wasserstein2(emp, ref))
         assert rep.w2 == tuple(want), rep.method
+
+
+def _counted_solves(monkeypatch):
+    """The exact assignments the metrics solve, and the W2 calls the harness makes."""
+    solves, w2_calls = [], []
+    euclidean, sqeuclidean, lsap = metrics.distance_kernels()
+    monkeypatch.setattr(
+        metrics, "distance_kernels", lambda: (euclidean, sqeuclidean, lambda cost: solves.append(1) or lsap(cost))
+    )
+    monkeypatch.setattr(harness, "wasserstein2", lambda mu, nu, _w2=harness.wasserstein2: w2_calls.append(1) or _w2(mu, nu))
+    return solves, w2_calls
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("cap", [None, 32])
+def test_compare_measures_the_shared_initial_cloud_once(monkeypatch, cap, threads):
+    # every method draws one initial cloud: three W2 calls at checkpoint 0, one assignment;
+    # with the cap, its keyed subsamples are shared too
+    pot = QuadraticPotential([1.0, 4.0])
+    gt = gaussian_ground_truth(pot, 64, seed=7)
+    if cap:
+        monkeypatch.setattr(harness, "_METRIC_CAP", cap)
+    solves, w2_calls = _counted_solves(monkeypatch)
+    reps = compare_study(CFG, pot, 64, 0.2, [0, 2, 5], gt, seed=13, threads=threads)
+    assert (len(solves), len(w2_calls)) == (7, 9)
+    assert len({(rep.energy[0], rep.w2[0]) for rep in reps.values()}) == 1
+    for rep in reps.values():  # each method measured alone gives the same report
+        assert rep == mixing_study(CFG, pot, rep.method, 64, rep.step_size, rep.checkpoints, gt, seed=13)
+
+
+def test_compare_measures_a_run_from_another_initial_cloud_on_its_own(monkeypatch):
+    pot = QuadraticPotential([1.0, 4.0])
+    gt = gaussian_ground_truth(pot, 64, seed=7)
+    evolve = harness._evolve_positions
+
+    def shifting_ubu(cfg, pot, method, *args):
+        clouds = evolve(cfg, pot, method, *args)
+        if method == "ubu":
+            clouds[0] = clouds[0] + 0.5
+        return clouds
+
+    monkeypatch.setattr(harness, "_evolve_positions", shifting_ubu)
+    solves, w2_calls = _counted_solves(monkeypatch)
+    reps = compare_study(CFG, pot, 64, 0.2, [0, 2], gt, seed=13)
+    assert (len(solves), len(w2_calls)) == (5, 6)  # euler still shares quicsort's
+    ubu0 = EmpiricalDistribution(shifting_ubu(CFG, pot, "ubu", 64, 0.1, (0,), 13, harness._TAGS_MIXING, 1)[0])
+    assert reps["ubu"].w2[0] == wasserstein2(ubu0.samples, gt) != reps["quicsort"].w2[0]
+    assert reps["ubu"].energy[0] == math.sqrt(energy_distance_sq(ubu0.samples, gt))
+    assert reps["euler"].w2[0] == reps["quicsort"].w2[0]
+
+
+def test_compare_shares_the_initial_cloud_only(monkeypatch):
+    # the streams make every run's initial draw one cloud; clouds that happen to be
+    # equal at a first checkpoint past 0 are not compared, and each is measured
+    pot = QuadraticPotential([1.0, 4.0])
+    gt = gaussian_ground_truth(pot, 64, seed=7)
+    cloud = gaussian_ground_truth(pot, 64, seed=8).samples
+    monkeypatch.setattr(harness, "_evolve_positions", lambda *args: {step: cloud.copy() for step in args[5]})
+    solves, w2_calls = _counted_solves(monkeypatch)
+    compare_study(CFG, pot, 64, 0.2, [1, 2], gt, seed=13)
+    assert (len(solves), len(w2_calls)) == (6, 6)
 
 
 @pytest.mark.parametrize("method", ["quicsort"])  # the stepper stationary runs

@@ -281,8 +281,9 @@ def test_solver_config_validation():
     cfg = SolverConfig(gamma=2.0, u=1.0)
     assert cfg.sigma == pytest.approx(2.0)
     # sigma = sqrt(2*gamma*u) must be finite too
-    for gamma, u in ((1.7e308, 1.0), (1e160, 1e160), (1.0, 1.7e308)):
-        with pytest.raises(ValueError, match=r"^gamma: 2\*gamma\*u must be finite"):
+    # named u when 2*u overflows alone, gamma otherwise
+    for gamma, u, key in ((1.7e308, 1.0, "gamma"), (1e160, 1e160, "gamma"), (1.0, 1.7e308, "u"), (1.7e308, 1.7e308, "u")):
+        with pytest.raises(ValueError, match=rf"^{key}: 2\*gamma\*u must be finite"):
             SolverConfig(gamma=gamma, u=u)
     assert SolverConfig(gamma=1e160, u=1.0).sigma == pytest.approx(np.sqrt(2e160))
 

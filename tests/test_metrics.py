@@ -2,8 +2,13 @@
 energy distance and full permutation enumeration for small Wasserstein
 problems."""
 
+import copy
 import itertools
+import os
+import pickle
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -140,7 +145,95 @@ def test_energy_distance_reuses_a_clouds_own_pair_distances(monkeypatch):
     got = [energy_distance_sq(cloud, ref) for cloud in clouds]
     assert got == want  # the same floats
     assert len(calls) == 3 + 2  # the reference's own pairs only once
-    assert energy_distance_sq(clouds[0], ref) == want[0] and len(calls) == 5 + 1
+    assert energy_distance_sq(clouds[0], ref) == want[0] and len(calls) == 5  # a repeat computes nothing
+
+
+def _counted_kernels(monkeypatch, pause=0.0):
+    """Record the name of every SciPy kernel the metrics call; each call first
+    sleeps ``pause`` seconds, so other threads run while it computes."""
+    calls = []
+    kernels = metrics.distance_kernels()
+
+    def counting(name, fn):
+        return lambda *args: calls.append(name) or time.sleep(pause) or fn(*args)
+
+    counted = tuple(counting(name, fn) for name, fn in zip(("euclidean", "sqeuclidean", "lsap"), kernels))
+    monkeypatch.setattr(metrics, "distance_kernels", lambda: counted)
+    return calls
+
+
+def test_a_repeated_distance_is_the_same_float_and_runs_no_kernel(monkeypatch):
+    rng = np.random.default_rng(21)
+    mu, nu = (EmpiricalDistribution(rng.standard_normal((30, 3)) + shift) for shift in (0.0, 0.4))
+    calls = _counted_kernels(monkeypatch)
+    energy, w2 = energy_distance_sq(mu, nu), wasserstein2(mu, nu)
+    assert sorted(calls) == ["euclidean"] * 3 + ["lsap", "sqeuclidean"]
+    calls.clear()
+    assert energy_distance_sq(mu, nu) is energy and wasserstein2(mu, nu) is w2
+    assert calls == []
+    # the memo holds the bits of a fresh computation
+    fresh = [EmpiricalDistribution(c.samples.copy()) for c in (mu, nu)]
+    assert (energy, w2) == (energy_distance_sq(*fresh), wasserstein2(*fresh))
+
+
+def test_each_other_cloud_gets_its_own_distances(monkeypatch):
+    rng = np.random.default_rng(22)
+    cloud = EmpiricalDistribution(rng.standard_normal((20, 2)))
+    refs = [EmpiricalDistribution(rng.standard_normal((20, 2)) + shift) for shift in (0.0, 1.0)]
+    twin = EmpiricalDistribution(refs[0].samples.copy())  # equal points, another cloud
+    calls = _counted_kernels(monkeypatch)
+    got = [(energy_distance_sq(cloud, ref), wasserstein2(cloud, ref)) for ref in (*refs, twin)]
+    assert calls.count("lsap") == 3
+    want = [
+        (energy_distance_sq(cloud.samples, ref.samples), wasserstein2(cloud.samples, ref.samples))
+        for ref in (*refs, twin)
+    ]
+    assert got == want and got[0] != got[1]
+    # the cloud's own mean distance is kept apart from its distances to others
+    assert cloud.mean_pairwise_distance == metrics._mean_distance(cloud.samples, cloud.samples)
+
+
+def test_clouds_are_read_only():
+    samples = np.arange(6.0).reshape(3, 2)
+    cloud = EmpiricalDistribution(samples)
+    with pytest.raises(ValueError, match="read-only"):
+        cloud.samples[0, 0] = 1.0
+    samples[0, 0] = -1.0  # the caller's array stays writeable
+    assert cloud.samples[0, 0] == -1.0
+    assert cloud.mean_pairwise_distance > 0.0
+    for copied in (pickle.loads(pickle.dumps(cloud)), copy.deepcopy(cloud)):  # with a memo of its own
+        np.testing.assert_array_equal(copied.samples, cloud.samples)
+        assert copied.mean_pairwise_distance == cloud.mean_pairwise_distance and copied._memo is not cloud._memo
+
+
+def test_threads_racing_on_a_pair_compute_it_once(monkeypatch):
+    rng = np.random.default_rng(23)
+    mu, nu = (EmpiricalDistribution(rng.standard_normal((200, 3)) + shift) for shift in (0.0, 0.3))
+    calls = _counted_kernels(monkeypatch, pause=0.01)
+    n_threads = 4 * (os.cpu_count() or 1)
+    start = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def work(i):
+        a, b = (mu, nu) if i % 2 else (nu, mu)  # half measure the pair the other way round
+        start.wait(timeout=10)
+        results[i] = (a, energy_distance_sq(a, b), wasserstein2(a, b))
+
+    workers = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    # each cloud's own pairs once, and each order of the pair once
+    assert sorted(calls) == ["euclidean"] * 4 + ["lsap"] * 2 + ["sqeuclidean"] * 2
+    for first in (mu, nu):
+        assert len({(id(e), id(w)) for a, e, w in results if a is first}) == 1
 
 
 def test_empirical_distributions_compare_by_identity():

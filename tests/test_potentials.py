@@ -397,6 +397,9 @@ def test_gradient_counter():
     counted.gradient(np.zeros(2))
     assert counted.calls == 2
     assert counted.meta.M1 == 1.0
+    x = np.array([[1.0, -2.0], [0.5, 3.0]])
+    np.testing.assert_array_equal(counted.value(x), pot.value(x))  # values are not counted
+    assert counted.calls == 2
 
 
 def test_gradient_counter_exact_under_threads():

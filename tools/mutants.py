@@ -216,6 +216,24 @@ MUTANTS = (
         "                    self.helpers.append(helper)\n"
         "                    break\n                self.helpers.append(helper)",
     ),
+    Mutant(
+        "distance memo keyed by kind only",
+        "src/ulmc/metrics.py",
+        "key = (kind, weakref.ref(other))",
+        "key = kind",
+    ),
+    Mutant(
+        "job shared at every run's first checkpoint",
+        "src/ulmc/harness.py",
+        "                if step == 0:\n                    first = first or job",
+        "                if ci == 0:\n                    first = first or job",
+    ),
+    Mutant(
+        "initial clouds shared without comparing them",
+        "src/ulmc/harness.py",
+        "if np.array_equal(emp.samples, first[0].samples):",
+        "if True:",
+    ),
 )
 
 
