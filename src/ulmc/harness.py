@@ -297,7 +297,7 @@ def _run_chains(cfg, pot, method, n_chains, h, n_steps, seed, tags, threads, obs
 
     def run_chunk(chunk: int, state: PhaseState, key: int):
         result = start()
-        run = ChainRunner(method, state, h, chunk, functools.partial(observe, result))
+        run = ChainRunner(method, state, chunk, functools.partial(observe, result))
         run.run(cfg, pot, BrownianPath(key, pot.meta.d, shape=(len(state.x),)), itertools.repeat(h, n_steps))
         return result
 
@@ -529,7 +529,7 @@ def strong_error_study(
     def run_chunk(chunk: int, state0: PhaseState, key: int) -> dict[tuple[str, int], float]:
         tree = DyadicBrownianTree(key, pot.meta.d, float(horizon), shape=(len(state0.x),))
         runs = {
-            (m, lvl): ChainRunner(m, state0, horizon / 2.0**lvl, chunk)
+            (m, lvl): ChainRunner(m, state0, chunk)
             for m, lvl in dict.fromkeys([*keys, ref_key])
         }
         by_level: dict[int, list[ChainRunner]] = {}
@@ -648,7 +648,7 @@ def contractivity_study(
         return math.isfinite(out[step])
 
     path = BrownianPath(chunk_key(seed, _TAG_CONTRACT_PATH, 0), d, shape=(n_pairs,))
-    ChainRunner("quicsort", state, h, 0, record).run(cfg, pot, path, itertools.repeat(h, n_steps))
+    ChainRunner("quicsort", state, 0, record).run(cfg, pot, path, itertools.repeat(h, n_steps))
     return out
 
 

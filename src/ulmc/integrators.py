@@ -196,64 +196,49 @@ _SIX = _scalar(6.0)
 _TWELVE = _scalar(12.0)
 
 
-class _StepScalars(NamedTuple):
+class _StepScalars:
     """Scalar factors the steppers apply to arrays, for one (gamma, u, h).
 
     Each is formed from the phi values left to right, exactly as the
     stepper formulas read, so every product rounds as it did inline.
     Names give the product, e.g. ``phi1_third_uh`` is ``phi1_third * u * h``
     and ``half_phi0_plus_uh`` is ``0.5 * phi0_plus * u * h``.  All are 0-d
-    arrays (see :func:`_scalar`).
+    arrays (see :func:`_scalar`); the one cached record refuses assignment.
     """
 
-    dt: np.ndarray
-    sigma: np.ndarray
-    phi0_one: np.ndarray
-    phi1_plus: np.ndarray
-    phi1_minus: np.ndarray
-    phi1_one: np.ndarray
-    phi2_one: np.ndarray
-    phi2_minus_h: np.ndarray
-    phi2_plus_h: np.ndarray
-    phi1_one_h: np.ndarray
-    phi2_one_h: np.ndarray
-    phi1_third_uh: np.ndarray
-    half_phi0_plus_uh: np.ndarray
-    half_phi0_minus_uh: np.ndarray
-    half_phi1_plus_uh: np.ndarray
-    half_phi1_minus_uh: np.ndarray
-    phi2_one_u: np.ndarray
-    phi1_one_u: np.ndarray
+    def __init__(self, gamma: float, u: float, h: float):
+        phi0_plus, phi0_minus, phi0_one = (float(phi0(gamma, h, x)) for x in (LAMBDA_PLUS, LAMBDA_MINUS, 1.0))
+        phi1_plus, phi1_minus, phi1_third, phi1_one = (
+            float(phi1(gamma, h, x)) for x in (LAMBDA_PLUS, LAMBDA_MINUS, 1.0 / 3.0, 1.0)
+        )
+        phi2_plus, phi2_minus, phi2_one = (float(phi2(gamma, h, x)) for x in (LAMBDA_PLUS, LAMBDA_MINUS, 1.0))
+        products = dict(
+            dt=h,
+            sigma=math.sqrt(2.0 * gamma * u),
+            phi0_one=phi0_one,
+            phi1_plus=phi1_plus,
+            phi1_minus=phi1_minus,
+            phi1_one=phi1_one,
+            phi2_one=phi2_one,
+            phi2_minus_h=phi2_minus / h,
+            phi2_plus_h=phi2_plus / h,
+            phi1_one_h=phi1_one / h,
+            phi2_one_h=phi2_one / h,
+            phi1_third_uh=phi1_third * u * h,
+            half_phi0_plus_uh=0.5 * phi0_plus * u * h,
+            half_phi0_minus_uh=0.5 * phi0_minus * u * h,
+            half_phi1_plus_uh=0.5 * phi1_plus * u * h,
+            half_phi1_minus_uh=0.5 * phi1_minus * u * h,
+            phi2_one_u=phi2_one * u,
+            phi1_one_u=phi1_one * u,
+        )
+        vars(self).update({name: _scalar(value) for name, value in products.items()})
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"step scalars are shared by every caller: cannot set {name}")
 
 
-@functools.lru_cache(maxsize=512)
-def _step_scalars(gamma: float, u: float, h: float) -> _StepScalars:
-    phi0_plus, phi0_minus, phi0_one = (float(phi0(gamma, h, x)) for x in (LAMBDA_PLUS, LAMBDA_MINUS, 1.0))
-    phi1_plus, phi1_minus, phi1_third, phi1_one = (
-        float(phi1(gamma, h, x)) for x in (LAMBDA_PLUS, LAMBDA_MINUS, 1.0 / 3.0, 1.0)
-    )
-    phi2_plus, phi2_minus, phi2_one = (float(phi2(gamma, h, x)) for x in (LAMBDA_PLUS, LAMBDA_MINUS, 1.0))
-    products = dict(
-        dt=h,
-        sigma=math.sqrt(2.0 * gamma * u),
-        phi0_one=phi0_one,
-        phi1_plus=phi1_plus,
-        phi1_minus=phi1_minus,
-        phi1_one=phi1_one,
-        phi2_one=phi2_one,
-        phi2_minus_h=phi2_minus / h,
-        phi2_plus_h=phi2_plus / h,
-        phi1_one_h=phi1_one / h,
-        phi2_one_h=phi2_one / h,
-        phi1_third_uh=phi1_third * u * h,
-        half_phi0_plus_uh=0.5 * phi0_plus * u * h,
-        half_phi0_minus_uh=0.5 * phi0_minus * u * h,
-        half_phi1_plus_uh=0.5 * phi1_plus * u * h,
-        half_phi1_minus_uh=0.5 * phi1_minus * u * h,
-        phi2_one_u=phi2_one * u,
-        phi1_one_u=phi1_one * u,
-    )
-    return _StepScalars(**{name: _scalar(value) for name, value in products.items()})
+_step_scalars = functools.lru_cache(maxsize=512)(_StepScalars)
 
 
 def quicsort_step(cfg: SolverConfig, pot, state: PhaseState, inc: BrownianIncrement) -> PhaseState:
@@ -367,8 +352,9 @@ def _finite(state: PhaseState) -> bool:
 class ChainRunner:
     """The chains of one study chunk, stepped by the stepper named ``method``.
 
-    A divergence names time ``steps * h`` and chain ``chunk * CHUNK + row``;
-    leading axes may stack states whose rows are the same chains.
+    A divergence names time ``steps * h``, ``h`` the last increment's ``dt``,
+    and chain ``chunk * CHUNK + row``; leading axes may stack states whose
+    rows are the same chains.
     ``observe(step, state)`` sees each new state first and may return True
     to vouch that it is finite, which skips the divergence check, or False
     to reject it as diverged even if it is finite (its moments overflow).
@@ -376,7 +362,7 @@ class ChainRunner:
 
     __slots__ = ("method", "stepper", "needs_halves", "state", "steps", "h", "chunk", "observe")
 
-    def __init__(self, method: str, state: PhaseState, h: float, chunk: int, observe=None):
+    def __init__(self, method: str, state: PhaseState, chunk: int, observe=None):
         if method not in STEPPER_SPECS:
             raise ValueError(f"unknown method '{method}'; choose from {sorted(STEPPERS)}")
         self.method = method
@@ -384,7 +370,7 @@ class ChainRunner:
         self.stepper = STEPPERS[method]
         self.state = state
         self.steps = 0
-        self.h = h
+        self.h = 0.0
         self.chunk = chunk
         self.observe = observe
 
@@ -406,6 +392,7 @@ class ChainRunner:
         state or one that ``observe`` rejects."""
         state = self.stepper(cfg, pot, self.state, inc)
         self.steps += 1
+        self.h = inc.dt
         verdict = None if self.observe is None else self.observe(self.steps, state)
         if verdict is False or verdict is None and not _finite(state):
             raise self._divergence(state)
@@ -457,7 +444,7 @@ def simulate(
         raise ValueError("times must be strictly increasing")
     state = PhaseState(np.asarray(initial.x, dtype=float), np.asarray(initial.v, dtype=float))
     out = []
-    runner = ChainRunner(stepper, state, math.nan, 0, lambda step, new: out.append(new))
+    runner = ChainRunner(stepper, state, 0, lambda step, new: out.append(new))
     try:
         runner.run(cfg, pot, path, np.diff(times))
     except DivergenceError as exc:  # steps may be uneven: name the partition's time

@@ -2,6 +2,7 @@
 Richardson ratios against exact linear flows, coupling/contraction, and the
 stationary moments of the quadratic case."""
 
+import copy
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -19,6 +20,7 @@ from ulmc.integrators import (
     LAMBDA_PLUS,
     STEPPER_SPECS,
     STEPPERS,
+    ChainRunner,
     DivergenceError,
     PhaseState,
     SolverConfig,
@@ -433,6 +435,19 @@ def test_simulate_reports_divergence_step():
     assert "of quicsort" in str(err.value)
 
 
+def test_chain_runner_times_a_divergence_by_its_increments():
+    # no step length is given: time 0 before the first step, then steps times
+    # the last increment's dt
+    cfg, pot = SolverConfig(gamma=1.0), QuadraticPotential(1.0, d=2)
+    state = PhaseState(np.zeros((3, 2)), np.ones((3, 2)))
+    for reject_at, time in ((0, 0.0), (2, 0.5)):
+        runner = ChainRunner("ubu", state, 1, lambda step, new: step != reject_at)
+        with pytest.raises(DivergenceError) as err:
+            runner.run(cfg, pot, BrownianPath(3, 2, shape=(3,)), [0.25, 0.25, 0.25])
+        assert (err.value.step, err.value.time, err.value.chunk) == (reject_at, time, 1)
+        assert runner.h == (0.25 if reject_at else 0.0)
+
+
 # ---------------------------------------------------------------------------
 # contraction and stationarity of the quadratic case
 
@@ -622,15 +637,23 @@ def test_steppers_equal_inline_formulas_where_regrouping_shows(gamma, u, dt, met
     assert _stepper_matches_oracle(gamma, u, dt, seed=11, method=method, d=8, chains=64)
 
 
+def test_step_scalars_are_one_read_only_record_per_setting():
+    s = integrators._step_scalars(1.5, 2.5, 0.125)
+    assert integrators._step_scalars(1.5, 2.5, 0.125) is s
+    for name in ("dt", "phi1_one", "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, integrators._scalar(0.2))
+    assert float(s.dt) == 0.125 and not hasattr(s, "unknown")
+
+
 def test_regrouping_table_catches_every_regrouped_product(monkeypatch):
     for field, (phi, factor) in _THREE_FACTOR.items():
         for grouping, regroup in _REGROUPINGS.items():
             caught = []
             for gamma, u, dt in _REGROUPING_SENSITIVE:
                 p = factor * getattr(_phis(gamma, dt), phi)
-                mutant = integrators._step_scalars(gamma, u, dt)._replace(
-                    **{field: integrators._scalar(regroup(p, u, dt))}
-                )
+                mutant = copy.copy(integrators._step_scalars(gamma, u, dt))
+                vars(mutant)[field] = integrators._scalar(regroup(p, u, dt))
                 monkeypatch.setattr(integrators, "_step_scalars", lambda *args: mutant)
                 caught.append(not _stepper_matches_oracle(gamma, u, dt, 11, "quicsort", 8, chains=64))
                 monkeypatch.undo()
