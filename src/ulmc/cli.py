@@ -115,7 +115,8 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], object], str]] = {
         "auto", lambda raw: min(_available_cpus(), _MAX_THREADS) if raw.lower() == "auto" else int(raw),
         "upper bound on the threads alive at once, the calling thread among them, at most "
         f"{_MAX_THREADS}, or 'auto' for one per usable core up to that; chunks and distances share "
-        "it, small targets run their chunks serially, and output never depends on it",
+        "it, small targets run their chunks serially, OpenBLAS's own threads are not counted, and output "
+        "never depends on it",
     ),
     "out": ("", str, "output prefix for .csv and .json reports (default ulmc-EXPERIMENT)"),
     "dataset": ("", str, "labelled CSV for a logistic posterior target"),

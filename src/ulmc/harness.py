@@ -15,12 +15,14 @@ run's checkpoints on helper threads while later runs evolve, gathering the
 distances in submission order.  ``threads`` caps the threads alive at once,
 the calling thread among them, and changes wall time, never output: a run's
 chunks take the threads its pending measurements leave, and chunks too narrow
-to gain from threads run in the calling thread.  Studies return report objects
+to gain from threads run in the calling thread (OpenBLAS's own threads, which
+a logistic gradient may use, are not counted).  Studies return report objects
 (``rows()`` and ``to_dict()``); :mod:`ulmc.cli` writes them as CSV and JSON.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import math
@@ -219,7 +221,8 @@ class _WorkQueue:
         self._jobs.put((len(self._results) - 1, fn, item))
         if len(self._results) == 1:
             for _ in range(self._threads - 1):
-                helper = threading.Thread(target=self._serve, daemon=True)
+                # a copy of the caller's context carries its np.errstate to the helper
+                helper = threading.Thread(target=contextvars.copy_context().run, args=(self._serve,), daemon=True)
                 try:
                     helper.start()
                 except RuntimeError:  # no thread to be had: the calling thread serves the jobs left

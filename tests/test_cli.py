@@ -936,6 +936,20 @@ def test_mixing_csv_is_the_same_at_one_and_two_threads(experiment, chains, tmp_p
     assert csvs[0] == csvs[1]
 
 
+@pytest.mark.parametrize("warnings_as_errors", [False, True])
+def test_a_pooled_divergence_reads_the_same_at_one_and_two_threads(warnings_as_errors, tmp_path):
+    # 64 x 128 chunk states pool; the helpers must keep main's np.errstate,
+    # or an overflow warns on stderr, and under -W error ends in a traceback
+    argv = ["stationary", "--dimension", "128", "--chains", "256", "--burn-in", "50", "--kept", "10",
+            "--h", "30", "--gamma", "1", "--u", "1", "--out", "div"]
+    strict = "import warnings; warnings.simplefilter('error', RuntimeWarning); " if warnings_as_errors else ""
+    run = strict + "import sys; from ulmc.cli import main; sys.exit(main({!r}))"
+    runs = [_run_python(run.format([*argv, "--threads", t]), tmp_path) for t in ("1", "2")]
+    assert [proc.returncode for proc in runs] == [3, 3], runs[1].stderr
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.startswith("ulmc: overflowing moments of a finite state after step 51 (t = 1530) of quicsort")
+
+
 _HUGE = 2**70
 _NUMBER = st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False)  # subnormals included
 _NAMES = st.sampled_from(["quicsort", "ubu", "euler", "rk4", ""])

@@ -1088,6 +1088,19 @@ def test_stationary_divergence_equals_the_per_chunk_loop(method, burn_in):
     assert got.value.finite_state == (burn_in == 0)
 
 
+@pytest.mark.parametrize("burn_in", [0, 400])
+def test_pooled_chunks_run_under_the_callers_numpy_error_state(monkeypatch, burn_in):
+    # np.errstate is a context variable: a helper that ran outside the caller's
+    # context would warn on overflow, an error under this suite's filters
+    monkeypatch.setattr(harness, "_POOL_MIN_STATE", 0)
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
+            stationary_study(CFG, _STIFF, 0.3, 130, burn_in, 400 - burn_in + 1, seed=6, threads=threads)
+        errors.append(err.value)
+    _same_divergence(*errors)
+
+
 @pytest.mark.parametrize("u, power", [(1.0, 2), (1e-150, 4), (1e-200, 6)])
 def test_stationary_rejects_a_finite_state_whose_moment_overflows(u, power):
     # where gamma*h overflows, one quicsort step kicks |v| to about

@@ -234,6 +234,24 @@ MUTANTS = (
         "if np.array_equal(emp.samples, first[0].samples):",
         "if True:",
     ),
+    Mutant(
+        "helpers run outside the submitting thread's context",
+        "src/ulmc/harness.py",
+        "target=contextvars.copy_context().run, args=(self._serve,),",
+        "target=self._serve,",
+    ),
+    Mutant(
+        "runner keeps no increment length",
+        "src/ulmc/integrators.py",
+        "        self.h = inc.dt\n",
+        "",
+    ),
+    Mutant(
+        "step scalars' assignment guard removed",
+        "src/ulmc/integrators.py",
+        "    def __setattr__(self, name: str, value) -> None:",
+        "    def _unguarded(self, name: str, value) -> None:",
+    ),
 )
 
 
